@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 
+from . import __version__
 from . import decomposition as dmod
 from . import functional_oracle as omod
 from .hl_category import (DrinfeldWord, InvalidWord, consecutive_pairs,
@@ -135,16 +136,39 @@ def _cache_dir(args):
     return os.environ.get("HLDECOMP_CACHE") or args.cache
 
 
+# bump when the layout or the meaning of a cache entry changes
+_CACHE_SCHEMA = 1
+
+
 def _job_key(payload) -> str:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    # the package version is part of the key, so a release with an
+    # algorithm fix never serves entries computed before it
+    job = {"version": __version__, "schema": _CACHE_SCHEMA, "job": payload}
+    text = json.dumps(job, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _cache_load(cachedir, key):
+def _entry_fields(payload, lam):
+    """Fields of the result JSON that an entry for this job must carry.
+
+    A job without a gamma covers the full default domain; that case is
+    left to the versioned key rather than re-enumerated on every load.
+    """
+    fields = {"n": payload["n"], "pi": payload.get("pi"), "weight": list(lam)}
+    if payload["gamma"]:
+        fields["domain"] = [payload["gamma"]]
+    return fields
+
+
+def _cache_load(cachedir, key, fields):
     path = os.path.join(cachedir, key + ".json")
     try:
         with open(path) as fh:
-            return dmod.from_json_dict(json.load(fh))
+            data = json.load(fh)
+        wrong = sorted(f for f, v in fields.items() if data.get(f) != v)
+        if wrong:
+            raise ValueError("does not match the job in %s" % ", ".join(wrong))
+        return dmod.from_json_dict(data)
     except FileNotFoundError:
         return None
     except Exception as exc:
@@ -165,12 +189,12 @@ def _cache_store(cachedir, key, dec):
         print("warning: could not write cache entry (%s)" % exc, file=sys.stderr)
 
 
-def _cached(args, payload, compute):
+def _cached(args, payload, lam, compute):
     cachedir = _cache_dir(args)
     if not cachedir:
         return compute()
     key = _job_key(payload)
-    dec = _cache_load(cachedir, key)
+    dec = _cache_load(cachedir, key, _entry_fields(payload, lam))
     if dec is None:
         dec = compute()
         _cache_store(cachedir, key, dec)
@@ -179,7 +203,8 @@ def _cached(args, payload, compute):
 
 def cmd_decompose(args) -> int:
     word = _word_from_args(args)
-    gammas = _gamma_from_args(args, weight_of(word))
+    lam = weight_of(word)
+    gammas = _gamma_from_args(args, lam)
     payload = {
         "cmd": "decompose",
         "n": args.n,
@@ -187,7 +212,7 @@ def cmd_decompose(args) -> int:
         "gamma": list(gammas[0]) if gammas else None,
         "relaxed": bool(args.relaxed_empty_groups),
     }
-    dec = _cached(args, payload, lambda: dmod.graded_decomposition(
+    dec = _cached(args, payload, lam, lambda: dmod.graded_decomposition(
         word, relaxed_empty_groups=args.relaxed_empty_groups, gammas=gammas))
     sys.stdout.write(dmod.report(dec, args.format))
     return 0
@@ -196,7 +221,8 @@ def cmd_decompose(args) -> int:
 def cmd_oracle(args) -> int:
     if args.mode == "pair":
         word = _word_from_args(args)
-        gammas = _gamma_from_args(args, weight_of(word))
+        lam = weight_of(word)
+        gammas = _gamma_from_args(args, lam)
         payload = {
             "cmd": "oracle",
             "mode": "pair",
@@ -204,7 +230,7 @@ def cmd_oracle(args) -> int:
             "pi": [list(f) for f in word.factors],
             "gamma": list(gammas[0]) if gammas else None,
         }
-        dec = _cached(args, payload, lambda: omod.oracle_decomposition(
+        dec = _cached(args, payload, lam, lambda: omod.oracle_decomposition(
             mode="pair", word=word, gammas=gammas))
     else:
         lam = _lam_from_args(args)
@@ -220,7 +246,7 @@ def cmd_oracle(args) -> int:
             "xi": [[i, j, v] for (i, j), v in sorted(xi.items())],
             "gamma": list(gammas[0]) if gammas else None,
         }
-        dec = _cached(args, payload, lambda: omod.oracle_decomposition(
+        dec = _cached(args, payload, lam, lambda: omod.oracle_decomposition(
             lam=lam, mode="full", xi=xi, gammas=gammas))
     sys.stdout.write(dmod.report(dec, args.format))
     return 0
@@ -274,7 +300,9 @@ def cmd_character(args) -> int:
     lam = _lam_from_args(args)
     table = weight_multiplicities(args.n, lam)
     dim = sum(table.values())
-    assert dim == weyl_dim(args.n, lam)
+    if dim != weyl_dim(args.n, lam):
+        raise ArithmeticError("weight multiplicities add up to %d, Weyl dimension is %d"
+                              % (dim, weyl_dim(args.n, lam)))
     order = sorted(table, key=lambda w: (-table[w], w))
     if args.format == "json":
         payload = {

@@ -25,14 +25,31 @@ Symmetry reduces everything to the orbit basis: one spanning function
 per family of per-node exponent multisets inside the window
 [lo_i, hi_i], lo_i = -lam_i (pair mode) or -min(lam_i, xi_{i,i}) (full
 mode), hi_i = r_{i-1} + r_{i+1} - 2.  Each condition contributes integer
-linear relations on orbit coefficients; the dimension is the corank of
-the relation matrix, computed fraction-free.
+linear relations on orbit coefficients; the dimension is the exact
+corank of the relation matrix, found in three steps (`exact_corank`):
+
+  1. A sparse echelon over GF(p), p = 2^31 - 1.  The rank mod p is at
+     most the rank over Q, so a full echelon proves the corank is 0.
+  2. Otherwise, with k free columns, the corank over Q is at most k.
+     Back substitution reads one kernel vector mod p off each free
+     column, equal to 1 there and 0 on the other free columns.  Each
+     entry is lifted to a fraction by rational reconstruction and the
+     vector scaled to integers.  If every relation row annihilates
+     every lifted vector in exact integer arithmetic, those k vectors
+     lie in the rational kernel, and they are independent because each
+     is nonzero on its own free column and zero on the others; so the
+     corank is at least k, hence exactly k.
+  3. If a lift or an exact check fails, the corank is recomputed by
+     fraction-free (Bareiss) elimination, `integer_rank`.
+
+No corank is returned on the strength of the modular computation alone.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations, product
+from math import isqrt, lcm
 
 from .hl_category import consecutive_pairs, is_normalized, weight_of
 from .polytope_count import QPolynomial
@@ -216,40 +233,122 @@ def derive_intervals(lam, gamma, mode: str, xi=None, pairs=None):
 
 
 _PRIME = (1 << 31) - 1
+# numerators and denominators up to _BOUND determine a fraction uniquely
+# from its residue mod _PRIME, since 2 * _BOUND**2 < _PRIME
+_BOUND = isqrt(_PRIME // 2)
 
 
-def _corank_mod_p(rows, ncols, prime=_PRIME) -> int:
-    """Corank of sparse integer rows over GF(prime).
+def _echelon_mod_p(rows, ncols) -> dict[int, dict[int, int]]:
+    """Row echelon form of sparse integer rows over GF(_PRIME).
 
-    The modular rank never exceeds the rational rank, so a zero corank
-    here proves the exact corank is zero; a positive value is only an
-    upper bound estimate and callers must confirm it exactly.  Stops as
-    soon as the echelon is full.
+    Maps each pivot column to its row, scaled so the pivot entry is 1
+    and with no entries left of the pivot.  Stops as soon as the
+    echelon is full.
     """
     echelon: dict[int, dict[int, int]] = {}
     for row in rows:
         r = {}
         for c, v in row.items():
-            v %= prime
+            v %= _PRIME
             if v:
                 r[c] = v
         while r:
             lead = min(r)
             piv = echelon.get(lead)
             if piv is None:
-                inv = pow(r[lead], prime - 2, prime)
-                echelon[lead] = {c: (v * inv) % prime for c, v in r.items()}
+                inv = pow(r[lead], _PRIME - 2, _PRIME)
+                echelon[lead] = {c: (v * inv) % _PRIME for c, v in r.items()}
                 break
             coef = r[lead]
             for c, v in piv.items():
-                nv = (r.get(c, 0) - coef * v) % prime
+                nv = (r.get(c, 0) - coef * v) % _PRIME
                 if nv:
                     r[c] = nv
                 else:
                     r.pop(c, None)
         if len(echelon) == ncols:
-            return 0
-    return ncols - len(echelon)
+            break
+    return echelon
+
+
+def _corank_mod_p(rows, ncols) -> int:
+    """Corank of sparse integer rows over GF(_PRIME).
+
+    The modular rank never exceeds the rational rank, so this is an
+    upper bound on the exact corank, and a zero value proves the exact
+    corank is zero.  `exact_corank` proves or replaces a positive value.
+    """
+    return ncols - len(_echelon_mod_p(rows, ncols))
+
+
+def _rational_mod_p(a):
+    """(num, den) with num = a * den mod _PRIME, den > 0 and |num|,
+    den <= _BOUND, or None if the Euclidean remainders find none."""
+    r0, r1 = _PRIME, a % _PRIME
+    t0, t1 = 0, 1
+    while r1 > _BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if not 0 < abs(t1) <= _BOUND:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _lift_kernel(echelon, ncols):
+    """Integer candidates for a kernel basis, read off an echelon mod _PRIME.
+
+    Back substitution gives one kernel vector mod _PRIME per free column,
+    1 on that column and 0 on the other free columns.  Each entry is
+    lifted by rational reconstruction and the vector is scaled to
+    integers, which keeps its zero pattern on the free columns.  Returns
+    None if some entry has no lift.  The vectors are not yet checked.
+    """
+    leads = sorted(echelon, reverse=True)
+    kernel = []
+    for free in range(ncols):
+        if free in echelon:
+            continue
+        vec = {free: 1}
+        for lead in leads:
+            if lead > free:
+                # its row meets only columns right of free, all zero here
+                continue
+            s = sum(v * vec[c] for c, v in echelon[lead].items() if c in vec)
+            if s % _PRIME:
+                vec[lead] = -s % _PRIME
+        fracs = {}
+        for c, a in vec.items():
+            frac = _rational_mod_p(a)
+            if frac is None:
+                return None
+            fracs[c] = frac
+        scale = lcm(*(den for _, den in fracs.values()))
+        kernel.append({c: num * (scale // den) for c, (num, den) in fracs.items()})
+    return kernel
+
+
+def exact_corank(rows, ncols) -> int:
+    """Exact corank of integer relation rows over Q.
+
+    rows maps condition keys to sparse rows (column -> integer), as
+    `constraint_rows` returns them.  A full echelon mod p proves the
+    corank is 0.  Otherwise, with k free columns, the corank is at most
+    k; the k lifted kernel vectors are independent (each is nonzero on
+    its own free column and zero on the other free columns), so once
+    every row annihilates every one of them exactly, the corank is at
+    least k and therefore k.  If a lift or a check fails, the corank
+    comes from `integer_rank`.
+    """
+    echelon = _echelon_mod_p(sorted(rows.values(), key=len), ncols)
+    if len(echelon) == ncols:
+        return 0
+    kernel = _lift_kernel(echelon, ncols)
+    if kernel is not None and all(
+            sum(c * vec.get(o, 0) for o, c in row.items()) == 0
+            for row in rows.values() for vec in kernel):
+        return len(kernel)
+    return ncols - integer_rank(_rows_to_matrix(rows, ncols))
 
 
 def integer_rank(mat) -> int:
@@ -310,12 +409,7 @@ def dim_V(lam, gamma, p: int, mode: str, xi=None, pairs=None) -> int:
         return 0
     intervals = derive_intervals(lam, gamma, mode, xi, pairs)
     rows = constraint_rows(lam, gamma, mode, orbits, xi, intervals)
-    # Sparse modular elimination first: corank 0 mod p certifies dim 0
-    # exactly, and that is the common case away from gamma = 0.
-    if _corank_mod_p(sorted(rows.values(), key=len), len(orbits)) == 0:
-        return 0
-    mat = _rows_to_matrix(rows, len(orbits))
-    return len(orbits) - integer_rank(mat)
+    return exact_corank(rows, len(orbits))
 
 
 def grade_window(lam, gamma, mode: str, xi=None) -> range:
@@ -366,7 +460,10 @@ def oracle_decomposition(lam=None, mode: str = "full", xi=None, word=None,
         pairs = consecutive_pairs(word)
         for (a, b) in pairs:
             v = -(-pairing(lam, (a, b)) // 2)
-            assert v == 1, "level one words always give pole depth 1"
+            if v != 1:
+                raise ArithmeticError(
+                    "pair %s has pole depth %d; level one words always give 1"
+                    % ((a, b), v))
     elif mode == "full":
         if lam is None or xi is None:
             raise ValueError("full mode needs lam and xi")

@@ -248,7 +248,8 @@ def count_by_grade_ie(spec: PolytopeSpec, height: int, K: int) -> QPolynomial:
                     break
             for lvl, cnt in enumerate(term):
                 acc[lvl] += sign * cnt
-    assert all(c >= 0 for c in acc), "inclusion-exclusion went negative"
+    if any(c < 0 for c in acc):
+        raise ArithmeticError("inclusion-exclusion went negative: %s" % (acc,))
     return QPolynomial({max_level - lvl: c for lvl, c in enumerate(acc) if c})
 
 

@@ -135,5 +135,6 @@ def weyl_dim(n: int, mu) -> int:
         for j in range(i, n + 1):
             num *= sum(mu[i - 1 : j]) + j - i + 1
             den *= j - i + 1
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError("Weyl dimension formula gave %d/%d" % (num, den))
     return num // den

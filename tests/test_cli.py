@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from hldecomp import cli
 from hldecomp.cli import main
 
 RANK8_ARGS = ["--n", "8", "--pi", "2:0,3:3,4:0,5:3,7:-1"]
@@ -239,6 +240,57 @@ def test_cache_corrupt_entry_recomputed(tmp_path, capsys):
     # the corrupt entry was replaced by a good one
     with open(path) as fh:
         assert json.load(fh)["n"] == 2
+
+
+def test_cache_entry_for_another_job_is_a_miss(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    other = tmp_path / "other"
+    _, first, _ = run(capsys, "decompose", "--n", "2", "--pi", "1:0,2:3",
+                      "--format", "json", "--cache", cache)
+    (entry,) = os.listdir(cache)
+    path = os.path.join(cache, entry)
+    run(capsys, "decompose", "--n", "3", "--pi", "1:0,2:3,3:0",
+        "--format", "json", "--cache", str(other))
+    (other_entry,) = os.listdir(other)
+    # an entry whose n, pi, weight and domain belong to another job
+    os.replace(other / other_entry, path)
+    code, out, err = run(capsys, "decompose", "--n", "2", "--pi", "1:0,2:3",
+                         "--format", "json", "--cache", cache)
+    assert code == 0
+    assert out == first
+    assert "ignoring unreadable cache entry" in err
+    assert "does not match the job in n, pi, weight" in err
+
+
+def test_cache_entry_for_another_gamma_is_a_miss(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    args = ["decompose", "--n", "2", "--pi", "1:0,2:3", "--gamma", "0,0",
+            "--format", "json", "--cache", cache]
+    _, first, _ = run(capsys, *args)
+    (entry,) = os.listdir(cache)
+    path = os.path.join(cache, entry)
+    # a stored entry whose domain alone disagrees with the named gamma
+    with open(path) as fh:
+        data = json.load(fh)
+    data["domain"] = [[1, 1]]
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    code, out, err = run(capsys, *args)
+    assert code == 0
+    assert out == first
+    assert "does not match the job in domain)" in err
+
+
+def test_cache_key_depends_on_version_and_schema(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    args = ["decompose", "--n", "2", "--pi", "1:0,2:3", "--cache", str(cache)]
+    run(capsys, *args)
+    monkeypatch.setattr(cli, "__version__", "0.0.0-older")
+    run(capsys, *args)
+    assert len(os.listdir(cache)) == 2
+    monkeypatch.setattr(cli, "_CACHE_SCHEMA", cli._CACHE_SCHEMA + 1)
+    run(capsys, *args)
+    assert len(os.listdir(cache)) == 3
 
 
 def test_cache_env_overrides_flag(tmp_path, capsys, monkeypatch):

@@ -11,12 +11,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from hldecomp import functional_oracle
 from hldecomp.functional_oracle import (
+    _PRIME,
     _corank_mod_p,
     _rows_to_matrix,
     constraint_rows,
     derive_intervals,
     dim_V,
+    exact_corank,
     grade_window,
     integer_rank,
     oracle_decomposition,
@@ -26,7 +29,8 @@ from hldecomp.functional_oracle import (
 )
 from hldecomp.hl_category import DrinfeldWord
 from hldecomp.polytope_count import QPolynomial, multiplicity
-from hldecomp.root_system import e_gamma, gamma_height
+from hldecomp.root_system import (e_gamma, enumerate_dominant_gammas,
+                                  gamma_height, positive_roots)
 
 X58_LAM = (7, 5)
 X58_GAMMA = (2, 1)
@@ -195,6 +199,70 @@ def test_modular_corank_certifies_oracle_dimensions():
         mod = _corank_mod_p(sorted(rows.values(), key=len), len(orbits))
         exact = len(orbits) - integer_rank(_rows_to_matrix(rows, len(orbits)))
         assert mod == exact == 1
+
+
+# entries mostly small, with a few that vanish mod p or have kernel
+# entries too large to reconstruct, so both certificate outcomes occur
+_ENTRIES = st.one_of(st.integers(-4, 4),
+                     st.sampled_from([_PRIME, -2 * _PRIME, 100003, -100003]))
+
+
+@given(st.integers(1, 5).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.lists(st.dictionaries(st.integers(0, k - 1), _ENTRIES, max_size=3),
+             max_size=6))))
+def test_exact_corank_matches_bareiss(case):
+    ncols, rows = case
+    mat = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+    assert exact_corank(dict(enumerate(rows)), ncols) == \
+        ncols - integer_rank(mat)
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+
+    def counted(mat):
+        calls.append(mat)
+        return integer_rank(mat)
+
+    monkeypatch.setattr(functional_oracle, "integer_rank", counted)
+    return calls
+
+
+@pytest.mark.parametrize("row, ncols, want", [
+    # the only entry vanishes mod p: the modular rank drops to 0
+    ({0: _PRIME}, 1, 0),
+    # kernel vector (100003, 1): its lift mod p is a wrong small fraction
+    ({0: 1, 1: -100003}, 2, 1),
+])
+def test_exact_corank_falls_back_to_bareiss(monkeypatch, row, ncols, want):
+    calls = _count_fallbacks(monkeypatch)
+    assert exact_corank({"row": row}, ncols) == want
+    assert len(calls) == 1
+
+
+def _tensor_square_grades(lam):
+    xi = {root: 2 for root in positive_roots(len(lam))}
+    for gamma in enumerate_dominant_gammas(lam):
+        for grade in grade_window(lam, gamma, "full", xi):
+            yield lam, gamma, xi, grade
+
+
+@pytest.mark.parametrize("lam, gamma, xi, grade", [
+    *((X58_LAM, X58_GAMMA, X58_XI, grade) for grade in range(1, 6)),
+    *_tensor_square_grades((2, 2)),
+    *_tensor_square_grades((4, 0)),
+])
+def test_dim_V_matches_bareiss_corank(monkeypatch, lam, gamma, xi, grade):
+    bounds = variable_bounds(lam, gamma, "full", xi)
+    degree = -grade - gamma_height(gamma) + e_gamma(gamma)
+    orbits = orbit_basis(gamma, bounds, degree)
+    rows = constraint_rows(lam, gamma, "full", orbits, xi)
+    want = len(orbits) - integer_rank(_rows_to_matrix(rows, len(orbits)))
+    calls = _count_fallbacks(monkeypatch)
+    assert dim_V(lam, gamma, grade, "full", xi=xi) == want
+    # these kernels lift, so the certificate alone proves every corank
+    assert calls == []
 
 
 # ------------------------------------------------------------ decompositions

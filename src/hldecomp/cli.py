@@ -387,7 +387,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (AssertionError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print("internal inconsistency: %s" % exc, file=sys.stderr)
         return 1
 

@@ -193,7 +193,9 @@ def pi_to_height_interval(word: DrinfeldWord):
     kappa[lo - 1] = values[lo]
     for a, b in zip(marked, marked[1:]):
         va, vb = values[a], values[b]
-        assert abs(vb - va) == b - a, "marked values not reachable with slope +-1"
+        if abs(vb - va) != b - a:
+            raise ArithmeticError("marked values %d at node %d and %d at node %d "
+                                  "not reachable with slope +-1" % (va, a, vb, b))
         step = 1 if vb > va else -1
         for t in range(a + 1, b + 1):
             kappa[t - 1] = va + step * (t - a)

@@ -15,30 +15,10 @@ is the sum over multipartitions of the grade histograms.
 
 from __future__ import annotations
 
-import os
 from itertools import combinations
 
 from . import multipartition as mpart
 from .hl_category import consecutive_pairs, weight_of
-
-
-def _load_kernel():
-    if not os.environ.get("HLDECOMP_PURE"):
-        try:
-            from . import _enumeration as kernel  # type: ignore[attr-defined]
-            return kernel, "compiled"
-        except ImportError:
-            pass
-    from . import _enumeration_py as kernel
-    return kernel, "pure"
-
-
-_kernel, _KERNEL_NAME = _load_kernel()
-
-
-def kernel_name() -> str:
-    """Enumeration backend selected at import ("compiled" or "pure")."""
-    return _KERNEL_NAME
 
 
 class QPolynomial:
@@ -200,6 +180,69 @@ def build_polytope(parts, lam, pairs=(), relaxed_empty_groups: bool = False) -> 
     return PolytopeSpec(n, groups, pair_sets, infeasible)
 
 
+def count_levels(sizes, caps, pair_sets, max_level):
+    """Histogram over levels of the admissible lattice points.
+
+    Variables come in groups: group g has sizes[g] variables with level
+    weights 1 .. sizes[g] and group sum capped by caps[g].  Each entry
+    of pair_sets is a collection of flat variable indices of which at
+    least one must be positive.  A point's level is the weighted sum of
+    its entries; only levels <= max_level are admissible.  Returns a
+    list h with h[L] = number of points of level L.
+    """
+    if max_level < 0:
+        raise ValueError("max_level must be nonnegative")
+    weights = []
+    group_of = []
+    for g, m in enumerate(sizes):
+        for d in range(1, m + 1):
+            weights.append(d)
+            group_of.append(g)
+    nvars = len(weights)
+
+    npairs = len(pair_sets)
+    member = [[] for _ in range(nvars)]   # var -> constraints containing it
+    deadline = [[] for _ in range(nvars)]  # var -> constraints it closes
+    for c, varset in enumerate(pair_sets):
+        varset = sorted(set(varset))
+        if not varset:
+            return [0] * (max_level + 1)
+        for v in varset:
+            member[v].append(c)
+        deadline[varset[-1]].append(c)
+
+    hist = [0] * (max_level + 1)
+    sat = [0] * npairs
+    caps_left = list(caps)
+
+    def walk(v, level):
+        if v == nvars:
+            hist[level] += 1
+            return
+        g = group_of[v]
+        w = weights[v]
+        top = min(caps_left[g], (max_level - level) // w)
+        for val in range(top + 1):
+            if val == 1:
+                for c in member[v]:
+                    sat[c] += 1
+            ok = True
+            for c in deadline[v]:
+                if not sat[c]:
+                    ok = False
+                    break
+            if ok:
+                caps_left[g] -= val
+                walk(v + 1, level + val * w)
+                caps_left[g] += val
+        if top >= 1:
+            for c in member[v]:
+                sat[c] -= 1
+
+    walk(0, 0)
+    return hist
+
+
 def count_by_grade(spec: PolytopeSpec, height: int, K: int) -> QPolynomial:
     """Grade polynomial of one polytope.
 
@@ -211,7 +254,7 @@ def count_by_grade(spec: PolytopeSpec, height: int, K: int) -> QPolynomial:
         return QPolynomial()
     sizes = [size for _, size, _ in spec.groups]
     caps = [cap for _, _, cap in spec.groups]
-    hist = _kernel.count_levels(sizes, caps, [list(s) for s in spec.pair_sets], max_level)
+    hist = count_levels(sizes, caps, spec.pair_sets, max_level)
     return QPolynomial({max_level - lvl: cnt for lvl, cnt in enumerate(hist) if cnt})
 
 
@@ -222,7 +265,7 @@ def count_by_grade_ie(spec: PolytopeSpec, height: int, K: int) -> QPolynomial:
     summing (-1)^|S| over subsets S of constraints with their variable
     union pinned to zero counts the admissible points.  Each term is a
     product of per-group level generating polynomials; used to cross
-    check the depth-first kernel, not for speed.
+    check the DFS in count_levels, not for speed.
     """
     max_level = height - K
     if spec.infeasible or max_level < 0:

@@ -117,6 +117,17 @@ def test_single_factor_round_trip():
     assert pi_from_interval(kappa, J) == w
 
 
+def test_unreachable_marked_values_raise():
+    # construction validates words, so build one that bypasses it: the
+    # marked values -2 (source at 1) and 0 (sink at 2) differ by 2 over
+    # one edge
+    bad = object.__new__(DrinfeldWord)
+    bad.n = 2
+    bad.factors = ((1, 0), (2, 0))
+    with pytest.raises(ArithmeticError):
+        pi_to_height_interval(bad)
+
+
 def test_round_trip_on_word_grid():
     for word in word_grid(6, 3, starts=(-2, 0, 3)):
         kappa, J = pi_to_height_interval(word)

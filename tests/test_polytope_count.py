@@ -1,8 +1,9 @@
 """Tests for the lattice point counting layer.
 
 The rank 8 running example is checked shape by shape, the two counting
-strategies are compared on a word grid, and the enumeration kernels are
-cross-checked against each other and a brute force reference.
+strategies are compared on a word grid, and the DFS in count_levels is
+checked against a brute force reference and, on random tables, against
+the inclusion-exclusion recount.
 """
 
 import itertools
@@ -11,15 +12,15 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from hldecomp import _enumeration_py
 from hldecomp.hl_category import DrinfeldWord, consecutive_pairs, weight_of
 from hldecomp.multipartition import compute_K, enumerate_multipartitions
 from hldecomp.polytope_count import (
+    PolytopeSpec,
     QPolynomial,
     build_polytope,
     count_by_grade,
     count_by_grade_ie,
-    kernel_name,
+    count_levels,
     multiplicity,
 )
 from hldecomp.root_system import enumerate_dominant_gammas
@@ -146,7 +147,7 @@ def test_strategies_agree_on_rank8_example():
         QPolynomial({4: 2, 5: 1})
 
 
-# ------------------------------------------------------------------ kernels
+# -------------------------------------------------------------- count_levels
 
 def _brute_levels(sizes, caps, pair_sets, max_level):
     # direct enumeration over the variable box, small inputs only
@@ -184,7 +185,7 @@ def _random_tables(rng, count=200):
         yield sizes, caps, pair_sets, rng.randint(0, 8)
 
 
-def test_pure_kernel_matches_brute_force():
+def test_count_levels_matches_brute_force():
     rng = random.Random(7)
     for _ in range(120):
         sizes = [rng.randint(1, 2) for _ in range(rng.randint(1, 2))]
@@ -195,29 +196,27 @@ def test_pure_kernel_matches_brute_force():
             k = rng.randint(1, min(2, nvars))
             pair_sets.append(sorted(rng.sample(range(nvars), k)))
         max_level = rng.randint(0, 4)
-        got = _enumeration_py.count_levels(sizes, caps, pair_sets, max_level)
+        got = count_levels(sizes, caps, pair_sets, max_level)
         assert got == _brute_levels(sizes, caps, pair_sets, max_level)
 
 
-def test_pure_kernel_edge_cases():
+def test_count_levels_edge_cases():
     with pytest.raises(ValueError):
-        _enumeration_py.count_levels([1], [1], [], -1)
+        count_levels([1], [1], [], -1)
     # an empty constraint can never be satisfied
-    assert _enumeration_py.count_levels([2], [2], [[]], 3) == [0, 0, 0, 0]
+    assert count_levels([2], [2], [[]], 3) == [0, 0, 0, 0]
     # negative capacity rejects every assignment, including zero
-    assert _enumeration_py.count_levels([1], [-1], [], 2) == [0, 0, 0]
-    assert _enumeration_py.count_levels([1], [2], [], 3) == [1, 1, 1, 0]
+    assert count_levels([1], [-1], [], 2) == [0, 0, 0]
+    assert count_levels([1], [2], [], 3) == [1, 1, 1, 0]
 
 
-@pytest.mark.skipif(kernel_name() != "compiled",
-                    reason="compiled kernel not importable")
-def test_compiled_kernel_matches_pure():
-    from hldecomp import _enumeration
+def test_count_levels_matches_inclusion_exclusion():
     rng = random.Random(20260822)
     for sizes, caps, pair_sets, max_level in _random_tables(rng):
-        got = _enumeration.count_levels(sizes, caps, pair_sets, max_level)
-        want = _enumeration_py.count_levels(sizes, caps, pair_sets, max_level)
-        assert list(got) == list(want), (sizes, caps, pair_sets, max_level)
+        groups = [((1, g + 1), size, cap) for g, (size, cap) in enumerate(zip(sizes, caps))]
+        spec = PolytopeSpec(len(sizes), groups, pair_sets)
+        assert count_by_grade(spec, max_level, 0) == count_by_grade_ie(spec, max_level, 0), \
+            (sizes, caps, pair_sets, max_level)
 
 
 # ----------------------------------------------------------- edge behavior

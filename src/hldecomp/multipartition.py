@@ -4,6 +4,16 @@ A partition is a weakly decreasing tuple of positive integers, a
 multipartition is a tuple of n partitions with |mu_i| = gamma_i.  The
 statistics below control the polytope attached to a multipartition: the
 capacities P_{s,i} and the base grade shift K.
+
+The search and the polytopes read these statistics from one cached
+column-count vector per partition, c[s] = boxes in the first s columns
+for s = 0..|mu|, which stays at |mu| past its end.  Its first
+difference c[s] - c[s-1] counts the rows of length >= s and its second
+difference the rows of length exactly s, so the capacities that decide
+pruning, the group caps and row multiplicities of the polytope, and K
+are all table lookups.  Capacities are listed only up to the largest
+part t of mu: past t, mu(s) stays put while the neighbours' counts can
+only grow, so no smaller capacity and no row lies beyond it.
 """
 
 from __future__ import annotations
@@ -21,9 +31,25 @@ def check_partition(mu) -> tuple[int, ...]:
     return parts
 
 
+@lru_cache(maxsize=None)
+def col_counts(mu: tuple[int, ...]) -> tuple[int, ...]:
+    """Column-count vector (c[0], ..., c[|mu|]) of the partition tuple mu.
+
+    c[s] is the number of boxes in the first s columns, sum of
+    min(part, s); it equals |mu| for every s >= the largest part.
+    """
+    out = [0]
+    for s in range(1, sum(mu) + 1):
+        out.append(out[-1] + sum(1 for p in mu if p >= s))
+    return tuple(out)
+
+
 def col_count(mu, s: int) -> int:
     """Number of boxes in the first s columns, sum of min(part, s)."""
-    return sum(min(p, s) for p in mu)
+    if s < 0:
+        raise ValueError("depth must be nonnegative, got %d" % s)
+    c = col_counts(tuple(mu))
+    return c[s] if s < len(c) else c[-1]
 
 
 def row_mult(mu, r: int) -> int:
@@ -47,6 +73,34 @@ def partitions_of(m: int) -> tuple[tuple[int, ...], ...]:
     if m < 0:
         raise ValueError("cannot partition %d" % m)
     return _partitions_bounded(m, m)
+
+
+def capacities(lam_i: int, mu_prev, mu, mu_next) -> list[int]:
+    """Capacities [P_1, ..., P_t] at one node, t the largest part of mu.
+
+    P_s = lam_i - 2 mu(s) + mu_prev(s) + mu_next(s), where mu(s) counts
+    the boxes in the first s columns; pass () for a missing neighbour.
+    P_s >= P_t for every s > t (see the module docstring).  The
+    partitions must be tuples.
+    """
+    own = col_counts(mu)
+    left = col_counts(mu_prev)
+    right = col_counts(mu_next)
+    nl = len(left) - 1
+    nr = len(right) - 1
+    return [lam_i - 2 * own[s] + left[s if s < nl else nl] + right[s if s < nr else nr]
+            for s in range(1, mu[0] + 1 if mu else 1)]
+
+
+def row_counts(mu) -> list[int]:
+    """[m_1, ..., m_t], m_s the number of rows of length exactly s and t
+    the largest part of the tuple mu.
+
+    Read from the column counts as (c[s] - c[s-1]) - (c[s+1] - c[s]).
+    """
+    c = col_counts(mu)
+    c += (c[-1],)
+    return [2 * c[s] - c[s - 1] - c[s + 1] for s in range(1, mu[0] + 1 if mu else 1)]
 
 
 def compute_P(mp, lam, s: int, i: int) -> int:
@@ -73,9 +127,10 @@ def compute_K(mp, lam) -> int:
     total = 0
     for i in range(1, n + 1):
         mu = mp[i - 1]
-        nxt = mp[i] if i <= n - 1 else ()
+        nxt = col_counts(tuple(mp[i])) if i <= n - 1 else (0,)
+        top = len(nxt) - 1
         for j, part in enumerate(mu, start=1):
-            total += 2 * j * part - col_count(nxt, part)
+            total += 2 * j * part - nxt[part if part < top else top]
         total -= lam[i - 1] * len(mu)
     return total
 
@@ -104,14 +159,13 @@ def enumerate_multipartitions(gamma, lam, prune: bool = True,
 
     def caps_ok(i):
         # capacities at node i; callable once cur holds mu_1 .. mu_{i+1}
-        mu_prev = cur[i - 2] if i >= 2 else ()
-        mu_i = cur[i - 1]
-        mu_next = cur[i] if i <= n - 1 else ()
-        base = lam[i - 1]
-        for s in range(1, gamma[i - 1] + 1):
-            if relaxed_empty_groups and row_mult(mu_i, s) == 0:
-                continue
-            if base - 2 * col_count(mu_i, s) + col_count(mu_prev, s) + col_count(mu_next, s) < 0:
+        mu = cur[i - 1]
+        caps = capacities(lam[i - 1], cur[i - 2] if i >= 2 else (), mu,
+                          cur[i] if i <= n - 1 else ())
+        if relaxed_empty_groups:
+            caps = [cap for cap, rows in zip(caps, row_counts(mu)) if rows]
+        for cap in caps:
+            if cap < 0:
                 return False
         return True
 

@@ -149,34 +149,28 @@ def build_polytope(parts, lam, pairs=(), relaxed_empty_groups: bool = False) -> 
     if len(parts) != n:
         raise ValueError("multipartition has %d components, expected %d" % (len(parts), n))
     groups = []
-    start_of = {}
+    last_one = {}  # node -> flat index of its last length 1 row variable
     flat = 0
     infeasible = False
     for i in range(1, n + 1):
-        mu = parts[i - 1]
-        r_i = sum(mu)
-        for r in range(1, r_i + 1):
-            size = mpart.row_mult(mu, r)
-            cap = mpart.compute_P(parts, lam, r, i)
+        mu = tuple(parts[i - 1])
+        # depths past the largest part hold no rows, and their capacities
+        # are at least the one at that part, which does
+        caps = mpart.capacities(lam[i - 1], tuple(parts[i - 2]) if i >= 2 else (), mu,
+                                tuple(parts[i]) if i <= n - 1 else ())
+        for r, (size, cap) in enumerate(zip(mpart.row_counts(mu), caps), start=1):
             if size:
                 if cap < 0:
                     infeasible = True
-                start_of[(r, i)] = flat
                 groups.append(((r, i), size, cap))
                 flat += size
+                if r == 1:
+                    last_one[i] = flat - 1
             elif cap < 0 and not relaxed_empty_groups:
                 infeasible = True
-    pair_sets = []
-    for (a, b) in pairs:
-        tops = []
-        for t in range(a, b + 1):
-            m_t = mpart.row_mult(parts[t - 1], 1)
-            if m_t == 0:
-                tops = None
-                break
-            tops.append(start_of[(1, t)] + m_t - 1)
-        if tops is not None:
-            pair_sets.append(tuple(tops))
+    pair_sets = [tuple(last_one[t] for t in range(a, b + 1))
+                 for (a, b) in pairs
+                 if all(t in last_one for t in range(a, b + 1))]
     return PolytopeSpec(n, groups, pair_sets, infeasible)
 
 
@@ -348,9 +342,10 @@ def multiplicity(word, gamma, relaxed_empty_groups: bool = False,
     pairs = consecutive_pairs(word)
     height = sum(gamma)
     counter = count_by_grade if strategy == "dfs" else count_by_grade_ie
-    total = QPolynomial()
+    total = {}
     for parts in mpart.enumerate_multipartitions(
             gamma, lam, prune=True, relaxed_empty_groups=relaxed_empty_groups):
         spec = build_polytope(parts, lam, pairs, relaxed_empty_groups)
-        total = total + counter(spec, height, mpart.compute_K(parts, lam))
-    return total
+        for p, c in counter(spec, height, mpart.compute_K(parts, lam)).coeffs.items():
+            total[p] = total.get(p, 0) + c
+    return QPolynomial(total)

@@ -1,6 +1,6 @@
-"""Shared word grids for the cross validation tests."""
+"""Shared word and weight grids for the cross validation tests."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 from hldecomp.hl_category import DrinfeldWord
 
@@ -39,3 +39,12 @@ def word_grid(n_max, k_max, starts=(0,)):
             for nodes in combinations(range(1, n + 1), k):
                 out.extend(words_on_nodes(n, nodes, starts))
     return out
+
+
+def shape_grid(n_max=3, lam_max=2, gamma_max=3):
+    """(lam, gamma) for every lam in {0..lam_max}^n and gamma in
+    {0..gamma_max}^n with 1 <= n <= n_max."""
+    return [(lam, gamma)
+            for n in range(1, n_max + 1)
+            for lam in product(range(lam_max + 1), repeat=n)
+            for gamma in product(range(gamma_max + 1), repeat=n)]

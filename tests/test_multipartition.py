@@ -14,12 +14,16 @@ from hypothesis import given, strategies as st
 from hldecomp.multipartition import (
     check_partition,
     col_count,
+    col_counts,
     compute_K,
     compute_P,
     enumerate_multipartitions,
     partitions_of,
+    row_counts,
     row_mult,
 )
+
+from conftest import shape_grid
 
 RANK8_LAM = (0, 1, 1, 1, 1, 0, 1, 0)
 RANK8_GAMMA = (1, 3, 4, 4, 3, 2, 1, 0)
@@ -51,6 +55,29 @@ def test_col_count_monotone_and_saturating(mu, s):
     assert col_count(mu, s) <= col_count(mu, s + 1)
     if mu and s >= mu[0]:
         assert col_count(mu, s) == sum(mu)
+
+
+@given(partitions)
+def test_col_counts_vector_matches_definition(mu):
+    c = col_counts(mu)
+    assert len(c) == sum(mu) + 1
+    for s in range(sum(mu) + 3):
+        expected = sum(min(p, s) for p in mu)
+        assert col_count(mu, s) == expected
+        if s < len(c):
+            assert c[s] == expected
+    # second differences count the rows of each length
+    for r in range(1, sum(mu) + 2):
+        second = (col_count(mu, r) - col_count(mu, r - 1)) \
+            - (col_count(mu, r + 1) - col_count(mu, r))
+        assert second == row_mult(mu, r)
+    top = mu[0] if mu else 0
+    assert row_counts(mu) == [row_mult(mu, r) for r in range(1, top + 1)]
+
+
+def test_col_count_rejects_negative_depth():
+    with pytest.raises(ValueError):
+        col_count((2, 1), -1)
 
 
 def test_row_mult_examples():
@@ -115,25 +142,46 @@ def test_rank8_pruned_survivors():
     assert sorted(compute_K(mp, RANK8_LAM) for mp in got) == [8, 10, 10, 11, 12, 13]
 
 
+def _caps_ok_by_definition(mp, lam, relaxed):
+    # every P_{s,i} >= 0 for 1 <= s <= gamma_i, written out from
+    # col(mu, s) = sum(min(p, s)); relaxed mode skips depths with no row
+    # of length s
+    def col(mu, s):
+        return sum(min(p, s) for p in mu)
+
+    n = len(lam)
+    for i in range(1, n + 1):
+        mu = mp[i - 1]
+        prev = mp[i - 2] if i >= 2 else ()
+        nxt = mp[i] if i <= n - 1 else ()
+        for s in range(1, sum(mu) + 1):
+            if relaxed and not any(p == s for p in mu):
+                continue
+            if lam[i - 1] - 2 * col(mu, s) + col(prev, s) + col(nxt, s) < 0:
+                return False
+    return True
+
+
 def test_pruned_is_subset_with_nonnegative_capacities():
-    gamma = (2, 2)
-    lam = (2, 1)
-    pruned = set(enumerate_multipartitions(gamma, lam, prune=True))
-    unpruned = set(enumerate_multipartitions(gamma, lam, prune=False))
-    assert pruned <= unpruned
-    for mp in unpruned:
-        caps_ok = all(
-            compute_P(mp, lam, s, i) >= 0
-            for i in range(1, 3)
-            for s in range(1, gamma[i - 1] + 1)
-        )
-        assert (mp in pruned) == caps_ok
+    # pruning during the search keeps exactly the unpruned
+    # multipartitions whose capacities are all nonnegative, in order
+    for lam, gamma in shape_grid():
+        unpruned = enumerate_multipartitions(gamma, lam, prune=False)
+        for relaxed in (False, True):
+            pruned = enumerate_multipartitions(gamma, lam, prune=True,
+                                               relaxed_empty_groups=relaxed)
+            assert pruned == [mp for mp in unpruned
+                              if _caps_ok_by_definition(mp, lam, relaxed)], \
+                (lam, gamma, relaxed)
 
 
 def test_relaxed_mode_agrees_on_small_grid():
     # a negative capacity at a depth with no rows always comes with a
     # negative capacity at some occupied depth, so exempting the empty
-    # depths must not change the survivor set
+    # depths must not change the survivor set: between two occupied
+    # depths (or depth 0, where P = lam_i >= 0) mu_i(s) is linear and the
+    # neighbours' counts are concave, so P is concave there and smallest
+    # at an end, and past the largest part P can only grow
     for lam in itertools.product(range(3), repeat=2):
         for gamma in itertools.product(range(4), repeat=2):
             strict = enumerate_multipartitions(gamma, lam, prune=True)

@@ -25,7 +25,7 @@ from hldecomp.polytope_count import (
 )
 from hldecomp.root_system import enumerate_dominant_gammas
 
-from conftest import word_grid
+from conftest import shape_grid, word_grid
 
 RANK8_WORD = DrinfeldWord(8, [(2, 0), (3, 3), (4, 0), (5, 3), (7, -1)])
 RANK8_GAMMA = (1, 3, 4, 4, 3, 2, 1, 0)
@@ -232,6 +232,56 @@ def test_count_by_grade_degenerate_cases():
     bad = build_polytope(((1,), ()), (1, 1), ())
     assert bad.infeasible
     assert not count_by_grade(bad, 18, 0)
+
+
+def _polytope_by_definition(parts, lam, pairs):
+    # groups, pair sets and the strict and relaxed infeasible flags,
+    # written out from the definitions: one group per depth
+    # 1 <= r <= |mu_i| with a row of length r, its cap from
+    # col(mu, s) = sum(min(p, s)), and one pair set per pair whose nodes
+    # all have a length 1 row
+    def col(mu, s):
+        return sum(min(p, s) for p in mu)
+
+    n = len(lam)
+    groups = []
+    start_of = {}
+    flat = 0
+    strict = relaxed = False
+    for i in range(1, n + 1):
+        mu = parts[i - 1]
+        prev = parts[i - 2] if i >= 2 else ()
+        nxt = parts[i] if i <= n - 1 else ()
+        for r in range(1, sum(mu) + 1):
+            size = sum(1 for p in mu if p == r)
+            cap = lam[i - 1] - 2 * col(mu, r) + col(prev, r) + col(nxt, r)
+            if size:
+                start_of[(r, i)] = flat
+                groups.append(((r, i), size, cap))
+                flat += size
+                relaxed = relaxed or cap < 0
+            strict = strict or cap < 0
+    pair_sets = []
+    for a, b in pairs:
+        nodes = range(a, b + 1)
+        if all((1, t) in start_of for t in nodes):
+            pair_sets.append(tuple(start_of[(1, t)] + parts[t - 1].count(1) - 1
+                                   for t in nodes))
+    return tuple(groups), tuple(pair_sets), {False: strict, True: relaxed}
+
+
+def test_build_polytope_matches_definition():
+    rank8_lam = weight_of(RANK8_WORD)
+    cases = [(lam, gamma, tuple(itertools.combinations(range(1, len(lam) + 1), 2)))
+             for lam, gamma in shape_grid()]
+    cases.append((rank8_lam, RANK8_GAMMA, consecutive_pairs(RANK8_WORD)))
+    for lam, gamma, pairs in cases:
+        for parts in enumerate_multipartitions(gamma, lam, prune=False):
+            groups, pair_sets, infeasible = _polytope_by_definition(parts, lam, pairs)
+            for relaxed in (False, True):
+                spec = build_polytope(parts, lam, pairs, relaxed)
+                assert (spec.groups, spec.pair_sets, spec.infeasible) == \
+                    (groups, pair_sets, infeasible[relaxed]), (parts, lam, relaxed)
 
 
 def test_build_polytope_validation():

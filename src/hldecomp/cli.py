@@ -155,6 +155,8 @@ def _entry_fields(payload, lam):
     left to the versioned key rather than re-enumerated on every load.
     """
     fields = {"n": payload["n"], "pi": payload.get("pi"), "weight": list(lam)}
+    if "xi" in payload:
+        fields["xi"] = payload["xi"]
     if payload["gamma"]:
         fields["domain"] = [payload["gamma"]]
     return fields
@@ -210,10 +212,9 @@ def cmd_decompose(args) -> int:
         "n": args.n,
         "pi": [list(f) for f in word.factors],
         "gamma": list(gammas[0]) if gammas else None,
-        "relaxed": bool(args.relaxed_empty_groups),
     }
     dec = _cached(args, payload, lam, lambda: dmod.graded_decomposition(
-        word, relaxed_empty_groups=args.relaxed_empty_groups, gammas=gammas))
+        word, gammas=gammas))
     sys.stdout.write(dmod.report(dec, args.format))
     return 0
 
@@ -254,8 +255,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     word = _word_from_args(args)
-    ok, mismatches = dmod.crosscheck(
-        word, relaxed_empty_groups=args.relaxed_empty_groups)
+    ok, mismatches = dmod.crosscheck(word)
     if ok:
         print("crosscheck ok: lattice count and dual realization agree "
               "on all dominant gamma")
@@ -348,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="lattice point decomposition of a word")
     add_common(p)
     p.add_argument("--gamma", help="restrict to one gamma (simple root coordinates)")
-    p.add_argument("--relaxed-empty-groups", action="store_true",
-                   help="do not enforce capacities of depths without rows")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("oracle", help="dual realization decomposition")
@@ -364,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crosscheck",
                        help="run both computations and compare them")
     add_common(p, cache=False)
-    p.add_argument("--relaxed-empty-groups", action="store_true")
     p.set_defaults(func=cmd_crosscheck)
 
     p = sub.add_parser("hl-info",

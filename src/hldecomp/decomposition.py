@@ -52,16 +52,14 @@ class GradedDecomposition:
             self.n, self.lam, len(self.entries))
 
 
-def graded_decomposition(word: DrinfeldWord,
-                         relaxed_empty_groups: bool = False,
-                         gammas=None) -> GradedDecomposition:
+def graded_decomposition(word: DrinfeldWord, gammas=None) -> GradedDecomposition:
     """Graded decomposition of the graded limit of a word's module,
     computed by lattice point counting."""
     lam = weight_of(word)
     domain = list(gammas) if gammas is not None else enumerate_dominant_gammas(lam)
     entries = {}
     for gamma in domain:
-        poly = multiplicity(word, gamma, relaxed_empty_groups=relaxed_empty_groups)
+        poly = multiplicity(word, gamma)
         if poly:
             entries[tuple(gamma)] = poly
     return GradedDecomposition(word.n, lam, entries, domain, word=word)
@@ -162,7 +160,7 @@ def report(dec: GradedDecomposition, format: str = "plain") -> str:
     return "\n".join(lines) + "\n"
 
 
-def crosscheck(word: DrinfeldWord, relaxed_empty_groups: bool = False):
+def crosscheck(word: DrinfeldWord):
     """Compare the lattice point count with the dual realization.
 
     Returns (ok, mismatches) where mismatches lists
@@ -170,7 +168,7 @@ def crosscheck(word: DrinfeldWord, relaxed_empty_groups: bool = False):
     """
     from .functional_oracle import oracle_decomposition
 
-    poly_dec = graded_decomposition(word, relaxed_empty_groups=relaxed_empty_groups)
+    poly_dec = graded_decomposition(word)
     orac_dec = oracle_decomposition(mode="pair", word=word)
     mismatches = []
     for gamma in sorted(set(poly_dec.entries) | set(orac_dec.entries),

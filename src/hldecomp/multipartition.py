@@ -44,14 +44,6 @@ def col_counts(mu: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def col_count(mu, s: int) -> int:
-    """Number of boxes in the first s columns, sum of min(part, s)."""
-    if s < 0:
-        raise ValueError("depth must be nonnegative, got %d" % s)
-    c = col_counts(tuple(mu))
-    return c[s] if s < len(c) else c[-1]
-
-
 def row_mult(mu, r: int) -> int:
     """Number of rows of length exactly r."""
     return sum(1 for p in mu if p == r)
@@ -103,20 +95,6 @@ def row_counts(mu) -> list[int]:
     return [2 * c[s] - c[s - 1] - c[s + 1] for s in range(1, mu[0] + 1 if mu else 1)]
 
 
-def compute_P(mp, lam, s: int, i: int) -> int:
-    """Capacity at depth s and node i.
-
-    lam_i - 2 mu_i(s) + mu_{i-1}(s) + mu_{i+1}(s), where mu(s) counts the
-    boxes in the first s columns and missing neighbours count as empty.
-    """
-    n = len(lam)
-    if not 1 <= i <= n:
-        raise ValueError("node %d out of range" % i)
-    left = col_count(mp[i - 2], s) if i >= 2 else 0
-    right = col_count(mp[i], s) if i <= n - 1 else 0
-    return lam[i - 1] - 2 * col_count(mp[i - 1], s) + left + right
-
-
 def compute_K(mp, lam) -> int:
     """Base grade of a multipartition.
 
@@ -135,16 +113,15 @@ def compute_K(mp, lam) -> int:
     return total
 
 
-def enumerate_multipartitions(gamma, lam, prune: bool = True,
-                              relaxed_empty_groups: bool = False):
+def enumerate_multipartitions(gamma, lam, prune: bool = True):
     """All multipartitions mu with |mu_i| = gamma_i, optionally pruned.
 
     With prune on, a multipartition survives only if every capacity
-    P_{s,i} for 1 <= s <= gamma_i is nonnegative.  In relaxed mode the
-    depths s with no row of length s are exempt.  Pruning happens during
-    the node-by-node search: the capacities at node i only involve
-    mu_{i-1}, mu_i, mu_{i+1}, so they are checked as soon as the next
-    component is chosen.
+    P_{s,i} for 1 <= s <= gamma_i is nonnegative.  This is the only
+    place where the sign of a capacity decides a result.  Pruning
+    happens during the node-by-node search: the capacities at node i
+    only involve mu_{i-1}, mu_i, mu_{i+1}, so they are checked as soon
+    as the next component is chosen.
     """
     lam = tuple(lam)
     gamma = tuple(gamma)
@@ -159,11 +136,8 @@ def enumerate_multipartitions(gamma, lam, prune: bool = True,
 
     def caps_ok(i):
         # capacities at node i; callable once cur holds mu_1 .. mu_{i+1}
-        mu = cur[i - 1]
-        caps = capacities(lam[i - 1], cur[i - 2] if i >= 2 else (), mu,
+        caps = capacities(lam[i - 1], cur[i - 2] if i >= 2 else (), cur[i - 1],
                           cur[i] if i <= n - 1 else ())
-        if relaxed_empty_groups:
-            caps = [cap for cap, rows in zip(caps, row_counts(mu)) if rows]
         for cap in caps:
             if cap < 0:
                 return False

@@ -113,17 +113,20 @@ class PolytopeSpec:
     groups: ((r, i), size, cap) triples for the depths with at least one
     row, in (i, r) order; flat variables enumerate each group as
     d = 1..size.  pair_sets: flat index sets of the emitted pair
-    constraints.  infeasible: some capacity is negative (on an empty
-    depth this only counts in strict mode), so the count is zero.
+    constraints.  A group cap may be negative when the multipartition
+    was not pruned; the counters then return zero.  For lam >= 0 this
+    covers the depths without rows too: a negative capacity there
+    always comes with one at an occupied depth, since P_{s,i} is
+    concave between occupied depths, P_{0,i} = lam_i and P_{s,i} only
+    grows past the largest part.
     """
 
-    __slots__ = ("n", "groups", "pair_sets", "infeasible")
+    __slots__ = ("n", "groups", "pair_sets")
 
-    def __init__(self, n, groups, pair_sets, infeasible=False):
+    def __init__(self, n, groups, pair_sets):
         self.n = n
         self.groups = tuple(groups)
         self.pair_sets = tuple(tuple(s) for s in pair_sets)
-        self.infeasible = bool(infeasible)
 
     def variables(self):
         """Flat variable labels (d, r, i) in enumeration order."""
@@ -132,11 +135,8 @@ class PolytopeSpec:
             out.extend((d, r, i) for d in range(1, size + 1))
         return out
 
-    def group_caps(self):
-        return {key: cap for key, _, cap in self.groups}
 
-
-def build_polytope(parts, lam, pairs=(), relaxed_empty_groups: bool = False) -> PolytopeSpec:
+def build_polytope(parts, lam, pairs=()) -> PolytopeSpec:
     """Polytope of one multipartition.
 
     parts: tuple of partitions, component i holding gamma_i boxes.
@@ -151,7 +151,6 @@ def build_polytope(parts, lam, pairs=(), relaxed_empty_groups: bool = False) -> 
     groups = []
     last_one = {}  # node -> flat index of its last length 1 row variable
     flat = 0
-    infeasible = False
     for i in range(1, n + 1):
         mu = tuple(parts[i - 1])
         # depths past the largest part hold no rows, and their capacities
@@ -160,18 +159,14 @@ def build_polytope(parts, lam, pairs=(), relaxed_empty_groups: bool = False) -> 
                                 tuple(parts[i]) if i <= n - 1 else ())
         for r, (size, cap) in enumerate(zip(mpart.row_counts(mu), caps), start=1):
             if size:
-                if cap < 0:
-                    infeasible = True
                 groups.append(((r, i), size, cap))
                 flat += size
                 if r == 1:
                     last_one[i] = flat - 1
-            elif cap < 0 and not relaxed_empty_groups:
-                infeasible = True
     pair_sets = [tuple(last_one[t] for t in range(a, b + 1))
                  for (a, b) in pairs
                  if all(t in last_one for t in range(a, b + 1))]
-    return PolytopeSpec(n, groups, pair_sets, infeasible)
+    return PolytopeSpec(n, groups, pair_sets)
 
 
 def count_levels(sizes, caps, pair_sets, max_level):
@@ -244,7 +239,7 @@ def count_by_grade(spec: PolytopeSpec, height: int, K: int) -> QPolynomial:
     p = (height - K) - L, so the histogram is read off in reverse.
     """
     max_level = height - K
-    if spec.infeasible or max_level < 0:
+    if max_level < 0:
         return QPolynomial()
     sizes = [size for _, size, _ in spec.groups]
     caps = [cap for _, _, cap in spec.groups]
@@ -262,7 +257,7 @@ def count_by_grade_ie(spec: PolytopeSpec, height: int, K: int) -> QPolynomial:
     check the DFS in count_levels, not for speed.
     """
     max_level = height - K
-    if spec.infeasible or max_level < 0:
+    if max_level < 0:
         return QPolynomial()
     owner = []
     for g, (_, size, _) in enumerate(spec.groups):
@@ -326,8 +321,7 @@ def _convolve_truncated(a, b, max_level):
     return out
 
 
-def multiplicity(word, gamma, relaxed_empty_groups: bool = False,
-                 strategy: str = "dfs") -> QPolynomial:
+def multiplicity(word, gamma, strategy: str = "dfs") -> QPolynomial:
     """Graded multiplicity polynomial of V(wt(word) - gamma).
 
     Sums the grade histograms of the polytopes of all multipartitions of
@@ -343,9 +337,8 @@ def multiplicity(word, gamma, relaxed_empty_groups: bool = False,
     height = sum(gamma)
     counter = count_by_grade if strategy == "dfs" else count_by_grade_ie
     total = {}
-    for parts in mpart.enumerate_multipartitions(
-            gamma, lam, prune=True, relaxed_empty_groups=relaxed_empty_groups):
-        spec = build_polytope(parts, lam, pairs, relaxed_empty_groups)
+    for parts in mpart.enumerate_multipartitions(gamma, lam, prune=True):
+        spec = build_polytope(parts, lam, pairs)
         for p, c in counter(spec, height, mpart.compute_K(parts, lam)).coeffs.items():
             total[p] = total.get(p, 0) + c
     return QPolynomial(total)

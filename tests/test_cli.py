@@ -87,8 +87,12 @@ def test_decompose_bad_input(capsys):
 
 
 def test_missing_required_flag_exits_via_argparse(capsys):
-    with pytest.raises(SystemExit):
-        main(["decompose"])
+    for argv in (["decompose"],
+                 # the relaxed capacity rule and its flag are gone
+                 ["decompose", "--n", "2", "--pi", "1:0,2:3", "--relaxed-empty-groups"],
+                 ["crosscheck", "--n", "2", "--pi", "1:0,2:3", "--relaxed-empty-groups"]):
+        with pytest.raises(SystemExit):
+            main(argv)
 
 
 # ------------------------------------------------------------------- oracle
@@ -260,6 +264,25 @@ def test_cache_entry_for_another_job_is_a_miss(tmp_path, capsys):
     assert out == first
     assert "ignoring unreadable cache entry" in err
     assert "does not match the job in n, pi, weight" in err
+
+
+def test_cache_entry_for_another_xi_is_a_miss(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    other = tmp_path / "other"
+    job = ["oracle", "--n", "2", "--mode", "full", "--lambda", "2,2",
+           "--format", "json"]
+    _, first, _ = run(capsys, *job, "--xi", "1", "--cache", cache)
+    (entry,) = os.listdir(cache)
+    path = os.path.join(cache, entry)
+    _, other_out, _ = run(capsys, *job, "--xi", "2", "--cache", str(other))
+    assert other_out != first
+    (other_entry,) = os.listdir(other)
+    # same n, lambda and domain; only the truncation data differs
+    os.replace(other / other_entry, path)
+    code, out, err = run(capsys, *job, "--xi", "1", "--cache", cache)
+    assert code == 0
+    assert out == first
+    assert "does not match the job in xi)" in err
 
 
 def test_cache_entry_for_another_gamma_is_a_miss(tmp_path, capsys):

@@ -5,18 +5,16 @@ test suite: lam carries fundamental weights on nodes 2,3,4,5,7 and
 gamma = (1,3,4,4,3,2,1,0).
 """
 
-import itertools
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hldecomp.multipartition import (
+    capacities,
     check_partition,
-    col_count,
     col_counts,
     compute_K,
-    compute_P,
     enumerate_multipartitions,
     partitions_of,
     row_counts,
@@ -44,40 +42,32 @@ def test_check_partition():
 
 
 def test_col_count_examples():
-    assert col_count((2, 1), 1) == 2
-    assert col_count((2, 2), 2) == 4
-    assert col_count((), 5) == 0
-    assert col_count((3, 1), 0) == 0
+    assert col_counts((2, 1)) == (0, 2, 3, 3)
+    assert col_counts((2, 2))[2] == 4
+    assert col_counts(()) == (0,)
+    assert col_counts((3, 1))[0] == 0
 
 
-@given(partitions, st.integers(0, 8))
-def test_col_count_monotone_and_saturating(mu, s):
-    assert col_count(mu, s) <= col_count(mu, s + 1)
-    if mu and s >= mu[0]:
-        assert col_count(mu, s) == sum(mu)
+@given(partitions)
+def test_col_count_monotone_and_saturating(mu):
+    c = col_counts(mu)
+    assert all(a <= b for a, b in zip(c, c[1:]))
+    if mu:
+        assert c[mu[0]:] == (sum(mu),) * (len(c) - mu[0])
 
 
 @given(partitions)
 def test_col_counts_vector_matches_definition(mu):
     c = col_counts(mu)
     assert len(c) == sum(mu) + 1
-    for s in range(sum(mu) + 3):
-        expected = sum(min(p, s) for p in mu)
-        assert col_count(mu, s) == expected
-        if s < len(c):
-            assert c[s] == expected
+    for s in range(len(c)):
+        assert c[s] == sum(min(p, s) for p in mu)
     # second differences count the rows of each length
-    for r in range(1, sum(mu) + 2):
-        second = (col_count(mu, r) - col_count(mu, r - 1)) \
-            - (col_count(mu, r + 1) - col_count(mu, r))
-        assert second == row_mult(mu, r)
+    c += (c[-1],)
+    for r in range(1, len(c) - 1):
+        assert 2 * c[r] - c[r - 1] - c[r + 1] == row_mult(mu, r)
     top = mu[0] if mu else 0
     assert row_counts(mu) == [row_mult(mu, r) for r in range(1, top + 1)]
-
-
-def test_col_count_rejects_negative_depth():
-    with pytest.raises(ValueError):
-        col_count((2, 1), -1)
 
 
 def test_row_mult_examples():
@@ -108,14 +98,13 @@ def test_partitions_of_counts():
         partitions_of(-1)
 
 
-def test_compute_P_examples():
-    empty = ((),) * 8
-    for i in range(1, 9):
-        assert compute_P(empty, RANK8_LAM, 1, i) == RANK8_LAM[i - 1]
-    assert compute_P(MU_A, RANK8_LAM, 2, 5) == 1
-    assert compute_P(MU_A, RANK8_LAM, 1, 2) == 0
-    with pytest.raises(ValueError):
-        compute_P(MU_A, RANK8_LAM, 1, 9)
+def test_capacities_examples():
+    # node 5 of MU_A at depth 2, node 2 at depth 1
+    assert capacities(RANK8_LAM[4], MU_A[3], MU_A[4], MU_A[5])[1] == 1
+    assert capacities(RANK8_LAM[1], MU_A[0], MU_A[1], MU_A[2])[0] == 0
+    # one capacity per depth up to the largest part, none without rows
+    assert len(capacities(1, (1,), (3, 1), ())) == 3
+    assert capacities(1, (), (), ()) == []
 
 
 def test_compute_K_examples():
@@ -142,10 +131,10 @@ def test_rank8_pruned_survivors():
     assert sorted(compute_K(mp, RANK8_LAM) for mp in got) == [8, 10, 10, 11, 12, 13]
 
 
-def _caps_ok_by_definition(mp, lam, relaxed):
+def _caps_ok_by_definition(mp, lam, occupied_only):
     # every P_{s,i} >= 0 for 1 <= s <= gamma_i, written out from
-    # col(mu, s) = sum(min(p, s)); relaxed mode skips depths with no row
-    # of length s
+    # col(mu, s) = sum(min(p, s)); occupied_only skips depths with no
+    # row of length s
     def col(mu, s):
         return sum(min(p, s) for p in mu)
 
@@ -155,7 +144,7 @@ def _caps_ok_by_definition(mp, lam, relaxed):
         prev = mp[i - 2] if i >= 2 else ()
         nxt = mp[i] if i <= n - 1 else ()
         for s in range(1, sum(mu) + 1):
-            if relaxed and not any(p == s for p in mu):
+            if occupied_only and not any(p == s for p in mu):
                 continue
             if lam[i - 1] - 2 * col(mu, s) + col(prev, s) + col(nxt, s) < 0:
                 return False
@@ -164,30 +153,20 @@ def _caps_ok_by_definition(mp, lam, relaxed):
 
 def test_pruned_is_subset_with_nonnegative_capacities():
     # pruning during the search keeps exactly the unpruned
-    # multipartitions whose capacities are all nonnegative, in order
-    for lam, gamma in shape_grid():
-        unpruned = enumerate_multipartitions(gamma, lam, prune=False)
-        for relaxed in (False, True):
-            pruned = enumerate_multipartitions(gamma, lam, prune=True,
-                                               relaxed_empty_groups=relaxed)
-            assert pruned == [mp for mp in unpruned
-                              if _caps_ok_by_definition(mp, lam, relaxed)], \
-                (lam, gamma, relaxed)
-
-
-def test_relaxed_mode_agrees_on_small_grid():
-    # a negative capacity at a depth with no rows always comes with a
-    # negative capacity at some occupied depth, so exempting the empty
-    # depths must not change the survivor set: between two occupied
+    # multipartitions whose capacities are all nonnegative, in order.
+    # Checking only the depths that hold rows keeps the same list: a
+    # negative capacity at a depth with no rows always comes with a
+    # negative capacity at some occupied depth.  Between two occupied
     # depths (or depth 0, where P = lam_i >= 0) mu_i(s) is linear and the
     # neighbours' counts are concave, so P is concave there and smallest
     # at an end, and past the largest part P can only grow
-    for lam in itertools.product(range(3), repeat=2):
-        for gamma in itertools.product(range(4), repeat=2):
-            strict = enumerate_multipartitions(gamma, lam, prune=True)
-            relaxed = enumerate_multipartitions(gamma, lam, prune=True,
-                                                relaxed_empty_groups=True)
-            assert strict == relaxed
+    for lam, gamma in shape_grid():
+        unpruned = enumerate_multipartitions(gamma, lam, prune=False)
+        pruned = enumerate_multipartitions(gamma, lam, prune=True)
+        for occupied_only in (False, True):
+            assert pruned == [mp for mp in unpruned
+                              if _caps_ok_by_definition(mp, lam, occupied_only)], \
+                (lam, gamma, occupied_only)
 
 
 def test_input_validation():

@@ -84,7 +84,6 @@ def test_rank8_shape_a_polytope():
     pairs = consecutive_pairs(RANK8_WORD)
     assert pairs == ((2, 3), (3, 4), (4, 5), (5, 7))
     spec = build_polytope(MU_A, lam, pairs)
-    assert not spec.infeasible
     # every adjacency constraint is vacuous: each range hits a node
     # without a length 1 row
     assert spec.pair_sets == ()
@@ -100,7 +99,6 @@ def test_rank8_shape_b_polytope():
     lam = weight_of(RANK8_WORD)
     pairs = consecutive_pairs(RANK8_WORD)
     spec = build_polytope(MU_B, lam, pairs)
-    assert not spec.infeasible
     assert spec.pair_sets == ((1, 4), (4, 7), (7, 11), (11, 13, 14))
     K = compute_K(MU_B, lam)
     assert K == 10
@@ -223,20 +221,20 @@ def test_count_levels_matches_inclusion_exclusion():
 
 def test_count_by_grade_degenerate_cases():
     spec = build_polytope(((1,), ()), (3, 1), ())
-    assert not spec.infeasible
     # height below K gives an empty polynomial
     assert not count_by_grade(spec, 0, 3)
     assert not count_by_grade_ie(spec, 0, 3)
     assert count_by_grade(spec, 1, 0) == QPolynomial({0: 1, 1: 1})
-    # a sized group with negative capacity marks the polytope infeasible
+    # a sized group with negative capacity admits no point at all
     bad = build_polytope(((1,), ()), (1, 1), ())
-    assert bad.infeasible
+    assert bad.groups == (((1, 1), 1, -1),)
     assert not count_by_grade(bad, 18, 0)
+    assert not count_by_grade_ie(bad, 18, 0)
 
 
 def _polytope_by_definition(parts, lam, pairs):
-    # groups, pair sets and the strict and relaxed infeasible flags,
-    # written out from the definitions: one group per depth
+    # groups, pair sets and whether some capacity is negative, written
+    # out from the definitions: one group per depth
     # 1 <= r <= |mu_i| with a row of length r, its cap from
     # col(mu, s) = sum(min(p, s)), and one pair set per pair whose nodes
     # all have a length 1 row
@@ -247,7 +245,7 @@ def _polytope_by_definition(parts, lam, pairs):
     groups = []
     start_of = {}
     flat = 0
-    strict = relaxed = False
+    negative = False
     for i in range(1, n + 1):
         mu = parts[i - 1]
         prev = parts[i - 2] if i >= 2 else ()
@@ -259,15 +257,14 @@ def _polytope_by_definition(parts, lam, pairs):
                 start_of[(r, i)] = flat
                 groups.append(((r, i), size, cap))
                 flat += size
-                relaxed = relaxed or cap < 0
-            strict = strict or cap < 0
+            negative = negative or cap < 0
     pair_sets = []
     for a, b in pairs:
         nodes = range(a, b + 1)
         if all((1, t) in start_of for t in nodes):
             pair_sets.append(tuple(start_of[(1, t)] + parts[t - 1].count(1) - 1
                                    for t in nodes))
-    return tuple(groups), tuple(pair_sets), {False: strict, True: relaxed}
+    return tuple(groups), tuple(pair_sets), negative
 
 
 def test_build_polytope_matches_definition():
@@ -277,11 +274,14 @@ def test_build_polytope_matches_definition():
     cases.append((rank8_lam, RANK8_GAMMA, consecutive_pairs(RANK8_WORD)))
     for lam, gamma, pairs in cases:
         for parts in enumerate_multipartitions(gamma, lam, prune=False):
-            groups, pair_sets, infeasible = _polytope_by_definition(parts, lam, pairs)
-            for relaxed in (False, True):
-                spec = build_polytope(parts, lam, pairs, relaxed)
-                assert (spec.groups, spec.pair_sets, spec.infeasible) == \
-                    (groups, pair_sets, infeasible[relaxed]), (parts, lam, relaxed)
+            groups, pair_sets, negative = _polytope_by_definition(parts, lam, pairs)
+            spec = build_polytope(parts, lam, pairs)
+            assert (spec.groups, spec.pair_sets) == (groups, pair_sets), (parts, lam)
+            if negative:
+                # a negative capacity, occupied depth or not, empties the
+                # polytope at every level bound
+                assert not count_by_grade(spec, sum(gamma), 0), (parts, lam)
+                assert not count_by_grade_ie(spec, sum(gamma), 0), (parts, lam)
 
 
 def test_build_polytope_validation():

@@ -25,20 +25,33 @@ Symmetry reduces everything to the orbit basis: one spanning function
 per family of per-node exponent multisets inside the window
 [lo_i, hi_i], lo_i = -lam_i (pair mode) or -min(lam_i, xi_{i,i}) (full
 mode), hi_i = r_{i-1} + r_{i+1} - 2.  Each condition contributes integer
-linear relations on orbit coefficients; the dimension is the exact
-corank of the relation matrix, found in three steps (`exact_corank`):
+linear relations on orbit coefficients (`constraint_rows`).  A relation
+row is indexed by a signature that depends only on the specialized head
+of each touched node's exponents and on the multiset of the rest, so the
+rows are counted once per distinct (head, rest) split, each split
+weighted by its number of permutations, not once per permutation.
 
+The dimension is the exact corank of the relation matrix, found in the
+following steps (`exact_corank`):
+
+  0. Peeling: a row with one nonzero entry forces its column to 0 over
+     Q, so that column is dropped from every row, repeatedly, until no
+     such row is left (the first step of structured Gaussian
+     elimination, LaMacchia-Odlyzko 1990).  The corank is that of the
+     remaining rows on the remaining columns, and is 0 if every column
+     is forced; steps 1-3 run on the remainder.
   1. A sparse echelon over GF(p), p = 2^31 - 1.  The rank mod p is at
      most the rank over Q, so a full echelon proves the corank is 0.
   2. Otherwise, with k free columns, the corank over Q is at most k.
      Back substitution reads one kernel vector mod p off each free
      column, equal to 1 there and 0 on the other free columns.  Each
      entry is lifted to a fraction by rational reconstruction and the
-     vector scaled to integers.  If every relation row annihilates
-     every lifted vector in exact integer arithmetic, those k vectors
-     lie in the rational kernel, and they are independent because each
-     is nonzero on its own free column and zero on the others; so the
-     corank is at least k, hence exactly k.
+     vector scaled to integers.  If every remaining row annihilates
+     every lifted vector in exact integer arithmetic, those k vectors,
+     padded with zeros on the forced columns, lie in the rational
+     kernel of the original rows, and they are independent because
+     each is nonzero on its own free column and zero on the others; so
+     the corank is at least k, hence exactly k.
   3. If a lift or an exact check fails, the corank is recomputed by
      fraction-free (Bareiss) elimination, `integer_rank`.
 
@@ -47,9 +60,10 @@ No corank is returned on the strength of the modular computation alone.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from itertools import permutations, product
-from math import isqrt, lcm
+from itertools import combinations
+from math import factorial, isqrt, lcm
 
 from .hl_category import consecutive_pairs, is_normalized, weight_of
 from .polytope_count import QPolynomial
@@ -135,18 +149,43 @@ def orbit_basis(gamma, bounds, degree):
     return out
 
 
+def _perms(seq) -> int:
+    """Number of distinct orderings of a multiset."""
+    out = factorial(len(seq))
+    for m in Counter(seq).values():
+        out //= factorial(m)
+    return out
+
+
 @lru_cache(maxsize=None)
-def _distinct_perms(ms):
-    return tuple(sorted(set(permutations(ms))))
+def _splits(ms, k):
+    """Distinct (head, rest) splits of a weakly decreasing multiset.
 
-
-def _desc(seq):
-    return tuple(sorted(seq, reverse=True))
+    One triple (sum of head, rest, count) per distinct k-element
+    sub-multiset head; rest is the weakly decreasing remainder and count
+    the number of distinct permutations of ms whose first k entries are
+    an ordering of head, perms(head) * perms(rest).
+    """
+    out = []
+    for head in sorted(set(combinations(ms, k))):
+        rest = list(ms)
+        for v in head:
+            rest.remove(v)
+        out.append((sum(head), tuple(rest), _perms(head) * _perms(rest)))
+    return tuple(out)
 
 
 def constraint_rows(lam, gamma, mode: str, orbits, xi=None, intervals=None):
     """Linear relations on orbit coefficients, one row per forbidden
     monomial signature of a specialized expression.
+
+    An orbit is the sum of the distinct permutations of its exponents at
+    every node, and a signature depends only on the specialized head of
+    each touched node's permutation (two entries for a join, `depth` for
+    a pole, one per node for an interval) and on the multiset of the
+    rest.  So each distinct (head, rest) split is visited once and adds
+    the number of permutations that give it, multiplied across the nodes
+    the condition touches.
 
     intervals: list of (a, b, v) to use for the interval conditions;
     derived from mode/xi when omitted.  Returns rows as dicts mapping
@@ -154,12 +193,9 @@ def constraint_rows(lam, gamma, mode: str, orbits, xi=None, intervals=None):
     """
     n = len(lam)
     r = (0,) + tuple(gamma) + (0,)
-    index = {orb: k for k, orb in enumerate(orbits)}
+    # each (head, rest) split of an orbit gives its own signature, so an
+    # orbit meets each row at most once and its coefficient is assigned
     rows = {}
-
-    def add(cond, key, orbit_idx, coeff=1):
-        row = rows.setdefault((cond, key), {})
-        row[orbit_idx] = row.get(orbit_idx, 0) + coeff
 
     # vanishing under x_{i,1} = x_{i,2} = x_{nb,1}: every signature of
     # the specialized expression must cancel
@@ -170,25 +206,25 @@ def constraint_rows(lam, gamma, mode: str, orbits, xi=None, intervals=None):
             if not 1 <= nb <= n or r[nb] == 0:
                 continue
             cond = ("join", i, nb)
+            keep = [t for t in range(n) if t + 1 not in (i, nb)]
             for o, orb in enumerate(orbits):
-                others = tuple(orb[t] for t in range(n) if t + 1 not in (i, nb))
-                for pi in _distinct_perms(orb[i - 1]):
-                    for pn in _distinct_perms(orb[nb - 1]):
-                        w = pi[0] + pi[1] + pn[0]
-                        key = (w, _desc(pi[2:]), _desc(pn[1:]), others)
-                        add(cond, key, o)
+                others = tuple([orb[t] for t in keep])
+                nb_splits = _splits(orb[nb - 1], 1)
+                for wi, rest_i, ci in _splits(orb[i - 1], 2):
+                    for wn, rest_n, cn in nb_splits:
+                        key = (cond, (wi + wn, rest_i, rest_n, others))
+                        rows.setdefault(key, {})[o] = ci * cn
 
     # pole depth: signatures with z-exponent below -lam_i must cancel
     for i in range(1, n + 1):
+        keep = [t for t in range(n) if t + 1 != i]
         for depth in range(2, r[i] + 1):
             cond = ("pole", i, depth)
             for o, orb in enumerate(orbits):
-                others = tuple(orb[t] for t in range(n) if t + 1 != i)
-                for pi in _distinct_perms(orb[i - 1]):
-                    z = sum(pi[:depth])
+                others = tuple([orb[t] for t in keep])
+                for z, rest, c in _splits(orb[i - 1], depth):
                     if z + lam[i - 1] < 0:
-                        key = (z, _desc(pi[depth:]), others)
-                        add(cond, key, o)
+                        rows.setdefault((cond, (z, rest, others)), {})[o] = c
 
     # interval vanishing: substitute the first variable of every node in
     # [a, b]; signatures with z-exponent below -v must cancel
@@ -196,14 +232,21 @@ def constraint_rows(lam, gamma, mode: str, orbits, xi=None, intervals=None):
         intervals = derive_intervals(lam, gamma, mode, xi)
     for (a, b, v) in intervals:
         cond = ("interval", a, b)
-        touched = list(range(a, b + 1))
+        keep = [t for t in range(n) if not a <= t + 1 <= b]
         for o, orb in enumerate(orbits):
-            others = tuple(orb[t] for t in range(n) if not a <= t + 1 <= b)
-            for picks in product(*[_distinct_perms(orb[t - 1]) for t in touched]):
-                z = sum(p[0] for p in picks)
-                if z + v < 0:
-                    key = (z, tuple(_desc(p[1:]) for p in picks), others)
-                    add(cond, key, o)
+            others = tuple([orb[t] for t in keep])
+            # keep a partial pick only while the least heads of the
+            # nodes after it can still bring z below -v
+            tail = sum(orb[t][-1] for t in range(a - 1, b))
+            picks = [(0, (), 1)]
+            for t in range(a - 1, b):
+                tail -= orb[t][-1]
+                bound = -v - tail
+                picks = [(z + zt, rests + (rest,), c * ct)
+                         for z, rests, c in picks
+                         for zt, rest, ct in _splits(orb[t], 1) if z + zt < bound]
+            for z, rests, c in picks:
+                rows.setdefault((cond, (z, rests, others)), {})[o] = c
 
     return rows
 
@@ -328,18 +371,65 @@ def _lift_kernel(echelon, ncols):
     return kernel
 
 
+def _peel(rows, ncols):
+    """Rows and columns left once singleton rows are peeled.
+
+    A row with one nonzero entry c x_j = 0 forces x_j = 0 over Q, so
+    column j is dropped from every row and the step repeats until no
+    row has exactly one entry left.  Returns (rows over the surviving
+    columns, renumbered in order and keyed by their position in rows;
+    number of surviving columns).  Every row left has at least two
+    entries, and columns no row touches survive.
+    """
+    rows = list(rows.values())
+    live = [0] * len(rows)
+    on_col = [[] for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            if v:
+                on_col[c].append(r)
+                live[r] += 1
+    forced = [False] * ncols
+    queue = [r for r, k in enumerate(live) if k == 1]
+    while queue:
+        r = queue.pop()
+        if live[r] != 1:
+            continue
+        col = next(c for c, v in rows[r].items() if v and not forced[c])
+        forced[col] = True
+        for other in on_col[col]:
+            live[other] -= 1
+            if live[other] == 1:
+                queue.append(other)
+    new_col = {}
+    for c in range(ncols):
+        if not forced[c]:
+            new_col[c] = len(new_col)
+    left = {r: {new_col[c]: v for c, v in rows[r].items() if v and not forced[c]}
+            for r, k in enumerate(live) if k}
+    return left, len(new_col)
+
+
 def exact_corank(rows, ncols) -> int:
     """Exact corank of integer relation rows over Q.
 
     rows maps condition keys to sparse rows (column -> integer), as
-    `constraint_rows` returns them.  A full echelon mod p proves the
-    corank is 0.  Otherwise, with k free columns, the corank is at most
-    k; the k lifted kernel vectors are independent (each is nonzero on
-    its own free column and zero on the other free columns), so once
-    every row annihilates every one of them exactly, the corank is at
-    least k and therefore k.  If a lift or a check fails, the corank
-    comes from `integer_rank`.
+    `constraint_rows` returns them.  Step 0 peels singleton rows
+    (`_peel`): each forces its column to 0 exactly, so the corank is
+    that of the remaining rows on the remaining columns, and a kernel
+    vector of the remainder, padded with zeros on the forced columns,
+    satisfies the original rows.  If every column is forced the corank
+    is 0.  On the remainder, a full echelon mod p proves the corank is
+    0.  Otherwise, with k free columns, the corank is at most k; the k
+    lifted kernel vectors are independent (each is nonzero on its own
+    free column and zero on the other free columns), so once every row
+    annihilates every one of them exactly, the corank is at least k and
+    therefore k.  If a lift or a check fails, the corank comes from
+    `integer_rank`.
     """
+    rows, ncols = _peel(rows, ncols)
+    if not ncols:
+        return 0
     echelon = _echelon_mod_p(sorted(rows.values(), key=len), ncols)
     if len(echelon) == ncols:
         return 0

@@ -7,6 +7,7 @@ bases, two explicit admissible functions, and the graded dimensions.
 
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +16,7 @@ from hldecomp import functional_oracle
 from hldecomp.functional_oracle import (
     _PRIME,
     _corank_mod_p,
+    _peel,
     _rows_to_matrix,
     constraint_rows,
     derive_intervals,
@@ -27,10 +29,12 @@ from hldecomp.functional_oracle import (
     orbit_basis,
     variable_bounds,
 )
-from hldecomp.hl_category import DrinfeldWord
+from hldecomp.hl_category import DrinfeldWord, consecutive_pairs, weight_of
 from hldecomp.polytope_count import QPolynomial, multiplicity
 from hldecomp.root_system import (e_gamma, enumerate_dominant_gammas,
                                   gamma_height, positive_roots)
+
+from conftest import shape_grid, word_grid
 
 X58_LAM = (7, 5)
 X58_GAMMA = (2, 1)
@@ -103,6 +107,92 @@ def test_constraint_rows_reference_valid_orbits():
     rows = constraint_rows(X58_LAM, X58_GAMMA, "full", orbits, X58_XI)
     for row in rows.values():
         assert all(0 <= o < len(orbits) for o in row)
+
+
+def _distinct_perms(ms):
+    return sorted(set(permutations(ms)))
+
+
+def _desc(seq):
+    return tuple(sorted(seq, reverse=True))
+
+
+def _reference_rows(lam, gamma, orbits, intervals):
+    """constraint_rows by its definition: walk every distinct permutation
+    of each touched node's multiset and add 1 to the row of its
+    signature."""
+    n = len(lam)
+    r = (0,) + tuple(gamma) + (0,)
+    rows = {}
+
+    def add(cond, key, orbit_idx):
+        row = rows.setdefault((cond, key), {})
+        row[orbit_idx] = row.get(orbit_idx, 0) + 1
+
+    for i in range(1, n + 1):
+        if r[i] < 2:
+            continue
+        for nb in (i - 1, i + 1):
+            if not 1 <= nb <= n or r[nb] == 0:
+                continue
+            cond = ("join", i, nb)
+            for o, orb in enumerate(orbits):
+                others = tuple(orb[t] for t in range(n) if t + 1 not in (i, nb))
+                for pi in _distinct_perms(orb[i - 1]):
+                    for pn in _distinct_perms(orb[nb - 1]):
+                        w = pi[0] + pi[1] + pn[0]
+                        add(cond, (w, _desc(pi[2:]), _desc(pn[1:]), others), o)
+
+    for i in range(1, n + 1):
+        for depth in range(2, r[i] + 1):
+            cond = ("pole", i, depth)
+            for o, orb in enumerate(orbits):
+                others = tuple(orb[t] for t in range(n) if t + 1 != i)
+                for pi in _distinct_perms(orb[i - 1]):
+                    z = sum(pi[:depth])
+                    if z + lam[i - 1] < 0:
+                        add(cond, (z, _desc(pi[depth:]), others), o)
+
+    for (a, b, v) in intervals:
+        cond = ("interval", a, b)
+        for o, orb in enumerate(orbits):
+            others = tuple(orb[t] for t in range(n) if not a <= t + 1 <= b)
+            for picks in product(*[_distinct_perms(orb[t - 1])
+                                   for t in range(a, b + 1)]):
+                z = sum(p[0] for p in picks)
+                if z + v < 0:
+                    add(cond, (z, tuple(_desc(p[1:]) for p in picks), others), o)
+
+    return rows
+
+
+def _row_cases():
+    """(lam, gamma, mode, xi, pairs): shape grids in full mode with
+    xi = 1 and xi = 2 (gamma up to 3 on ranks 1 and 2, so pole depth 3
+    occurs, and up to 2 on rank 3), and every dominant gamma of
+    word_grid(3, 3) in pair mode."""
+    for lam, gamma in sorted(set(shape_grid(2, 2, 3)) | set(shape_grid(3, 2, 2))):
+        for v in (1, 2):
+            yield lam, gamma, "full", {root: v for root in positive_roots(len(lam))}, None
+    for word in word_grid(3, 3):
+        lam = weight_of(word)
+        for gamma in enumerate_dominant_gammas(lam):
+            yield lam, tuple(gamma), "pair", None, consecutive_pairs(word)
+
+
+def test_constraint_rows_match_permutation_walk():
+    grades = 0
+    for lam, gamma, mode, xi, pairs in _row_cases():
+        bounds = variable_bounds(lam, gamma, mode, xi)
+        intervals = derive_intervals(lam, gamma, mode, xi, pairs)
+        for grade in grade_window(lam, gamma, mode, xi):
+            degree = -grade - gamma_height(gamma) + e_gamma(gamma)
+            orbits = orbit_basis(gamma, bounds, degree)
+            got = constraint_rows(lam, gamma, mode, orbits, xi, intervals)
+            assert got == _reference_rows(lam, gamma, orbits, intervals), \
+                (lam, gamma, mode, xi, grade)
+            grades += 1
+    assert grades > 3000
 
 
 def test_rank2_graded_dimensions():
@@ -230,15 +320,61 @@ def _count_fallbacks(monkeypatch):
 
 
 @pytest.mark.parametrize("row, ncols, want", [
-    # the only entry vanishes mod p: the modular rank drops to 0
+    # one entry, which vanishes mod p: peeling forces the column exactly,
+    # before any modular step, so nothing falls back
     ({0: _PRIME}, 1, 0),
     # kernel vector (100003, 1): its lift mod p is a wrong small fraction
     ({0: 1, 1: -100003}, 2, 1),
+    # two entries, both vanishing mod p: the modular rank drops to 0
+    ({0: _PRIME, 1: 2 * _PRIME}, 2, 1),
 ])
 def test_exact_corank_falls_back_to_bareiss(monkeypatch, row, ncols, want):
     calls = _count_fallbacks(monkeypatch)
     assert exact_corank({"row": row}, ncols) == want
-    assert len(calls) == 1
+    assert len(calls) == (0 if len(row) == 1 else 1)
+
+
+def _singleton_chain(cols, coeffs):
+    """Rows {c0: a0}, {c0: a1, c1: b1}, {c1: a2, c2: b2}, ...: peeling
+    the first forces each next column in turn."""
+    rows = [{cols[0]: coeffs[0][0]}]
+    for k in range(1, len(cols)):
+        rows.append({cols[k - 1]: coeffs[k][0], cols[k]: coeffs[k][1]})
+    return rows
+
+
+_NONZERO = st.one_of(st.integers(-4, 4).filter(bool),
+                     st.sampled_from([_PRIME, -2 * _PRIME, 100003]))
+
+
+@given(st.integers(1, 8).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.lists(st.dictionaries(st.integers(0, k - 1), _ENTRIES, max_size=4),
+             max_size=8),
+    st.lists(st.integers(0, k - 1), unique=True, max_size=k),
+    st.lists(st.tuples(_NONZERO, _NONZERO), min_size=k, max_size=k),
+    st.randoms(use_true_random=False))))
+def test_peeling_keeps_exact_corank(case):
+    # random rows (with empty rows, zero entries, multiples of p and
+    # columns no row touches) plus a cascading chain of singleton rows
+    ncols, rows, chain, coeffs, rnd = case
+    if chain:
+        rows = rows + _singleton_chain(chain, coeffs)
+    rnd.shuffle(rows)
+    mat = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+    assert exact_corank(dict(enumerate(rows)), ncols) == \
+        ncols - integer_rank(mat)
+
+
+def test_peeling_leaves_a_positive_corank_remainder(monkeypatch):
+    # {0: 2} forces column 0, which leaves x_1 = x_2 on columns 1..3
+    # (column 3 is touched by no row): corank 2, proved by the lifted
+    # kernel of the remainder padded with a zero on column 0
+    rows = {"a": {0: 2}, "b": {0: 5, 1: 1, 2: -1}}
+    assert _peel(rows, 4) == ({1: {0: 1, 1: -1}}, 3)
+    calls = _count_fallbacks(monkeypatch)
+    assert exact_corank(rows, 4) == 2
+    assert calls == []
 
 
 def _tensor_square_grades(lam):

@@ -102,10 +102,7 @@ def from_json_dict(data) -> GradedDecomposition:
     entries = {}
     for ent in data["entries"]:
         entries[tuple(ent["gamma"])] = QPolynomial.from_json(ent["poly"])
-    if data.get("domain") is not None:
-        domain = [tuple(g) for g in data["domain"]]
-    else:
-        domain = enumerate_dominant_gammas(lam)
+    domain = [tuple(g) for g in data["domain"]]
     return GradedDecomposition(n, lam, entries, domain, word=word, xi=xi)
 
 

@@ -24,12 +24,14 @@ and satisfy two families of specialization conditions:
 Symmetry reduces everything to the orbit basis: one spanning function
 per family of per-node exponent multisets inside the window
 [lo_i, hi_i], lo_i = -lam_i (pair mode) or -min(lam_i, xi_{i,i}) (full
-mode), hi_i = r_{i-1} + r_{i+1} - 2.  Each condition contributes integer
-linear relations on orbit coefficients (`constraint_rows`).  A relation
-row is indexed by a signature that depends only on the specialized head
-of each touched node's exponents and on the multiset of the rest, so the
-rows are counted once per distinct (head, rest) split, each split
-weighted by its number of permutations, not once per permutation.
+mode), hi_i = r_{i-1} + r_{i+1} - 2.  The windows and the interval
+conditions are the only data that depend on the mode, and `conditions`
+works out both.  Each condition contributes integer linear relations on
+orbit coefficients (`constraint_rows`).  A relation row is indexed by a
+signature that depends only on the specialized head of each touched
+node's exponents and on the multiset of the rest, so the rows are
+counted once per distinct (head, rest) split, each split weighted by its
+number of permutations, not once per permutation.
 
 The dimension is the exact corank of the relation matrix, found in the
 following steps (`exact_corank`):
@@ -70,23 +72,31 @@ from .polytope_count import QPolynomial
 from .root_system import e_gamma, enumerate_dominant_gammas, gamma_height, pairing
 
 
-def variable_bounds(lam, gamma, mode: str, xi=None) -> dict[int, tuple[int, int]]:
-    """Exponent window [lo_i, hi_i] for each node carrying a variable."""
+def conditions(lam, gamma, mode: str, xi=None, pairs=None):
+    """Monomial windows and interval conditions, as (bounds, intervals).
+
+    bounds maps each node i carrying a variable to its exponent window
+    (lo_i, hi_i).  intervals lists (a, b, pole depth): in pair mode the
+    consecutive word node pairs with depth 1, in full mode every a < b
+    with depth xi_{a,b}.  Intervals with a = b are covered by the
+    window; intervals containing a node without variables have no
+    meaningful specialization and are skipped.
+    """
     n = len(lam)
     r = (0,) + tuple(gamma) + (0,)
-    out = {}
-    for i in range(1, n + 1):
-        if r[i] == 0:
-            continue
-        hi = r[i - 1] + r[i + 1] - 2
-        if mode == "pair":
-            lo = -lam[i - 1]
-        elif mode == "full":
-            lo = -min(lam[i - 1], xi[(i, i)])
-        else:
-            raise ValueError("unknown mode %r" % (mode,))
-        out[i] = (lo, hi)
-    return out
+    nodes = range(1, n + 1)
+    if mode == "pair":
+        lo = [-lam[i - 1] for i in nodes]
+        spans = [(a, b, 1) for a, b in pairs or ()]
+    elif mode == "full":
+        lo = [-min(lam[i - 1], xi[(i, i)]) for i in nodes]
+        spans = [(a, b, xi[(a, b)]) for a, b in combinations(nodes, 2)]
+    else:
+        raise ValueError("unknown mode %r" % (mode,))
+    bounds = {i: (lo[i - 1], r[i - 1] + r[i + 1] - 2) for i in nodes if r[i]}
+    intervals = [(a, b, v) for a, b, v in spans
+                 if all(r[t] >= 1 for t in range(a, b + 1))]
+    return bounds, intervals
 
 
 def _node_multisets(r, lo, hi):
@@ -175,7 +185,7 @@ def _splits(ms, k):
     return tuple(out)
 
 
-def constraint_rows(lam, gamma, mode: str, orbits, xi=None, intervals=None):
+def constraint_rows(lam, gamma, orbits, intervals):
     """Linear relations on orbit coefficients, one row per forbidden
     monomial signature of a specialized expression.
 
@@ -187,9 +197,9 @@ def constraint_rows(lam, gamma, mode: str, orbits, xi=None, intervals=None):
     the number of permutations that give it, multiplied across the nodes
     the condition touches.
 
-    intervals: list of (a, b, v) to use for the interval conditions;
-    derived from mode/xi when omitted.  Returns rows as dicts mapping
-    orbit index to integer coefficient.
+    intervals: the (a, b, v) interval conditions, as `conditions`
+    returns them.  Returns rows as dicts mapping orbit index to integer
+    coefficient.
     """
     n = len(lam)
     r = (0,) + tuple(gamma) + (0,)
@@ -228,8 +238,6 @@ def constraint_rows(lam, gamma, mode: str, orbits, xi=None, intervals=None):
 
     # interval vanishing: substitute the first variable of every node in
     # [a, b]; signatures with z-exponent below -v must cancel
-    if intervals is None:
-        intervals = derive_intervals(lam, gamma, mode, xi)
     for (a, b, v) in intervals:
         cond = ("interval", a, b)
         keep = [t for t in range(n) if not a <= t + 1 <= b]
@@ -249,30 +257,6 @@ def constraint_rows(lam, gamma, mode: str, orbits, xi=None, intervals=None):
                 rows.setdefault((cond, (z, rests, others)), {})[o] = c
 
     return rows
-
-
-def derive_intervals(lam, gamma, mode: str, xi=None, pairs=None):
-    """Interval conditions (a, b, pole depth) for the given mode.
-
-    Intervals with a = b are covered by the monomial window and skipped;
-    intervals containing a node without variables have no meaningful
-    specialization and are skipped as well.
-    """
-    n = len(lam)
-    r = tuple(gamma)
-    out = []
-    if mode == "pair":
-        for (a, b) in pairs or ():
-            if all(r[t - 1] >= 1 for t in range(a, b + 1)):
-                out.append((a, b, 1))
-    elif mode == "full":
-        for a in range(1, n + 1):
-            for b in range(a + 1, n + 1):
-                if all(r[t - 1] >= 1 for t in range(a, b + 1)):
-                    out.append((a, b, xi[(a, b)]))
-    else:
-        raise ValueError("unknown mode %r" % (mode,))
-    return out
 
 
 _PRIME = (1 << 31) - 1
@@ -312,16 +296,6 @@ def _echelon_mod_p(rows, ncols) -> dict[int, dict[int, int]]:
         if len(echelon) == ncols:
             break
     return echelon
-
-
-def _corank_mod_p(rows, ncols) -> int:
-    """Corank of sparse integer rows over GF(_PRIME).
-
-    The modular rank never exceeds the rational rank, so this is an
-    upper bound on the exact corank, and a zero value proves the exact
-    corank is zero.  `exact_corank` proves or replaces a positive value.
-    """
-    return ncols - len(_echelon_mod_p(rows, ncols))
 
 
 def _rational_mod_p(a):
@@ -493,12 +467,11 @@ def dim_V(lam, gamma, p: int, mode: str, xi=None, pairs=None) -> int:
         raise ValueError("grade must be nonnegative")
     gamma = tuple(gamma)
     degree = -p - gamma_height(gamma) + e_gamma(gamma)
-    bounds = variable_bounds(lam, gamma, mode, xi)
+    bounds, intervals = conditions(lam, gamma, mode, xi, pairs)
     orbits = orbit_basis(gamma, bounds, degree)
     if not orbits:
         return 0
-    intervals = derive_intervals(lam, gamma, mode, xi, pairs)
-    rows = constraint_rows(lam, gamma, mode, orbits, xi, intervals)
+    rows = constraint_rows(lam, gamma, orbits, intervals)
     return exact_corank(rows, len(orbits))
 
 
@@ -507,7 +480,7 @@ def grade_window(lam, gamma, mode: str, xi=None) -> range:
     gamma = tuple(gamma)
     if not any(gamma):
         return range(0, 1)
-    bounds = variable_bounds(lam, gamma, mode, xi)
+    bounds, _ = conditions(lam, gamma, mode, xi)
     lo_total = 0
     hi_total = 0
     for i, r in enumerate(gamma, start=1):

@@ -73,31 +73,26 @@ class QPolynomial:
     def __repr__(self):
         return "QPolynomial(%r)" % (self.coeffs,)
 
-    def plain(self) -> str:
+    def _format(self, power_fmt, sep) -> str:
+        """Terms in increasing grade joined by sep; q^p with p >= 2 is
+        written power_fmt % p."""
         if not self.coeffs:
             return "0"
         terms = []
         for p in sorted(self.coeffs):
             c = self.coeffs[p]
-            power = "" if p == 0 else ("q" if p == 1 else "q^%d" % p)
-            if not power:
+            if p == 0:
                 terms.append(str(c))
-            else:
-                terms.append(power if c == 1 else "%d%s" % (c, power))
-        return " + ".join(terms)
+                continue
+            power = "q" if p == 1 else power_fmt % p
+            terms.append(power if c == 1 else "%d%s" % (c, power))
+        return sep.join(terms)
+
+    def plain(self) -> str:
+        return self._format("q^%d", " + ")
 
     def latex(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for p in sorted(self.coeffs):
-            c = self.coeffs[p]
-            power = "" if p == 0 else ("q" if p == 1 else "q^{%d}" % p)
-            if not power:
-                terms.append(str(c))
-            else:
-                terms.append(power if c == 1 else "%d%s" % (c, power))
-        return "+".join(terms)
+        return self._format("q^{%d}", "+")
 
     def to_json(self) -> dict:
         return {str(p): self.coeffs[p] for p in sorted(self.coeffs)}
@@ -321,24 +316,22 @@ def _convolve_truncated(a, b, max_level):
     return out
 
 
-def multiplicity(word, gamma, strategy: str = "dfs") -> QPolynomial:
+def multiplicity(word, gamma) -> QPolynomial:
     """Graded multiplicity polynomial of V(wt(word) - gamma).
 
     Sums the grade histograms of the polytopes of all multipartitions of
     shape gamma that survive the capacity pruning.
     """
-    if strategy not in ("dfs", "ie"):
-        raise ValueError("unknown strategy %r" % (strategy,))
     lam = weight_of(word)
     gamma = tuple(gamma)
     if len(gamma) != len(lam):
         raise ValueError("gamma has rank %d, expected %d" % (len(gamma), len(lam)))
     pairs = consecutive_pairs(word)
     height = sum(gamma)
-    counter = count_by_grade if strategy == "dfs" else count_by_grade_ie
     total = {}
     for parts in mpart.enumerate_multipartitions(gamma, lam, prune=True):
         spec = build_polytope(parts, lam, pairs)
-        for p, c in counter(spec, height, mpart.compute_K(parts, lam)).coeffs.items():
+        poly = count_by_grade(spec, height, mpart.compute_K(parts, lam))
+        for p, c in poly.coeffs.items():
             total[p] = total.get(p, 0) + c
     return QPolynomial(total)

@@ -10,13 +10,13 @@ import time
 
 from hldecomp.decomposition import graded_decomposition, total_dimension
 from hldecomp.functional_oracle import (
+    conditions,
     constraint_rows,
     dim_V,
     grade_window,
     oracle_decomposition,
     oracle_multiplicity,
     orbit_basis,
-    variable_bounds,
 )
 from hldecomp.hl_category import (
     DrinfeldWord,
@@ -99,13 +99,13 @@ def test_criterion_2_rank2_oracle_example():
     dims = {p: dim_V(X58_LAM, X58_GAMMA, p, "full", xi=X58_XI)
             for p in range(8)}
     window = grade_window(X58_LAM, X58_GAMMA, "full", X58_XI)
-    bounds = variable_bounds(X58_LAM, X58_GAMMA, "full", X58_XI)
+    bounds, intervals = conditions(X58_LAM, X58_GAMMA, "full", X58_XI)
     residuals = []
     for grade, func in ((3, F1), (2, F2)):
         degree = -grade - gamma_height(X58_GAMMA) + e_gamma(X58_GAMMA)
         orbits = orbit_basis(X58_GAMMA, bounds, degree)
         vec = [func.get(orb, 0) for orb in orbits]
-        rows = constraint_rows(X58_LAM, X58_GAMMA, "full", orbits, X58_XI)
+        rows = constraint_rows(X58_LAM, X58_GAMMA, orbits, intervals)
         residuals.extend(sum(c * vec[o] for o, c in row.items())
                          for row in rows.values())
     elapsed = time.perf_counter() - t0

@@ -246,6 +246,27 @@ def test_cache_corrupt_entry_recomputed(tmp_path, capsys):
         assert json.load(fh)["n"] == 2
 
 
+def test_cache_entry_without_domain_recomputed(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    args = ["decompose", "--n", "3", "--pi", "1:0,2:3,3:0",
+            "--format", "json", "--cache", cache]
+    _, first, _ = run(capsys, *args)
+    (entry,) = os.listdir(cache)
+    path = os.path.join(cache, entry)
+    # every entry is written with its domain; one without it is unreadable
+    with open(path) as fh:
+        data = json.load(fh)
+    del data["domain"]
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    code, out, err = run(capsys, *args)
+    assert code == 0
+    assert out == first
+    assert "ignoring unreadable cache entry" in err
+    with open(path) as fh:
+        assert "domain" in json.load(fh)
+
+
 def test_cache_entry_for_another_job_is_a_miss(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     other = tmp_path / "other"

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hldecomp.decomposition import (
     GradedDecomposition,
@@ -17,7 +18,7 @@ from hldecomp.decomposition import (
 from hldecomp.functional_oracle import oracle_decomposition
 from hldecomp.hl_category import DrinfeldWord, weight_of
 from hldecomp.polytope_count import QPolynomial
-from hldecomp.root_system import enumerate_dominant_gammas, weyl_dim
+from hldecomp.root_system import weyl_dim
 
 from conftest import word_grid
 
@@ -103,15 +104,6 @@ def test_json_round_trip_with_xi():
     assert back.xi == xi
 
 
-def test_json_legacy_payload_without_domain():
-    dec = graded_decomposition(WORD3)
-    data = json.loads(to_json_text(dec))
-    del data["domain"]
-    back = from_json_dict(data)
-    assert sorted(back.domain) == sorted(enumerate_dominant_gammas((1, 1, 1)))
-    assert back == dec
-
-
 def test_json_entry_fields():
     data = to_json_dict(graded_decomposition(WORD3))
     assert data["n"] == 3
@@ -149,3 +141,20 @@ def test_crosscheck_on_word_grid():
     for word in word_grid(3, 2):
         ok, mismatches = crosscheck(word)
         assert ok, mismatches
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.sampled_from(word_grid(5, 3)))
+def test_crosscheck_on_drawn_words(word):
+    ok, mismatches = crosscheck(word)
+    assert ok, mismatches
+
+
+@pytest.mark.slow
+def test_crosscheck_on_rank4_and_rank5_grids():
+    words = ([w for w in word_grid(4, 4) if w.n == 4]
+             + [w for w in word_grid(5, 3) if w.n == 5])
+    assert len(words) == 26 + 45
+    for word in words:
+        ok, mismatches = crosscheck(word)
+        assert ok, (word, mismatches)

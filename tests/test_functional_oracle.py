@@ -15,11 +15,11 @@ from hypothesis import given, strategies as st
 from hldecomp import functional_oracle
 from hldecomp.functional_oracle import (
     _PRIME,
-    _corank_mod_p,
+    _echelon_mod_p,
     _peel,
     _rows_to_matrix,
+    conditions,
     constraint_rows,
-    derive_intervals,
     dim_V,
     exact_corank,
     grade_window,
@@ -27,7 +27,6 @@ from hldecomp.functional_oracle import (
     oracle_decomposition,
     oracle_multiplicity,
     orbit_basis,
-    variable_bounds,
 )
 from hldecomp.hl_category import DrinfeldWord, consecutive_pairs, weight_of
 from hldecomp.polytope_count import QPolynomial, multiplicity
@@ -50,22 +49,24 @@ F1 = {((-2, -2), (0,)): 1, ((-1, -1), (-2,)): 1, ((-1, -2), (-1,)): -1}
 F2 = {((-1, -2), (0,)): 1, ((-1, -1), (-1,)): -2}
 
 
+X58_BOUNDS, X58_INTERVALS = conditions(X58_LAM, X58_GAMMA, "full", X58_XI)
+
+
 def _orbits_at(grade):
     degree = -grade - gamma_height(X58_GAMMA) + e_gamma(X58_GAMMA)
-    bounds = variable_bounds(X58_LAM, X58_GAMMA, "full", X58_XI)
-    return orbit_basis(X58_GAMMA, bounds, degree)
+    return orbit_basis(X58_GAMMA, X58_BOUNDS, degree)
 
 
 # ------------------------------------------------------------------ windows
 
-def test_variable_bounds():
-    assert variable_bounds(X58_LAM, X58_GAMMA, "full", X58_XI) == \
+def test_conditions_windows():
+    assert conditions(X58_LAM, X58_GAMMA, "full", X58_XI)[0] == \
         {1: (-2, -1), 2: (-2, 0)}
-    assert variable_bounds((1, 1), (1, 1), "pair") == \
+    assert conditions((1, 1), (1, 1), "pair")[0] == \
         {1: (-1, -1), 2: (-1, -1)}
-    assert variable_bounds((1, 1), (0, 0), "pair") == {}
+    assert conditions((1, 1), (0, 0), "pair")[0] == {}
     with pytest.raises(ValueError):
-        variable_bounds((1, 1), (1, 1), "sideways")
+        conditions((1, 1), (1, 1), "sideways")
 
 
 def test_grade_window():
@@ -94,7 +95,7 @@ def test_known_functions_satisfy_all_constraints():
     for grade, func in ((3, F1), (2, F2)):
         orbits = _orbits_at(grade)
         assert set(func) <= set(orbits)
-        rows = constraint_rows(X58_LAM, X58_GAMMA, "full", orbits, X58_XI)
+        rows = constraint_rows(X58_LAM, X58_GAMMA, orbits, X58_INTERVALS)
         assert rows
         vec = [func.get(orb, 0) for orb in orbits]
         for key, row in rows.items():
@@ -104,7 +105,7 @@ def test_known_functions_satisfy_all_constraints():
 
 def test_constraint_rows_reference_valid_orbits():
     orbits = _orbits_at(3)
-    rows = constraint_rows(X58_LAM, X58_GAMMA, "full", orbits, X58_XI)
+    rows = constraint_rows(X58_LAM, X58_GAMMA, orbits, X58_INTERVALS)
     for row in rows.values():
         assert all(0 <= o < len(orbits) for o in row)
 
@@ -183,12 +184,11 @@ def _row_cases():
 def test_constraint_rows_match_permutation_walk():
     grades = 0
     for lam, gamma, mode, xi, pairs in _row_cases():
-        bounds = variable_bounds(lam, gamma, mode, xi)
-        intervals = derive_intervals(lam, gamma, mode, xi, pairs)
+        bounds, intervals = conditions(lam, gamma, mode, xi, pairs)
         for grade in grade_window(lam, gamma, mode, xi):
             degree = -grade - gamma_height(gamma) + e_gamma(gamma)
             orbits = orbit_basis(gamma, bounds, degree)
-            got = constraint_rows(lam, gamma, mode, orbits, xi, intervals)
+            got = constraint_rows(lam, gamma, orbits, intervals)
             assert got == _reference_rows(lam, gamma, orbits, intervals), \
                 (lam, gamma, mode, xi, grade)
             grades += 1
@@ -219,17 +219,17 @@ def test_evaluation_module_has_trivial_socle():
 
 # ---------------------------------------------------------------- intervals
 
-def test_derive_intervals():
-    assert derive_intervals(X58_LAM, X58_GAMMA, "full", X58_XI) == [(1, 2, 2)]
-    assert derive_intervals((1, 1), (1, 1), "pair", pairs=((1, 2),)) == \
+def test_conditions_intervals():
+    assert conditions(X58_LAM, X58_GAMMA, "full", X58_XI)[1] == [(1, 2, 2)]
+    assert conditions((1, 1), (1, 1), "pair", pairs=((1, 2),))[1] == \
         [(1, 2, 1)]
     # a node without variables makes the specialization vacuous
-    assert derive_intervals((1, 1), (1, 0), "pair", pairs=((1, 2),)) == []
+    assert conditions((1, 1), (1, 0), "pair", pairs=((1, 2),))[1] == []
     xi3 = {(i, j): 1 for i in (1, 2, 3) for j in (1, 2, 3) if i <= j}
-    assert derive_intervals((1, 1, 1), (1, 1, 1), "full", xi3) == \
+    assert conditions((1, 1, 1), (1, 1, 1), "full", xi3)[1] == \
         [(1, 2, 1), (1, 3, 1), (2, 3, 1)]
     with pytest.raises(ValueError):
-        derive_intervals((1, 1), (1, 1), "sideways")
+        conditions((1, 1), (1, 1), "sideways")
 
 
 # ------------------------------------------------------------ linear algebra
@@ -279,14 +279,15 @@ def test_modular_corank_matches_exact_on_small_matrices(mat):
     # without vanishing exactly
     rows = [{j: v for j, v in enumerate(row) if v} for row in mat]
     exact = 3 - integer_rank([row for row in mat if any(row)])
-    assert _corank_mod_p(rows, 3) == exact
+    assert 3 - len(_echelon_mod_p(rows, 3)) == exact
 
 
 def test_modular_corank_certifies_oracle_dimensions():
     for grade in (2, 3):
         orbits = _orbits_at(grade)
-        rows = constraint_rows(X58_LAM, X58_GAMMA, "full", orbits, X58_XI)
-        mod = _corank_mod_p(sorted(rows.values(), key=len), len(orbits))
+        rows = constraint_rows(X58_LAM, X58_GAMMA, orbits, X58_INTERVALS)
+        echelon = _echelon_mod_p(sorted(rows.values(), key=len), len(orbits))
+        mod = len(orbits) - len(echelon)
         exact = len(orbits) - integer_rank(_rows_to_matrix(rows, len(orbits)))
         assert mod == exact == 1
 
@@ -390,10 +391,10 @@ def _tensor_square_grades(lam):
     *_tensor_square_grades((4, 0)),
 ])
 def test_dim_V_matches_bareiss_corank(monkeypatch, lam, gamma, xi, grade):
-    bounds = variable_bounds(lam, gamma, "full", xi)
+    bounds, intervals = conditions(lam, gamma, "full", xi)
     degree = -grade - gamma_height(gamma) + e_gamma(gamma)
     orbits = orbit_basis(gamma, bounds, degree)
-    rows = constraint_rows(lam, gamma, "full", orbits, xi)
+    rows = constraint_rows(lam, gamma, orbits, intervals)
     want = len(orbits) - integer_rank(_rows_to_matrix(rows, len(orbits)))
     calls = _count_fallbacks(monkeypatch)
     assert dim_V(lam, gamma, grade, "full", xi=xi) == want

@@ -14,11 +14,23 @@ pruning, the group caps and row multiplicities of the polytope, and K
 are all table lookups.  Capacities are listed only up to the largest
 part t of mu: past t, mu(s) stays put while the neighbours' counts can
 only grow, so no smaller capacity and no row lies beyond it.
+
+Every capacity at node i reads only (lam_i, mu_{i-1}, mu_i, mu_{i+1}),
+so the pruned search is a walk over node-local states.  The successor
+table _nexts(lam_i, mu_{i-1}, mu_i, gamma_{i+1}), cached for the life of
+the process, lists the choices of mu_{i+1} that keep every capacity at
+node i nonnegative; its key holds every input of the capacity, so
+entries never go stale across weights.  Within one search, a dead-end
+memo keyed (i, mu_{i-1}, mu_i) keeps the successors that have a pruned
+completion, so no prefix without one is entered.  K and the polytope
+groups are sums and lists of node terms in the same way, and their
+callers may pass a dict that keeps those terms across calls.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 
 def check_partition(mu) -> tuple[int, ...]:
@@ -95,33 +107,61 @@ def row_counts(mu) -> list[int]:
     return [2 * c[s] - c[s - 1] - c[s + 1] for s in range(1, mu[0] + 1 if mu else 1)]
 
 
-def compute_K(mp, lam) -> int:
+def compute_K(mp, lam, memo=None) -> int:
     """Base grade of a multipartition.
 
     Sum over nodes of  sum_j (2 j mu_i^j - mu_{i+1}(mu_i^j)) - lam_i d(mu_i),
-    with d the number of rows and mu_{n+1} empty.
+    with d the number of rows and mu_{n+1} empty.  memo is an optional
+    dict, kept by the caller across calls, that holds each node's term
+    under (lam_i, mu_i, mu_{i+1}).
     """
     n = len(lam)
+    if memo is None:
+        memo = {}
     total = 0
-    for i in range(1, n + 1):
-        mu = mp[i - 1]
-        nxt = col_counts(tuple(mp[i])) if i <= n - 1 else (0,)
-        top = len(nxt) - 1
-        for j, part in enumerate(mu, start=1):
-            total += 2 * j * part - nxt[part if part < top else top]
-        total -= lam[i - 1] * len(mu)
+    for i in range(n):
+        key = (lam[i], tuple(mp[i]), tuple(mp[i + 1]) if i < n - 1 else ())
+        term = memo.get(key)
+        if term is None:
+            term = memo[key] = _k_term(*key)
+        total += term
     return total
+
+
+def _k_term(lam_i, mu, mu_next) -> int:
+    nxt = col_counts(mu_next)
+    top = len(nxt) - 1
+    return (sum(2 * j * part - nxt[part if part < top else top]
+                for j, part in enumerate(mu, start=1))
+            - lam_i * len(mu))
+
+
+@lru_cache(maxsize=None)
+def _nexts(lam_i: int, mu_prev, mu, g_next: int) -> tuple[tuple[int, ...], ...]:
+    """The partitions of g_next, in partitions_of order, that as mu_next
+    keep every capacity at the node of mu nonnegative.
+
+    This is the only place where the sign of a capacity decides a
+    result.  With g_next = 0 it is ((),) or (): whether the last node
+    passes.
+    """
+    return tuple(nxt for nxt in partitions_of(g_next)
+                 if min(capacities(lam_i, mu_prev, mu, nxt), default=0) >= 0)
 
 
 def enumerate_multipartitions(gamma, lam, prune: bool = True):
     """All multipartitions mu with |mu_i| = gamma_i, optionally pruned.
 
-    With prune on, a multipartition survives only if every capacity
-    P_{s,i} for 1 <= s <= gamma_i is nonnegative.  This is the only
-    place where the sign of a capacity decides a result.  Pruning
-    happens during the node-by-node search: the capacities at node i
-    only involve mu_{i-1}, mu_i, mu_{i+1}, so they are checked as soon
-    as the next component is chosen.
+    Without pruning this is the product of the partitions_of lists.
+    With pruning, a multipartition survives only if every capacity
+    P_{s,i} for 1 <= s <= gamma_i is nonnegative; the order is the same
+    (lexicographic in partitions_of order).  The capacities at node i
+    involve only mu_{i-1}, mu_i, mu_{i+1}, so the search runs over the
+    states (i, mu_{i-1}, mu_i): the successors of a state are
+    _nexts(lam_i, mu_{i-1}, mu_i, gamma_{i+1}), and a dict local to the
+    call keeps, per state, the successors that have a pruned completion.
+    The search enters only states that have one, so its work grows with
+    the number of states and the output, not with the candidates.
     """
     lam = tuple(lam)
     gamma = tuple(gamma)
@@ -130,32 +170,36 @@ def enumerate_multipartitions(gamma, lam, prune: bool = True):
         raise ValueError("gamma and lam have different ranks")
     if any(g < 0 for g in gamma):
         raise ValueError("gamma must be nonnegative, got %r" % (gamma,))
-    choices = [partitions_of(g) for g in gamma]
-    out = []
+    if not n:
+        return []
+    if not prune:
+        return list(product(*(partitions_of(g) for g in gamma)))
+    g_next = gamma[1:] + (0,)
+    live = {}  # (i, mu_prev, mu) -> successors with a pruned completion
+
+    def live_nexts(i, prev, mu):
+        key = (i, prev, mu)
+        out = live.get(key)
+        if out is None:
+            succ = _nexts(lam[i], prev, mu, g_next[i])
+            if i < n - 1:
+                succ = tuple(nxt for nxt in succ if live_nexts(i + 1, mu, nxt))
+            out = live[key] = succ
+        return out
+
+    found = []
     cur = []
 
-    def caps_ok(i):
-        # capacities at node i; callable once cur holds mu_1 .. mu_{i+1}
-        caps = capacities(lam[i - 1], cur[i - 2] if i >= 2 else (), cur[i - 1],
-                          cur[i] if i <= n - 1 else ())
-        for cap in caps:
-            if cap < 0:
-                return False
-        return True
+    def extend(i, prev, mu):
+        cur.append(mu)
+        if i == n - 1:
+            found.append(tuple(cur))
+        else:
+            for nxt in live[i, prev, mu]:
+                extend(i + 1, mu, nxt)
+        cur.pop()
 
-    def extend(i):
-        for part in choices[i - 1]:
-            cur.append(part)
-            if prune and i >= 2 and not caps_ok(i - 1):
-                cur.pop()
-                continue
-            if i == n:
-                if not prune or caps_ok(n):
-                    out.append(tuple(cur))
-            else:
-                extend(i + 1)
-            cur.pop()
-
-    if n:
-        extend(1)
-    return out
+    for mu in partitions_of(gamma[0]):
+        if live_nexts(0, (), mu):
+            extend(0, (), mu)
+    return found

@@ -131,37 +131,50 @@ class PolytopeSpec:
         return out
 
 
-def build_polytope(parts, lam, pairs=()) -> PolytopeSpec:
+def build_polytope(parts, lam, pairs=(), memo=None) -> PolytopeSpec:
     """Polytope of one multipartition.
 
     parts: tuple of partitions, component i holding gamma_i boxes.
     pairs: node intervals (a, b) of consecutive word factors.  The pair
     constraint for (a, b) is emitted only when every node in the range
     has a row of length 1; otherwise the underlying relation is vacuous
-    and the constraint is dropped.
+    and the constraint is dropped.  memo is an optional dict, kept by
+    the caller across calls, that holds each node's (r, size, cap)
+    groups under (lam_i, mu_{i-1}, mu_i, mu_{i+1}).
     """
     n = len(lam)
     if len(parts) != n:
         raise ValueError("multipartition has %d components, expected %d" % (len(parts), n))
+    if memo is None:
+        memo = {}
+    parts = ((),) + tuple(tuple(mu) for mu in parts) + ((),)
     groups = []
     last_one = {}  # node -> flat index of its last length 1 row variable
     flat = 0
     for i in range(1, n + 1):
-        mu = tuple(parts[i - 1])
-        # depths past the largest part hold no rows, and their capacities
-        # are at least the one at that part, which does
-        caps = mpart.capacities(lam[i - 1], tuple(parts[i - 2]) if i >= 2 else (), mu,
-                                tuple(parts[i]) if i <= n - 1 else ())
-        for r, (size, cap) in enumerate(zip(mpart.row_counts(mu), caps), start=1):
-            if size:
-                groups.append(((r, i), size, cap))
-                flat += size
-                if r == 1:
-                    last_one[i] = flat - 1
+        key = (lam[i - 1], parts[i - 1], parts[i], parts[i + 1])
+        node = memo.get(key)
+        if node is None:
+            node = memo[key] = _node_groups(*key)
+        for r, size, cap in node:
+            groups.append(((r, i), size, cap))
+            flat += size
+            if r == 1:
+                last_one[i] = flat - 1
     pair_sets = [tuple(last_one[t] for t in range(a, b + 1))
                  for (a, b) in pairs
                  if all(t in last_one for t in range(a, b + 1))]
     return PolytopeSpec(n, groups, pair_sets)
+
+
+def _node_groups(lam_i, mu_prev, mu, mu_next):
+    # (r, size, cap) for the depths r of mu that hold rows; depths past
+    # the largest part hold none, and their capacities are at least the
+    # one at that part, which does
+    caps = mpart.capacities(lam_i, mu_prev, mu, mu_next)
+    return tuple((r, size, cap)
+                 for r, (size, cap) in enumerate(zip(mpart.row_counts(mu), caps), start=1)
+                 if size)
 
 
 def count_levels(sizes, caps, pair_sets, max_level):
@@ -328,10 +341,12 @@ def multiplicity(word, gamma) -> QPolynomial:
         raise ValueError("gamma has rank %d, expected %d" % (len(gamma), len(lam)))
     pairs = consecutive_pairs(word)
     height = sum(gamma)
+    groups_memo = {}
+    k_memo = {}
     total = {}
     for parts in mpart.enumerate_multipartitions(gamma, lam, prune=True):
-        spec = build_polytope(parts, lam, pairs)
-        poly = count_by_grade(spec, height, mpart.compute_K(parts, lam))
+        spec = build_polytope(parts, lam, pairs, groups_memo)
+        poly = count_by_grade(spec, height, mpart.compute_K(parts, lam, k_memo))
         for p, c in poly.coeffs.items():
             total[p] = total.get(p, 0) + c
     return QPolynomial(total)

@@ -90,9 +90,9 @@ def enumerate_dominant_gammas(lam) -> list[tuple[int, ...]]:
     gamma_{i+1} is fixed, so large ranks with small lam stay cheap.
     """
     lam = tuple(lam)
+    n = check_rank(len(lam))
     if not is_dominant(lam):
         raise ValueError("need a dominant weight, got %r" % (lam,))
-    n = len(lam)
     bounds = dominant_gamma_bounds(lam)
     found = []
     prefix = []

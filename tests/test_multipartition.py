@@ -6,11 +6,14 @@ gamma = (1,3,4,4,3,2,1,0).
 """
 
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hldecomp.hl_category import weight_of
 from hldecomp.multipartition import (
+    _nexts,
     capacities,
     check_partition,
     col_counts,
@@ -20,8 +23,9 @@ from hldecomp.multipartition import (
     row_counts,
     row_mult,
 )
+from hldecomp.root_system import enumerate_dominant_gammas
 
-from conftest import shape_grid
+from conftest import shape_grid, words_on_nodes
 
 RANK8_LAM = (0, 1, 1, 1, 1, 0, 1, 0)
 RANK8_GAMMA = (1, 3, 4, 4, 3, 2, 1, 0)
@@ -176,6 +180,68 @@ def test_relaxed_mode_agrees_on_small_grid():
         assert pruned == [mp for mp in unpruned
                           if _caps_ok_by_definition(mp, lam, True)], \
             (lam, gamma)
+
+
+def _reference_search(gamma, lam):
+    # the node-by-node DFS the state search replaced: extend one
+    # component at a time over partitions_of and drop a prefix as soon
+    # as a capacity at its second-to-last node is negative
+    lam = tuple(lam)
+    n = len(lam)
+    choices = [partitions_of(g) for g in gamma]
+    out = []
+    cur = []
+
+    def caps_ok(i):
+        caps = capacities(lam[i - 1], cur[i - 2] if i >= 2 else (), cur[i - 1],
+                          cur[i] if i <= n - 1 else ())
+        return all(cap >= 0 for cap in caps)
+
+    def extend(i):
+        for part in choices[i - 1]:
+            cur.append(part)
+            if i >= 2 and not caps_ok(i - 1):
+                cur.pop()
+                continue
+            if i == n:
+                if caps_ok(n):
+                    out.append(tuple(cur))
+            else:
+                extend(i + 1)
+            cur.pop()
+
+    extend(1)
+    return out
+
+
+def test_state_search_matches_reference_search():
+    # rank 4 shapes, then every dominant gamma of the rank 8 weight and
+    # of a rank 10 word, where dead ends sit several nodes deep
+    word = words_on_nodes(10, (1, 2, 4, 6, 8, 10))[0]
+    cases = list(shape_grid(4, 1, 2))
+    for lam in (RANK8_LAM, weight_of(word)):
+        cases.extend((lam, gamma) for gamma in enumerate_dominant_gammas(lam))
+    for lam, gamma in cases:
+        assert enumerate_multipartitions(gamma, lam, prune=True) == \
+            _reference_search(gamma, lam), (lam, gamma)
+
+
+def test_cached_successors_follow_the_weight():
+    # the successor table is process-wide; a weight that differs at one
+    # node must not read another weight's entries, in either order
+    gamma = (2, 3, 3, 2)
+    weights = [(1, 1, 1, 1), (1, 2, 1, 1)]
+    by_definition = {
+        lam: [mp for mp in product(*map(partitions_of, gamma))
+              if _caps_ok_by_definition(mp, lam, False)]
+        for lam in weights}
+    assert [len(by_definition[lam]) for lam in weights] == [2, 4]
+    for order in (weights, weights[::-1]):
+        _nexts.cache_clear()
+        for lam in order:
+            assert enumerate_multipartitions(gamma, lam) == by_definition[lam], lam
+            assert enumerate_multipartitions(gamma, lam, prune=False) == \
+                list(product(*map(partitions_of, gamma)))
 
 
 def test_input_validation():

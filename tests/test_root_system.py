@@ -144,6 +144,11 @@ def test_enumerate_dominant_gammas_corners():
         enumerate_dominant_gammas((1, -1))
 
 
+def test_enumerate_dominant_gammas_rejects_empty_weight():
+    with pytest.raises(ValueError, match="rank must be a positive integer"):
+        enumerate_dominant_gammas(())
+
+
 def test_enumerate_dominant_gammas_all_results_dominant():
     for lam in [(3, 0, 2), (0, 1, 1, 1)]:
         for gamma in enumerate_dominant_gammas(lam):

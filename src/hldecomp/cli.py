@@ -24,12 +24,21 @@ from .hl_category import (DrinfeldWord, InvalidWord, consecutive_pairs,
                           marked_vertices, normalize_xi, pi_from_interval,
                           pi_to_height_interval, validate_word, weight_of,
                           xi_from_weight)
-from .root_system import is_dominant, positive_roots, weight_minus_gamma, weyl_dim
+from .root_system import (check_rank, is_dominant, positive_roots, weight_minus_gamma,
+                          weyl_dim)
 from .weyl_characters import weight_multiplicities
 
 
 class InputError(ValueError):
     """Bad command line input; reported with exit code 2."""
+
+
+def _rank(text):
+    # type of --n, so a bad rank exits with code 2 before any command runs
+    try:
+        return check_rank(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError("rank must be a positive integer, got %r" % text)
 
 
 def _ints(text, flag):
@@ -275,7 +284,7 @@ def cmd_hl_info(args) -> int:
             for prob in problems:
                 print("  " + prob)
             return 2
-        word = DrinfeldWord(args.n, factors)
+        word = _word_from_args(args)
         kappa, J = pi_to_height_interval(word)
     else:
         word = _word_from_args(args)
@@ -335,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, word=True, cache=True):
-        p.add_argument("--n", type=int, required=True, help="rank of the diagram")
+        p.add_argument("--n", type=_rank, required=True, help="rank of the diagram")
         if word:
             p.add_argument("--pi", help='word as "i1:m1,i2:m2,..."')
             p.add_argument("--kappa", help='height function as "k1,k2,..."')

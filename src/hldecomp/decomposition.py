@@ -43,7 +43,7 @@ class GradedDecomposition:
         return (self.n == other.n and self.lam == other.lam
                 and self.entries == other.entries
                 and sorted(self.domain) == sorted(other.domain)
-                and self.word == other.word)
+                and self.word == other.word and self.xi == other.xi)
 
     __hash__ = None
 

@@ -151,14 +151,12 @@ def consecutive_pairs(word: DrinfeldWord) -> tuple[tuple[int, int], ...]:
     return tuple(zip(nodes, nodes[1:]))
 
 
-def pi_from_interval(kappa, J, n: int | None = None) -> DrinfeldWord:
+def pi_from_interval(kappa, J) -> DrinfeldWord:
     """Word attached to a height function and interval.
 
     Sinks contribute (i, kappa(i)), sources (i, kappa(i) + 2).
     """
     kappa = check_height_function(kappa)
-    if n is not None and len(kappa) != n:
-        raise ValueError("height function has rank %d, expected %d" % (len(kappa), n))
     sinks, sources = marked_vertices(kappa, J)
     factors = sorted(
         [(i, kappa[i - 1]) for i in sinks] + [(i, kappa[i - 1] + 2) for i in sources]

@@ -19,18 +19,17 @@ Every capacity at node i reads only (lam_i, mu_{i-1}, mu_i, mu_{i+1}),
 so the pruned search is a walk over node-local states.  The successor
 table _nexts(lam_i, mu_{i-1}, mu_i, gamma_{i+1}), cached for the life of
 the process, lists the choices of mu_{i+1} that keep every capacity at
-node i nonnegative; its key holds every input of the capacity, so
-entries never go stale across weights.  Within one search, a dead-end
-memo keyed (i, mu_{i-1}, mu_i) keeps the successors that have a pruned
-completion, so no prefix without one is entered.  K and the polytope
-groups are sums and lists of node terms in the same way, and their
-callers may pass a dict that keeps those terms across calls.
+node i nonnegative.  Within one search, a dead-end memo keyed
+(i, mu_{i-1}, mu_i) keeps the successors that have a pruned completion,
+so no prefix without one is entered.  The polytope groups and K are
+lists and sums of node terms over the same four inputs, read from the
+one process-wide table node_terms.  Both tables are keyed by every
+input they read, so their entries never go stale across weights.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 
 def check_partition(mu) -> tuple[int, ...]:
@@ -107,33 +106,35 @@ def row_counts(mu) -> list[int]:
     return [2 * c[s] - c[s - 1] - c[s + 1] for s in range(1, mu[0] + 1 if mu else 1)]
 
 
-def compute_K(mp, lam, memo=None) -> int:
-    """Base grade of a multipartition.
+@lru_cache(maxsize=None)
+def node_terms(lam_i: int, mu_prev, mu, mu_next):
+    """(groups, K term) of one node, cached for the life of the process.
 
-    Sum over nodes of  sum_j (2 j mu_i^j - mu_{i+1}(mu_i^j)) - lam_i d(mu_i),
-    with d the number of rows and mu_{n+1} empty.  memo is an optional
-    dict, kept by the caller across calls, that holds each node's term
-    under (lam_i, mu_i, mu_{i+1}).
+    groups holds (r, m_r, P_r) for the depths r that hold rows of mu;
+    depths past the largest part hold none, and their capacities are at
+    least the one at that part.  The K term is
+    sum_j (2 j mu^j - mu_next(mu^j)) - lam_i d(mu), d the number of
+    rows.  Pass () for a missing neighbour; the partitions must be
+    tuples.
     """
-    n = len(lam)
-    if memo is None:
-        memo = {}
-    total = 0
-    for i in range(n):
-        key = (lam[i], tuple(mp[i]), tuple(mp[i + 1]) if i < n - 1 else ())
-        term = memo.get(key)
-        if term is None:
-            term = memo[key] = _k_term(*key)
-        total += term
-    return total
-
-
-def _k_term(lam_i, mu, mu_next) -> int:
+    caps = capacities(lam_i, mu_prev, mu, mu_next)
+    groups = tuple((r, size, cap)
+                   for r, (size, cap) in enumerate(zip(row_counts(mu), caps), start=1)
+                   if size)
     nxt = col_counts(mu_next)
     top = len(nxt) - 1
-    return (sum(2 * j * part - nxt[part if part < top else top]
-                for j, part in enumerate(mu, start=1))
-            - lam_i * len(mu))
+    k_term = (sum(2 * j * part - nxt[part if part < top else top]
+                  for j, part in enumerate(mu, start=1))
+              - lam_i * len(mu))
+    return groups, k_term
+
+
+def compute_K(mp, lam) -> int:
+    """Base grade of a multipartition: the sum of its node_terms K terms."""
+    n = len(lam)
+    parts = ((),) + tuple(tuple(mu) for mu in mp[:n]) + ((),)
+    return sum(node_terms(lam[i - 1], parts[i - 1], parts[i], parts[i + 1])[1]
+               for i in range(1, n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -149,15 +150,13 @@ def _nexts(lam_i: int, mu_prev, mu, g_next: int) -> tuple[tuple[int, ...], ...]:
                  if min(capacities(lam_i, mu_prev, mu, nxt), default=0) >= 0)
 
 
-def enumerate_multipartitions(gamma, lam, prune: bool = True):
-    """All multipartitions mu with |mu_i| = gamma_i, optionally pruned.
+def enumerate_multipartitions(gamma, lam):
+    """The multipartitions mu with |mu_i| = gamma_i whose capacities
+    P_{s,i}, 1 <= s <= gamma_i, are all nonnegative.
 
-    Without pruning this is the product of the partitions_of lists.
-    With pruning, a multipartition survives only if every capacity
-    P_{s,i} for 1 <= s <= gamma_i is nonnegative; the order is the same
-    (lexicographic in partitions_of order).  The capacities at node i
-    involve only mu_{i-1}, mu_i, mu_{i+1}, so the search runs over the
-    states (i, mu_{i-1}, mu_i): the successors of a state are
+    They come in lexicographic partitions_of order.  The capacities at
+    node i involve only mu_{i-1}, mu_i, mu_{i+1}, so the search runs over
+    the states (i, mu_{i-1}, mu_i): the successors of a state are
     _nexts(lam_i, mu_{i-1}, mu_i, gamma_{i+1}), and a dict local to the
     call keeps, per state, the successors that have a pruned completion.
     The search enters only states that have one, so its work grows with
@@ -172,8 +171,6 @@ def enumerate_multipartitions(gamma, lam, prune: bool = True):
         raise ValueError("gamma must be nonnegative, got %r" % (gamma,))
     if not n:
         return []
-    if not prune:
-        return list(product(*(partitions_of(g) for g in gamma)))
     g_next = gamma[1:] + (0,)
     live = {}  # (i, mu_prev, mu) -> successors with a pruned completion
 

@@ -31,17 +31,15 @@ class QPolynomial:
 
     def __init__(self, coeffs=None):
         data = {}
-        if coeffs:
-            items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-            for p, c in items:
-                p = int(p)
-                c = int(c)
-                if p < 0:
-                    raise ValueError("negative grade %d" % p)
-                if c < 0:
-                    raise ValueError("negative coefficient %d at grade %d" % (c, p))
-                if c:
-                    data[p] = data.get(p, 0) + c
+        for p, c in (coeffs or {}).items():
+            p = int(p)
+            c = int(c)
+            if p < 0:
+                raise ValueError("negative grade %d" % p)
+            if c < 0:
+                raise ValueError("negative coefficient %d at grade %d" % (c, p))
+            if c:
+                data[p] = c
         self.coeffs = data
 
     def __eq__(self, other):
@@ -105,57 +103,43 @@ class QPolynomial:
 class PolytopeSpec:
     """Counting data for one multipartition.
 
-    groups: ((r, i), size, cap) triples for the depths with at least one
-    row, in (i, r) order; flat variables enumerate each group as
-    d = 1..size.  pair_sets: flat index sets of the emitted pair
-    constraints.  A group cap may be negative when the multipartition
-    was not pruned; the counters then return zero.  For lam >= 0 this
-    covers the depths without rows too: a negative capacity there
-    always comes with one at an occupied depth, since P_{s,i} is
-    concave between occupied depths, P_{0,i} = lam_i and P_{s,i} only
-    grows past the largest part.
+    groups: ((r, i), size, cap) triples for the depths r of node i that
+    hold rows, in (i, r) order, as node_terms lists them; flat
+    variables enumerate each group as d = 1..size.  pair_sets: flat
+    index sets of the emitted pair constraints.  A group cap may be
+    negative when the multipartition was not pruned; the counters then
+    return zero.  For lam >= 0 this covers the depths without rows too:
+    a negative capacity there always comes with one at an occupied
+    depth, since P_{s,i} is concave between occupied depths,
+    P_{0,i} = lam_i and P_{s,i} only grows past the largest part.
     """
 
-    __slots__ = ("n", "groups", "pair_sets")
+    __slots__ = ("groups", "pair_sets")
 
-    def __init__(self, n, groups, pair_sets):
-        self.n = n
+    def __init__(self, groups, pair_sets):
         self.groups = tuple(groups)
         self.pair_sets = tuple(tuple(s) for s in pair_sets)
 
-    def variables(self):
-        """Flat variable labels (d, r, i) in enumeration order."""
-        out = []
-        for (r, i), size, _ in self.groups:
-            out.extend((d, r, i) for d in range(1, size + 1))
-        return out
 
-
-def build_polytope(parts, lam, pairs=(), memo=None) -> PolytopeSpec:
+def build_polytope(parts, lam, pairs=()) -> PolytopeSpec:
     """Polytope of one multipartition.
 
     parts: tuple of partitions, component i holding gamma_i boxes.
     pairs: node intervals (a, b) of consecutive word factors.  The pair
     constraint for (a, b) is emitted only when every node in the range
     has a row of length 1; otherwise the underlying relation is vacuous
-    and the constraint is dropped.  memo is an optional dict, kept by
-    the caller across calls, that holds each node's (r, size, cap)
-    groups under (lam_i, mu_{i-1}, mu_i, mu_{i+1}).
+    and the constraint is dropped.  Each node's groups come from the
+    process-wide table mpart.node_terms.
     """
     n = len(lam)
     if len(parts) != n:
         raise ValueError("multipartition has %d components, expected %d" % (len(parts), n))
-    if memo is None:
-        memo = {}
     parts = ((),) + tuple(tuple(mu) for mu in parts) + ((),)
     groups = []
     last_one = {}  # node -> flat index of its last length 1 row variable
     flat = 0
     for i in range(1, n + 1):
-        key = (lam[i - 1], parts[i - 1], parts[i], parts[i + 1])
-        node = memo.get(key)
-        if node is None:
-            node = memo[key] = _node_groups(*key)
+        node, _ = mpart.node_terms(lam[i - 1], parts[i - 1], parts[i], parts[i + 1])
         for r, size, cap in node:
             groups.append(((r, i), size, cap))
             flat += size
@@ -164,17 +148,7 @@ def build_polytope(parts, lam, pairs=(), memo=None) -> PolytopeSpec:
     pair_sets = [tuple(last_one[t] for t in range(a, b + 1))
                  for (a, b) in pairs
                  if all(t in last_one for t in range(a, b + 1))]
-    return PolytopeSpec(n, groups, pair_sets)
-
-
-def _node_groups(lam_i, mu_prev, mu, mu_next):
-    # (r, size, cap) for the depths r of mu that hold rows; depths past
-    # the largest part hold none, and their capacities are at least the
-    # one at that part, which does
-    caps = mpart.capacities(lam_i, mu_prev, mu, mu_next)
-    return tuple((r, size, cap)
-                 for r, (size, cap) in enumerate(zip(mpart.row_counts(mu), caps), start=1)
-                 if size)
+    return PolytopeSpec(groups, pair_sets)
 
 
 def count_levels(sizes, caps, pair_sets, max_level):
@@ -341,12 +315,10 @@ def multiplicity(word, gamma) -> QPolynomial:
         raise ValueError("gamma has rank %d, expected %d" % (len(gamma), len(lam)))
     pairs = consecutive_pairs(word)
     height = sum(gamma)
-    groups_memo = {}
-    k_memo = {}
     total = {}
-    for parts in mpart.enumerate_multipartitions(gamma, lam, prune=True):
-        spec = build_polytope(parts, lam, pairs, groups_memo)
-        poly = count_by_grade(spec, height, mpart.compute_K(parts, lam, k_memo))
+    for parts in mpart.enumerate_multipartitions(gamma, lam):
+        spec = build_polytope(parts, lam, pairs)
+        poly = count_by_grade(spec, height, mpart.compute_K(parts, lam))
         for p, c in poly.coeffs.items():
             total[p] = total.get(p, 0) + c
     return QPolynomial(total)

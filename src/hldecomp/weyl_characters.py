@@ -80,10 +80,9 @@ def _concave_key(n):
     return lambda w: sum(c * x for c, x in zip(coeff, w))
 
 
-def _peel(n: int, weights: dict, key=None) -> dict[tuple[int, ...], int]:
+def _peel(n: int, weights: dict) -> dict[tuple[int, ...], int]:
     """Decompose a character into irreducible highest weights greedily."""
-    if key is None:
-        key = _concave_key(n)
+    key = _concave_key(n)
     rest = {w: c for w, c in weights.items() if c}
     out = {}
     while rest:
@@ -101,15 +100,11 @@ def _peel(n: int, weights: dict, key=None) -> dict[tuple[int, ...], int]:
     return out
 
 
-def tensor_decompose(n: int, mu, nu, key=None) -> dict[tuple[int, ...], int]:
-    """Multiplicities of the simple constituents of V(mu) (x) V(nu).
-
-    The optional key overrides the peeling functional; any strictly
-    concave positive functional gives the same answer.
-    """
+def tensor_decompose(n: int, mu, nu) -> dict[tuple[int, ...], int]:
+    """Multiplicities of the simple constituents of V(mu) (x) V(nu)."""
     prod = character_convolve(weight_multiplicities(n, mu),
                               weight_multiplicities(n, nu))
-    return _peel(n, prod, key=key)
+    return _peel(n, prod)
 
 
 def tensor_power_multiplicity(n: int, mu, power: int, nu) -> int:

@@ -3,6 +3,7 @@
 from itertools import combinations, product
 
 from hldecomp.hl_category import DrinfeldWord
+from hldecomp.multipartition import partitions_of
 
 
 def sign_patterns(k):
@@ -48,3 +49,9 @@ def shape_grid(n_max=3, lam_max=2, gamma_max=3):
             for n in range(1, n_max + 1)
             for lam in product(range(lam_max + 1), repeat=n)
             for gamma in product(range(gamma_max + 1), repeat=n)]
+
+
+def all_multipartitions(gamma):
+    """Every multipartition of shape gamma, unpruned, in the order of
+    the pruned search: the product of the partitions_of lists."""
+    return list(product(*(partitions_of(g) for g in gamma)))

@@ -42,7 +42,7 @@ from hldecomp.root_system import (
 )
 from hldecomp.weyl_characters import tensor_power_multiplicity
 
-from conftest import word_grid
+from conftest import all_multipartitions, word_grid
 
 RANK8_WORD = DrinfeldWord(8, [(2, 0), (3, 3), (4, 0), (5, 3), (7, -1)])
 RANK8_GAMMA = (1, 3, 4, 4, 3, 2, 1, 0)
@@ -76,7 +76,7 @@ def test_criterion_1_rank8_worked_example():
     lam = weight_of(RANK8_WORD)
     pairs = consecutive_pairs(RANK8_WORD)
     poly = multiplicity(RANK8_WORD, RANK8_GAMMA)
-    survivors = set(enumerate_multipartitions(RANK8_GAMMA, lam, prune=True))
+    survivors = set(enumerate_multipartitions(RANK8_GAMMA, lam))
     nonzero = {}
     for mu in survivors:
         spec = build_polytope(mu, lam, pairs)
@@ -202,7 +202,7 @@ def test_criterion_7_structural_suite():
     # word <-> (kappa, J) round trip
     for word in word_grid(6, 3, starts=(-2, 0, 3)):
         kappa, J = pi_to_height_interval(word)
-        ok = ok and pi_from_interval(kappa, J, n=word.n) == word
+        ok = ok and pi_from_interval(kappa, J) == word
     # pruning soundness: pruned and unpruned totals agree
     for word in word_grid(3, 3, starts=(0, 3)):
         lam = weight_of(word)
@@ -210,7 +210,7 @@ def test_criterion_7_structural_suite():
         for gamma in enumerate_dominant_gammas(lam):
             height = sum(gamma)
             total = QPolynomial()
-            for mu in enumerate_multipartitions(gamma, lam, prune=False):
+            for mu in all_multipartitions(gamma):
                 spec = build_polytope(mu, lam, pairs)
                 total = total + count_by_grade(spec, height,
                                                compute_K(mu, lam))

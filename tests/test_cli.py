@@ -95,6 +95,29 @@ def test_missing_required_flag_exits_via_argparse(capsys):
             main(argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--n", "0", "--pi", "1:0"],
+    ["hl-info", "--n", "-1", "--pi", "1:0"],
+    ["crosscheck", "--n", "0", "--pi", "1:0"],
+    ["oracle", "--n", "0", "--lambda", "1", "--xi", "1"],
+    ["character", "--n", "-2", "--lambda", "1"],
+])
+def test_bad_rank_is_bad_input(capsys, argv):
+    # the rank is checked where --n is parsed: exit code 2 and a message,
+    # not a traceback
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "rank must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["hl-info", "decompose", "crosscheck"])
+def test_factor_node_out_of_range_is_bad_input(capsys, command):
+    code, _, err = run(capsys, command, "--n", "2", "--pi", "3:0")
+    assert code == 2
+    assert err.startswith("error: --pi:") and "out of range for rank 2" in err
+
+
 # ------------------------------------------------------------------- oracle
 
 def test_oracle_full_mode_rank2(capsys):

@@ -98,10 +98,13 @@ def test_json_round_trip_restricted():
 def test_json_round_trip_with_xi():
     xi = {(1, 1): 2, (2, 2): 2, (1, 2): 2}
     dec = oracle_decomposition(lam=(2, 0), mode="full", xi=xi)
-    back = from_json_dict(json.loads(to_json_text(dec)))
+    data = json.loads(to_json_text(dec))
+    back = from_json_dict(data)
     assert back == dec
-    # equality ignores xi, so compare it on its own
     assert back.xi == xi
+    # decompositions that differ only in xi are not equal
+    assert from_json_dict({**data, "xi": None}) != dec
+    assert from_json_dict({**data, "xi": [[1, 1, 2], [1, 2, 1], [2, 2, 2]]}) != dec
 
 
 def test_json_entry_fields():

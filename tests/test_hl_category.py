@@ -106,7 +106,7 @@ def test_pi_from_interval_examples():
     with pytest.raises(FlatEdgeInJ):
         pi_from_interval((5, 5), (1, 2))
     with pytest.raises(ValueError):
-        pi_from_interval((0, 1, 0), (1, 2), n=4)
+        pi_from_interval((0, 2, 1), (1, 3))
 
 
 def test_single_factor_round_trip():
@@ -132,7 +132,7 @@ def test_round_trip_on_word_grid():
     for word in word_grid(6, 3, starts=(-2, 0, 3)):
         kappa, J = pi_to_height_interval(word)
         assert J == (word.nodes()[0], word.nodes()[-1])
-        assert pi_from_interval(kappa, J, n=word.n) == word
+        assert pi_from_interval(kappa, J) == word
 
 
 def test_alternating_heights_give_valid_words():

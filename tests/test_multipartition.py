@@ -5,9 +5,6 @@ test suite: lam carries fundamental weights on nodes 2,3,4,5,7 and
 gamma = (1,3,4,4,3,2,1,0).
 """
 
-import math
-from itertools import product
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -25,7 +22,7 @@ from hldecomp.multipartition import (
 )
 from hldecomp.root_system import enumerate_dominant_gammas
 
-from conftest import shape_grid, words_on_nodes
+from conftest import all_multipartitions, shape_grid, words_on_nodes
 
 RANK8_LAM = (0, 1, 1, 1, 1, 0, 1, 0)
 RANK8_GAMMA = (1, 3, 4, 4, 3, 2, 1, 0)
@@ -118,13 +115,15 @@ def test_compute_K_examples():
 
 
 def test_unpruned_count_is_product_of_partition_numbers():
+    # the unpruned reference the tests filter; with lam_i >= 2 gamma_i
+    # every capacity is nonnegative, so the search keeps all of it
     gamma = (2, 3, 1)
-    lam = (1, 1, 1)
-    got = enumerate_multipartitions(gamma, lam, prune=False)
+    got = all_multipartitions(gamma)
     assert len(got) == len(partitions_of(2)) * len(partitions_of(3)) * len(partitions_of(1))
     assert len(set(got)) == len(got)
     for mp in got:
         assert tuple(sum(mu) for mu in mp) == gamma
+    assert enumerate_multipartitions(gamma, (4, 6, 2)) == got
 
 
 def test_rank8_pruned_survivors():
@@ -159,10 +158,9 @@ def test_pruned_is_subset_with_nonnegative_capacities():
     # pruning during the search keeps exactly the unpruned
     # multipartitions whose capacities are all nonnegative, in order
     for lam, gamma in shape_grid():
-        unpruned = enumerate_multipartitions(gamma, lam, prune=False)
-        pruned = enumerate_multipartitions(gamma, lam, prune=True)
-        assert pruned == [mp for mp in unpruned
-                          if _caps_ok_by_definition(mp, lam, False)], \
+        assert enumerate_multipartitions(gamma, lam) == \
+            [mp for mp in all_multipartitions(gamma)
+             if _caps_ok_by_definition(mp, lam, False)], \
             (lam, gamma)
 
 
@@ -175,10 +173,9 @@ def test_relaxed_mode_agrees_on_small_grid():
     # concave, so P is concave there and smallest at an end, and past the
     # largest part P can only grow
     for lam, gamma in shape_grid():
-        unpruned = enumerate_multipartitions(gamma, lam, prune=False)
-        pruned = enumerate_multipartitions(gamma, lam, prune=True)
-        assert pruned == [mp for mp in unpruned
-                          if _caps_ok_by_definition(mp, lam, True)], \
+        assert enumerate_multipartitions(gamma, lam) == \
+            [mp for mp in all_multipartitions(gamma)
+             if _caps_ok_by_definition(mp, lam, True)], \
             (lam, gamma)
 
 
@@ -222,7 +219,7 @@ def test_state_search_matches_reference_search():
     for lam in (RANK8_LAM, weight_of(word)):
         cases.extend((lam, gamma) for gamma in enumerate_dominant_gammas(lam))
     for lam, gamma in cases:
-        assert enumerate_multipartitions(gamma, lam, prune=True) == \
+        assert enumerate_multipartitions(gamma, lam) == \
             _reference_search(gamma, lam), (lam, gamma)
 
 
@@ -232,7 +229,7 @@ def test_cached_successors_follow_the_weight():
     gamma = (2, 3, 3, 2)
     weights = [(1, 1, 1, 1), (1, 2, 1, 1)]
     by_definition = {
-        lam: [mp for mp in product(*map(partitions_of, gamma))
+        lam: [mp for mp in all_multipartitions(gamma)
               if _caps_ok_by_definition(mp, lam, False)]
         for lam in weights}
     assert [len(by_definition[lam]) for lam in weights] == [2, 4]
@@ -240,8 +237,6 @@ def test_cached_successors_follow_the_weight():
         _nexts.cache_clear()
         for lam in order:
             assert enumerate_multipartitions(gamma, lam) == by_definition[lam], lam
-            assert enumerate_multipartitions(gamma, lam, prune=False) == \
-                list(product(*map(partitions_of, gamma)))
 
 
 def test_input_validation():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hldecomp.hl_category import DrinfeldWord, consecutive_pairs, weight_of
-from hldecomp.multipartition import compute_K, enumerate_multipartitions
+from hldecomp.multipartition import compute_K, enumerate_multipartitions, node_terms
 from hldecomp.polytope_count import (
     PolytopeSpec,
     QPolynomial,
@@ -26,7 +26,7 @@ from hldecomp.polytope_count import (
 )
 from hldecomp.root_system import enumerate_dominant_gammas
 
-from conftest import shape_grid, word_grid
+from conftest import all_multipartitions, shape_grid, word_grid, words_on_nodes
 
 RANK8_WORD = DrinfeldWord(8, [(2, 0), (3, 3), (4, 0), (5, 3), (7, -1)])
 RANK8_GAMMA = (1, 3, 4, 4, 3, 2, 1, 0)
@@ -47,8 +47,8 @@ def test_qpolynomial_drops_zeros_and_accumulates():
     assert QPolynomial({0: 1, 2: 0}).coeffs == {0: 1}
     assert QPolynomial().coeffs == {}
     assert not QPolynomial({})
-    # list-of-pairs input sums repeated grades
-    assert QPolynomial([(1, 1), (1, 2), (0, 1)]).coeffs == {0: 1, 1: 3}
+    # a sum keeps every grade once, with the coefficients added
+    assert (QPolynomial({1: 1}) + QPolynomial({0: 1, 1: 2})).coeffs == {0: 1, 1: 3}
 
 
 def test_qpolynomial_arithmetic():
@@ -90,7 +90,7 @@ def test_rank8_shape_a_polytope():
     assert spec.pair_sets == ()
     positive = [g for g in spec.groups if g[2] > 0]
     assert positive == [((2, 5), 1, 1)]
-    assert len(spec.variables()) == 11
+    assert sum(size for _, size, _ in spec.groups) == 11
     K = compute_K(MU_A, lam)
     assert K == 13
     assert count_by_grade(spec, 18, K) == QPolynomial({4: 1, 5: 1})
@@ -114,7 +114,7 @@ def test_rank8_multiplicity():
     # grades are bounded by the height minus the smallest K value
     lam = weight_of(RANK8_WORD)
     min_k = min(compute_K(mu, lam) for mu in
-                enumerate_multipartitions(RANK8_GAMMA, lam, prune=True))
+                enumerate_multipartitions(RANK8_GAMMA, lam))
     assert max(poly.support()) <= sum(RANK8_GAMMA) - min_k
 
 
@@ -137,7 +137,7 @@ def _multiplicity_ie(word, gamma):
     lam = weight_of(word)
     pairs = consecutive_pairs(word)
     total = QPolynomial()
-    for parts in enumerate_multipartitions(gamma, lam, prune=True):
+    for parts in enumerate_multipartitions(gamma, lam):
         spec = build_polytope(parts, lam, pairs)
         total = total + count_by_grade_ie(spec, sum(gamma), compute_K(parts, lam))
     return total
@@ -220,7 +220,7 @@ def test_count_levels_matches_inclusion_exclusion():
     rng = random.Random(20260822)
     for sizes, caps, pair_sets, max_level in _random_tables(rng):
         groups = [((1, g + 1), size, cap) for g, (size, cap) in enumerate(zip(sizes, caps))]
-        spec = PolytopeSpec(len(sizes), groups, pair_sets)
+        spec = PolytopeSpec(groups, pair_sets)
         assert count_by_grade(spec, max_level, 0) == count_by_grade_ie(spec, max_level, 0), \
             (sizes, caps, pair_sets, max_level)
 
@@ -281,7 +281,7 @@ def test_build_polytope_matches_definition():
              for lam, gamma in shape_grid()]
     cases.append((rank8_lam, RANK8_GAMMA, consecutive_pairs(RANK8_WORD)))
     for lam, gamma, pairs in cases:
-        for parts in enumerate_multipartitions(gamma, lam, prune=False):
+        for parts in all_multipartitions(gamma):
             groups, pair_sets, negative = _polytope_by_definition(parts, lam, pairs)
             spec = build_polytope(parts, lam, pairs)
             assert (spec.groups, spec.pair_sets) == (groups, pair_sets), (parts, lam)
@@ -295,3 +295,53 @@ def test_build_polytope_matches_definition():
 def test_build_polytope_validation():
     with pytest.raises(ValueError):
         build_polytope(((1,),), (1, 1), ())
+
+
+def _K_by_definition(parts, lam):
+    # sum over nodes of sum_j (2 j mu_i^j - mu_{i+1}(mu_i^j)) - lam_i d(mu_i)
+    n = len(lam)
+    total = 0
+    for i in range(n):
+        nxt = parts[i + 1] if i < n - 1 else ()
+        total += sum(2 * j * part - sum(min(p, part) for p in nxt)
+                     for j, part in enumerate(parts[i], start=1))
+        total -= lam[i] * len(parts[i])
+    return total
+
+
+def _multiplicity_by_definition(word, gamma):
+    # every multipartition with no negative capacity, its polytope and K
+    # written out from the definitions, recounted by inclusion-exclusion
+    lam = weight_of(word)
+    pairs = consecutive_pairs(word)
+    total = QPolynomial()
+    for parts in all_multipartitions(gamma):
+        groups, pair_sets, negative = _polytope_by_definition(parts, lam, pairs)
+        if not negative:
+            total = total + count_by_grade_ie(PolytopeSpec(groups, pair_sets), sum(gamma),
+                                              _K_by_definition(parts, lam))
+    return total
+
+
+def test_cached_node_terms_follow_the_weight():
+    # node_terms is process-wide; a weight that differs at one node must
+    # not read another weight's entries, in either order.  The two words
+    # have weights (1,1,1,1) and (1,0,1,1)
+    gamma = (2, 3, 3, 2)
+    weights = [(1, 1, 1, 1), (1, 2, 1, 1)]
+    words = [words_on_nodes(4, nodes)[0] for nodes in ((1, 2, 3, 4), (1, 3, 4))]
+    gammas = [(1, 1, 1, 1), (1, 2, 2, 1), gamma]
+    expected = {(word, g): _multiplicity_by_definition(word, g)
+                for word in words for g in gammas}
+    assert sum(1 for poly in expected.values() if poly) == 3
+    for order in (1, -1):
+        node_terms.cache_clear()
+        for lam in weights[::order]:
+            for parts in all_multipartitions(gamma):
+                groups, _, _ = _polytope_by_definition(parts, lam, ())
+                assert build_polytope(parts, lam).groups == groups, (parts, lam)
+                assert compute_K(parts, lam) == _K_by_definition(parts, lam), (parts, lam)
+        node_terms.cache_clear()
+        for word in words[::order]:
+            for g in gammas:
+                assert multiplicity(word, g) == expected[word, g], (word, g)

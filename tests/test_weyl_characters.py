@@ -77,19 +77,6 @@ def test_tensor_decompose_conserves_dimension():
         assert total == weyl_dim(n, mu) * weyl_dim(n, nu)
 
 
-def _alt_key(n):
-    # a different strictly concave functional; positive on simple roots
-    coeff = [i * (n + 1 - i) * (n + 2) + min(i, n + 1 - i)
-             for i in range(1, n + 1)]
-    return lambda w: sum(c * x for c, x in zip(coeff, w))
-
-
-def test_peeling_key_independence():
-    for n, mu, nu in ((2, (1, 1), (1, 1)), (3, (1, 0, 1), (1, 1, 0))):
-        assert tensor_decompose(n, mu, nu) == \
-            tensor_decompose(n, mu, nu, key=_alt_key(n))
-
-
 def test_peel_rejects_non_characters():
     with pytest.raises(ArithmeticError):
         _peel(2, {(0, 1): -1})

@@ -1,16 +1,18 @@
 """Command line front end.
 
-Subcommands: decompose (lattice point count), oracle (dual realization),
-crosscheck (both, compared), hl-info (height function and word
-diagnostics), character (weight multiplicities).  Exit codes: 0 on
-success, 1 on an internal inconsistency such as a crosscheck mismatch,
-2 on bad input.  Results of decompose and oracle jobs can be cached as
-JSON files; the HLDECOMP_CACHE environment variable overrides --cache.
+Subcommands: decompose (lattice point count), oracle (dual realization:
+pair mode from a word, full mode from --lambda with --xi), crosscheck
+(both, compared), hl-info (height function and word diagnostics),
+character (weight multiplicities).  Exit codes: 0 on success, 1 on an
+internal inconsistency such as a crosscheck mismatch, 2 on bad input.
+Results of decompose and oracle jobs can be cached as JSON files; the
+HLDECOMP_CACHE environment variable overrides --cache.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -22,7 +24,7 @@ from . import decomposition as dmod
 from . import functional_oracle as omod
 from .hl_category import (DrinfeldWord, InvalidWord, consecutive_pairs,
                           marked_vertices, normalize_xi, pi_from_interval,
-                          pi_to_height_interval, validate_word, weight_of,
+                          pi_to_height_interval, weight_of,
                           xi_from_weight)
 from .root_system import (check_rank, is_dominant, positive_roots, weight_minus_gamma,
                           weyl_dim)
@@ -48,54 +50,56 @@ def _ints(text, flag):
         raise InputError("%s: expected comma separated integers, got %r" % (flag, text))
 
 
-def _parse_pi(text):
-    factors = []
-    for tok in text.split(","):
-        head, sep, tail = tok.partition(":")
-        if not sep:
-            raise InputError("--pi: expected i:m pairs, got %r" % tok)
-        try:
-            factors.append((int(head), int(tail)))
-        except ValueError:
-            raise InputError("--pi: expected integers in %r" % tok)
-    return factors
-
-
-def _parse_interval(text):
-    head, sep, tail = text.partition(":")
-    if not sep:
-        raise InputError("--interval: expected LO:HI, got %r" % text)
+def _int_pair(tok, sep, flag, shape):
+    """The two integers of one "a<sep>b" token: i:m of --pi, LO:HI of
+    --interval, or the root i-j of an --xi entry."""
+    head, found, tail = tok.partition(sep)
     try:
-        return (int(head), int(tail))
+        if found:
+            return int(head), int(tail)
     except ValueError:
-        raise InputError("--interval: expected integers in %r" % text)
+        pass
+    raise InputError("%s: expected %s, got %r" % (flag, shape, tok))
 
 
 def _parse_xi(text, n):
     text = text.strip()
+    roots = positive_roots(n)
     if ":" not in text:
         try:
             const = int(text)
         except ValueError:
             raise InputError("--xi: expected i-j:v entries or a single constant, got %r" % text)
-        return {root: const for root in positive_roots(n)}
-    out = {}
-    for tok in text.split(","):
-        span, sep, val = tok.partition(":")
-        lo, dash, hi = span.partition("-")
-        if not sep or not dash:
-            raise InputError("--xi: expected i-j:v entries, got %r" % tok)
-        try:
-            out[(int(lo), int(hi))] = int(val)
-        except ValueError:
-            raise InputError("--xi: expected integers in %r" % tok)
-    missing = [r for r in positive_roots(n) if r not in out]
+        out = dict.fromkeys(roots, const)
+    else:
+        out = {}
+        for tok in text.split(","):
+            span, _, val = tok.partition(":")
+            root = _int_pair(span, "-", "--xi", "i-j:v entries")
+            if root in out:
+                raise InputError("--xi: root %d-%d given twice" % root)
+            try:
+                out[root] = int(val)
+            except ValueError:
+                raise InputError("--xi: expected i-j:v entries, got %r" % tok)
+    missing = [r for r in roots if r not in out]
     if missing:
         raise InputError("--xi: missing roots %s" % ", ".join("%d-%d" % r for r in missing))
-    extra = [r for r in out if r not in positive_roots(n)]
+    extra = [r for r in out if r not in roots]
     if extra:
         raise InputError("--xi: roots %s out of range" % ", ".join("%d-%d" % r for r in extra))
+    negative = [r for r in roots if out[r] < 0]
+    if negative:
+        raise InputError("--xi: pole depths must be nonnegative, got %s"
+                         % ", ".join("%d-%d:%d" % (i, j, out[i, j]) for i, j in negative))
     return out
+
+
+def _height_from_args(args):
+    kappa = _ints(args.kappa, "--kappa")
+    if len(kappa) != args.n:
+        raise InputError("--kappa: got %d values for rank %d" % (len(kappa), args.n))
+    return kappa, _int_pair(args.interval, ":", "--interval", "LO:HI")
 
 
 def _word_from_args(args):
@@ -103,15 +107,14 @@ def _word_from_args(args):
         raise InputError("give either --pi or --kappa with --interval, not both")
     if args.pi:
         try:
-            return DrinfeldWord(args.n, _parse_pi(args.pi))
+            return DrinfeldWord(args.n, [_int_pair(tok, ":", "--pi", "i:m pairs")
+                                         for tok in args.pi.split(",")])
         except InvalidWord as exc:
             raise InputError("--pi: %s" % exc)
     if args.kappa and args.interval:
-        kappa = _ints(args.kappa, "--kappa")
-        if len(kappa) != args.n:
-            raise InputError("--kappa: got %d values for rank %d" % (len(kappa), args.n))
+        kappa, J = _height_from_args(args)
         try:
-            return pi_from_interval(kappa, _parse_interval(args.interval))
+            return pi_from_interval(kappa, J)
         except (ValueError, InvalidWord) as exc:
             raise InputError("--kappa/--interval: %s" % exc)
     raise InputError("need --pi or both --kappa and --interval")
@@ -146,29 +149,29 @@ def _cache_dir(args):
 
 
 # bump when the layout or the meaning of a cache entry changes
-_CACHE_SCHEMA = 1
+_CACHE_SCHEMA = 2
 
 
-def _job_key(payload) -> str:
+def _job_fields(args, lam, gammas, word=None, xi=None):
+    """Keys of the result JSON that name a job: they make its cache key and
+    are checked against a stored entry.  A job without a gamma covers the
+    full default domain; that case is left to the versioned key rather
+    than re-enumerated on every load."""
+    fields = {"n": args.n, "pi": [list(f) for f in word.factors] if word else None,
+              "weight": list(lam)}
+    if xi is not None:
+        fields["xi"] = [[i, j, v] for (i, j), v in sorted(xi.items())]
+    if gammas:
+        fields["domain"] = [list(gammas[0])]
+    return fields
+
+
+def _job_key(job) -> str:
     # the package version is part of the key, so a release with an
     # algorithm fix never serves entries computed before it
-    job = {"version": __version__, "schema": _CACHE_SCHEMA, "job": payload}
+    job = {"version": __version__, "schema": _CACHE_SCHEMA, "job": job}
     text = json.dumps(job, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _entry_fields(payload, lam):
-    """Fields of the result JSON that an entry for this job must carry.
-
-    A job without a gamma covers the full default domain; that case is
-    left to the versioned key rather than re-enumerated on every load.
-    """
-    fields = {"n": payload["n"], "pi": payload.get("pi"), "weight": list(lam)}
-    if "xi" in payload:
-        fields["xi"] = payload["xi"]
-    if payload["gamma"]:
-        fields["domain"] = [payload["gamma"]]
-    return fields
 
 
 def _cache_load(cachedir, key, fields):
@@ -190,6 +193,7 @@ def _cache_load(cachedir, key, fields):
 
 def _cache_store(cachedir, key, dec):
     # write-then-rename so a crashed run never leaves a torn entry
+    tmp = None
     try:
         os.makedirs(cachedir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cachedir, suffix=".tmp")
@@ -198,67 +202,64 @@ def _cache_store(cachedir, key, dec):
         os.replace(tmp, os.path.join(cachedir, key + ".json"))
     except OSError as exc:
         print("warning: could not write cache entry (%s)" % exc, file=sys.stderr)
+        if tmp:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
-def _cached(args, payload, lam, compute):
+def _cached(args, fields, compute):
     cachedir = _cache_dir(args)
     if not cachedir:
         return compute()
-    key = _job_key(payload)
-    dec = _cache_load(cachedir, key, _entry_fields(payload, lam))
+    key = _job_key({"cmd": args.command, **fields})
+    dec = _cache_load(cachedir, key, fields)
     if dec is None:
         dec = compute()
         _cache_store(cachedir, key, dec)
     return dec
 
 
-def cmd_decompose(args) -> int:
+def _word_job(args):
     word = _word_from_args(args)
     lam = weight_of(word)
     gammas = _gamma_from_args(args, lam)
-    payload = {
-        "cmd": "decompose",
-        "n": args.n,
-        "pi": [list(f) for f in word.factors],
-        "gamma": list(gammas[0]) if gammas else None,
-    }
-    dec = _cached(args, payload, lam, lambda: dmod.graded_decomposition(
-        word, gammas=gammas))
+    return word, gammas, _job_fields(args, lam, gammas, word=word)
+
+
+def cmd_decompose(args) -> int:
+    word, gammas, fields = _word_job(args)
+    dec = _cached(args, fields, lambda: dmod.graded_decomposition(word, gammas=gammas))
     sys.stdout.write(dmod.report(dec, args.format))
     return 0
 
 
+_MODES = ("a word (--pi, or --kappa with --interval) runs pair mode, "
+          "--lambda with --xi full mode")
+
+
 def cmd_oracle(args) -> int:
-    if args.mode == "pair":
-        word = _word_from_args(args)
-        lam = weight_of(word)
-        gammas = _gamma_from_args(args, lam)
-        payload = {
-            "cmd": "oracle",
-            "mode": "pair",
-            "n": args.n,
-            "pi": [list(f) for f in word.factors],
-            "gamma": list(gammas[0]) if gammas else None,
-        }
-        dec = _cached(args, payload, lam, lambda: omod.oracle_decomposition(
-            mode="pair", word=word, gammas=gammas))
+    word_flags = [f for f, v in (("--pi", args.pi), ("--kappa", args.kappa),
+                                 ("--interval", args.interval)) if v]
+    full_flags = [f for f, v in (("--lambda", args.lam), ("--xi", args.xi)) if v]
+    if word_flags and full_flags:
+        raise InputError("%s with %s: %s, not both"
+                         % ("/".join(word_flags), "/".join(full_flags), _MODES))
+    if len(full_flags) == 1:
+        raise InputError("%s without %s: %s"
+                         % (full_flags[0], "--xi" if args.lam else "--lambda", _MODES))
+    if not (word_flags or full_flags):
+        raise InputError("no input: %s" % _MODES)
+    if word_flags:
+        word, gammas, fields = _word_job(args)
+        compute = lambda: omod.oracle_decomposition(mode="pair", word=word, gammas=gammas)
     else:
         lam = _lam_from_args(args)
-        if not args.xi:
-            raise InputError("full mode needs --xi")
         xi = normalize_xi(args.n, _parse_xi(args.xi, args.n))
         gammas = _gamma_from_args(args, lam)
-        payload = {
-            "cmd": "oracle",
-            "mode": "full",
-            "n": args.n,
-            "lambda": list(lam),
-            "xi": [[i, j, v] for (i, j), v in sorted(xi.items())],
-            "gamma": list(gammas[0]) if gammas else None,
-        }
-        dec = _cached(args, payload, lam, lambda: omod.oracle_decomposition(
-            lam=lam, mode="full", xi=xi, gammas=gammas))
-    sys.stdout.write(dmod.report(dec, args.format))
+        fields = _job_fields(args, lam, gammas, xi=xi)
+        compute = lambda: omod.oracle_decomposition(lam=lam, mode="full", xi=xi,
+                                                    gammas=gammas)
+    sys.stdout.write(dmod.report(_cached(args, fields, compute), args.format))
     return 0
 
 
@@ -276,20 +277,8 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_hl_info(args) -> int:
-    if args.pi and not (args.kappa or args.interval):
-        factors = _parse_pi(args.pi)
-        problems = validate_word(factors)
-        if problems:
-            print("word %s is not valid:" % args.pi)
-            for prob in problems:
-                print("  " + prob)
-            return 2
-        word = _word_from_args(args)
-        kappa, J = pi_to_height_interval(word)
-    else:
-        word = _word_from_args(args)
-        kappa = _ints(args.kappa, "--kappa")
-        J = _parse_interval(args.interval)
+    word = _word_from_args(args)
+    kappa, J = pi_to_height_interval(word) if args.pi else _height_from_args(args)
     sinks, sources = marked_vertices(kappa, J)
     lam = weight_of(word)
     print("kappa: %s" % (list(kappa),))
@@ -343,45 +332,39 @@ def build_parser() -> argparse.ArgumentParser:
                     "by lattice point counting and by a dual realization.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, word=True, cache=True):
+    def command(name, func, help, word=True, fmt=True, cache=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--n", type=_rank, required=True, help="rank of the diagram")
         if word:
             p.add_argument("--pi", help='word as "i1:m1,i2:m2,..."')
             p.add_argument("--kappa", help='height function as "k1,k2,..."')
             p.add_argument("--interval", help='interval as LO:HI')
-        p.add_argument("--format", choices=("plain", "json", "latex"),
-                       default="plain")
+        if fmt:
+            p.add_argument("--format", choices=("plain", "json", "latex"),
+                           default="plain")
         if cache:
             p.add_argument("--cache", help="cache directory (HLDECOMP_CACHE overrides)")
+        return p
 
-    p = sub.add_parser("decompose", help="lattice point decomposition of a word")
-    add_common(p)
+    p = command("decompose", cmd_decompose, "lattice point decomposition of a word")
     p.add_argument("--gamma", help="restrict to one gamma (simple root coordinates)")
-    p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("oracle", help="dual realization decomposition")
-    add_common(p)
-    p.add_argument("--mode", choices=("pair", "full"), default="full")
+    p = command("oracle", cmd_oracle, "dual realization decomposition: pair mode "
+                "from a word, full mode from --lambda with --xi")
     p.add_argument("--xi", help='xi tuple as "i-j:v,..." or a single constant '
                                '(normalized automatically)')
     p.add_argument("--lambda", dest="lam", help='weight as "l1,...,ln"')
     p.add_argument("--gamma", help="restrict to one gamma (simple root coordinates)")
-    p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("crosscheck",
-                       help="run both computations and compare them")
-    add_common(p, cache=False)
-    p.set_defaults(func=cmd_crosscheck)
+    command("crosscheck", cmd_crosscheck, "run both computations and compare them",
+            fmt=False, cache=False)
+    command("hl-info", cmd_hl_info, "sinks, sources, word and weight diagnostics",
+            fmt=False, cache=False)
 
-    p = sub.add_parser("hl-info",
-                       help="sinks, sources, word and weight diagnostics")
-    add_common(p, cache=False)
-    p.set_defaults(func=cmd_hl_info)
-
-    p = sub.add_parser("character", help="weight multiplicities of V(lambda)")
-    add_common(p, word=False, cache=False)
+    p = command("character", cmd_character, "weight multiplicities of V(lambda)",
+                word=False, cache=False)
     p.add_argument("--lambda", dest="lam", help='weight as "l1,...,ln"')
-    p.set_defaults(func=cmd_character)
 
     return parser
 

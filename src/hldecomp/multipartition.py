@@ -32,16 +32,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 
-def check_partition(mu) -> tuple[int, ...]:
-    parts = tuple(mu)
-    for a, b in zip(parts, parts[1:]):
-        if a < b:
-            raise ValueError("parts must be weakly decreasing, got %r" % (parts,))
-    if parts and parts[-1] <= 0:
-        raise ValueError("parts must be positive, got %r" % (parts,))
-    return parts
-
-
 @lru_cache(maxsize=None)
 def col_counts(mu: tuple[int, ...]) -> tuple[int, ...]:
     """Column-count vector (c[0], ..., c[|mu|]) of the partition tuple mu.
@@ -53,11 +43,6 @@ def col_counts(mu: tuple[int, ...]) -> tuple[int, ...]:
     for s in range(1, sum(mu) + 1):
         out.append(out[-1] + sum(1 for p in mu if p >= s))
     return tuple(out)
-
-
-def row_mult(mu, r: int) -> int:
-    """Number of rows of length exactly r."""
-    return sum(1 for p in mu if p == r)
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .root_system import check_rank, is_dominant, weyl_dim
+from .root_system import check_rank, is_dominant
 
 
 @lru_cache(maxsize=None)
@@ -121,7 +121,3 @@ def tensor_power_multiplicity(n: int, mu, power: int, nu) -> int:
         acc = nxt
     return acc.get(tuple(nu), 0)
 
-
-def character_dimension_check(n: int, mu) -> bool:
-    """True when the multiplicity table of V(mu) sums to weyl_dim."""
-    return sum(weight_multiplicities(n, mu).values()) == weyl_dim(n, mu)

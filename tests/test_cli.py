@@ -2,6 +2,9 @@
 
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,7 @@ from hldecomp import cli
 from hldecomp.cli import main
 
 RANK8_ARGS = ["--n", "8", "--pi", "2:0,3:3,4:0,5:3,7:-1"]
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -121,7 +125,7 @@ def test_factor_node_out_of_range_is_bad_input(capsys, command):
 # ------------------------------------------------------------------- oracle
 
 def test_oracle_full_mode_rank2(capsys):
-    code, out, _ = run(capsys, "oracle", "--n", "2", "--mode", "full",
+    code, out, _ = run(capsys, "oracle", "--n", "2",
                        "--lambda", "7,5", "--xi", "2", "--gamma", "2,1",
                        "--format", "json")
     assert code == 0
@@ -134,16 +138,16 @@ def test_oracle_full_mode_rank2(capsys):
 
 
 def test_oracle_full_mode_requires_xi_and_lambda(capsys):
-    code, _, err = run(capsys, "oracle", "--n", "2", "--mode", "full",
+    code, _, err = run(capsys, "oracle", "--n", "2",
                        "--lambda", "7,5")
     assert code == 2 and "--xi" in err
-    code, _, err = run(capsys, "oracle", "--n", "2", "--mode", "full",
+    code, _, err = run(capsys, "oracle", "--n", "2",
                        "--xi", "2")
     assert code == 2 and "--lambda" in err
-    code, _, _ = run(capsys, "oracle", "--n", "2", "--mode", "full",
+    code, _, _ = run(capsys, "oracle", "--n", "2",
                      "--lambda", "7,-5", "--xi", "2")
     assert code == 2
-    code, _, err = run(capsys, "oracle", "--n", "2", "--mode", "full",
+    code, _, err = run(capsys, "oracle", "--n", "2",
                        "--lambda", "7,5", "--xi", "1-1:1")
     assert code == 2 and "missing roots" in err
 
@@ -151,10 +155,52 @@ def test_oracle_full_mode_requires_xi_and_lambda(capsys):
 def test_oracle_pair_mode_matches_decompose(capsys):
     _, want, _ = run(capsys, "decompose", "--n", "3",
                      "--pi", "1:0,2:3,3:0", "--format", "json")
-    code, got, _ = run(capsys, "oracle", "--n", "3", "--mode", "pair",
+    code, got, _ = run(capsys, "oracle", "--n", "3",
                        "--pi", "1:0,2:3,3:0", "--format", "json")
     assert code == 0
     assert got == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["--pi", "1:0,2:3", "--lambda", "5,5", "--xi", "7"],
+    ["--lambda", "1,1", "--xi", "1", "--pi", "1:0,2:3"],
+    ["--kappa", "0,1", "--interval", "1:2", "--xi", "1"],
+])
+def test_oracle_refuses_flags_of_both_modes(capsys, argv):
+    # a word chooses pair mode and --lambda with --xi full mode; neither
+    # set of flags is dropped in silence when both are given
+    code, out, err = run(capsys, "oracle", "--n", "2", *argv)
+    assert code == 2 and out == ""
+    for flag in argv[::2]:
+        assert flag in err
+
+
+def test_oracle_full_mode_names_the_missing_flag(capsys):
+    code, _, err = run(capsys, "oracle", "--n", "2", "--lambda", "7,5")
+    assert code == 2 and "--lambda without --xi" in err
+    code, _, err = run(capsys, "oracle", "--n", "2", "--xi", "2")
+    assert code == 2 and "--xi without --lambda" in err
+    code, _, err = run(capsys, "oracle", "--n", "2")
+    assert code == 2 and "--pi" in err and "--lambda with --xi" in err
+
+
+def test_oracle_has_no_mode_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--n", "2", "--mode", "pair", "--pi", "1:0,2:3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("xi, message", [
+    ("-1", "pole depths must be nonnegative, got 1-1:-1"),
+    ("1-1:1,1-2:-2,2-2:1", "pole depths must be nonnegative, got 1-2:-2"),
+    ("1-1:1,1-2:1,2-2:1,1-1:5", "root 1-1 given twice"),
+    ("1-1:1,1x2:1,2-2:1", "expected i-j:v entries"),
+    ("1-1:1,1-2,2-2:1", "expected i-j:v entries"),
+])
+def test_oracle_rejects_bad_xi(capsys, xi, message):
+    code, out, err = run(capsys, "oracle", "--n", "2", "--lambda", "2,2", "--xi=" + xi)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --xi: ") and message in err
 
 
 # --------------------------------------------------------------- crosscheck
@@ -180,10 +226,20 @@ def test_hl_info_from_word(capsys):
 
 
 def test_hl_info_reports_problems(capsys):
-    code, out, _ = run(capsys, "hl-info", "--n", "3", "--pi", "1:0,2:1")
-    assert code == 2
-    assert "not valid" in out
-    assert "exponent step" in out
+    # the same one-line report on stderr as every command reading a word
+    code, out, err = run(capsys, "hl-info", "--n", "3", "--pi", "1:0,2:1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --pi:") and "exponent step" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["crosscheck", "hl-info"])
+def test_format_only_where_read(capsys, command):
+    # these commands print plain text only, so --format is no flag of theirs
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "3", "--pi", "1:0,2:3,3:0", "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- character
@@ -313,7 +369,7 @@ def test_cache_entry_for_another_job_is_a_miss(tmp_path, capsys):
 def test_cache_entry_for_another_xi_is_a_miss(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     other = tmp_path / "other"
-    job = ["oracle", "--n", "2", "--mode", "full", "--lambda", "2,2",
+    job = ["oracle", "--n", "2", "--lambda", "2,2",
            "--format", "json"]
     _, first, _ = run(capsys, *job, "--xi", "1", "--cache", cache)
     (entry,) = os.listdir(cache)
@@ -348,6 +404,20 @@ def test_cache_entry_for_another_gamma_is_a_miss(tmp_path, capsys):
     assert "does not match the job in domain)" in err
 
 
+def test_cache_write_failure_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    code, out, err = run(capsys, "decompose", "--n", "2", "--pi", "1:0,2:3",
+                         "--cache", str(cache))
+    assert code == 0 and "multiplicity" in out
+    assert "warning: could not write cache entry (disk full)" in err
+    assert os.listdir(cache) == []
+
+
 def test_cache_key_depends_on_version_and_schema(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "cache"
     args = ["decompose", "--n", "2", "--pi", "1:0,2:3", "--cache", str(cache)]
@@ -369,3 +439,17 @@ def test_cache_env_overrides_flag(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert len(os.listdir(env_dir)) == 1
     assert not flag_dir.exists()
+
+
+# ------------------------------------------------------------------- README
+
+def test_readme_command_lines_run(capsys):
+    # every hldecomp line of README's sh blocks, continuations joined, is a
+    # command the parser accepts and runs; the docs cannot drift from it
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("hldecomp ")]
+    assert len(commands) >= 8
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)

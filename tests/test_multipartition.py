@@ -12,13 +12,11 @@ from hldecomp.hl_category import weight_of
 from hldecomp.multipartition import (
     _nexts,
     capacities,
-    check_partition,
     col_counts,
     compute_K,
     enumerate_multipartitions,
     partitions_of,
     row_counts,
-    row_mult,
 )
 from hldecomp.root_system import enumerate_dominant_gammas
 
@@ -33,13 +31,8 @@ partitions = st.lists(st.integers(1, 6), max_size=6).map(
     lambda xs: tuple(sorted(xs, reverse=True)))
 
 
-def test_check_partition():
-    assert check_partition((3, 1, 1)) == (3, 1, 1)
-    assert check_partition(()) == ()
-    with pytest.raises(ValueError):
-        check_partition((1, 2))
-    with pytest.raises(ValueError):
-        check_partition((2, 0))
+def _rows_of_length(mu, r):
+    return sum(1 for p in mu if p == r)
 
 
 def test_col_count_examples():
@@ -66,24 +59,24 @@ def test_col_counts_vector_matches_definition(mu):
     # second differences count the rows of each length
     c += (c[-1],)
     for r in range(1, len(c) - 1):
-        assert 2 * c[r] - c[r - 1] - c[r + 1] == row_mult(mu, r)
+        assert 2 * c[r] - c[r - 1] - c[r + 1] == _rows_of_length(mu, r)
     top = mu[0] if mu else 0
-    assert row_counts(mu) == [row_mult(mu, r) for r in range(1, top + 1)]
+    assert row_counts(mu) == [_rows_of_length(mu, r) for r in range(1, top + 1)]
 
 
 def test_row_mult_examples():
-    assert row_mult((2, 1), 1) == 1
-    assert row_mult((2, 1), 2) == 1
-    assert row_mult((2, 2), 2) == 2
-    assert row_mult((2, 2), 1) == 0
-    assert row_mult((1, 1, 1), 1) == 3
+    # row multiplicities m_1..m_t of the largest part t
+    assert row_counts((2, 1)) == [1, 1]
+    assert row_counts((2, 2)) == [0, 2]
+    assert row_counts((1, 1, 1)) == [3]
+    assert row_counts(()) == []
 
 
 @given(partitions)
 def test_row_mult_identities(mu):
-    top = mu[0] if mu else 0
-    assert sum(r * row_mult(mu, r) for r in range(1, top + 1)) == sum(mu)
-    assert sum(row_mult(mu, r) for r in range(1, top + 1)) == len(mu)
+    m = row_counts(mu)
+    assert sum(r * m_r for r, m_r in enumerate(m, start=1)) == sum(mu)
+    assert sum(m) == len(mu)
 
 
 def test_partitions_of_counts():
@@ -93,7 +86,9 @@ def test_partitions_of_counts():
         assert len(parts) == cnt
         assert len(set(parts)) == cnt
         for mu in parts:
-            check_partition(mu)
+            # weakly decreasing positive parts
+            assert all(a >= b for a, b in zip(mu, mu[1:]))
+            assert all(p > 0 for p in mu)
             assert sum(mu) == m
     with pytest.raises(ValueError):
         partitions_of(-1)

@@ -510,8 +510,11 @@ def oracle_decomposition(lam=None, mode: str = "full", xi=None, word=None,
     """Full graded decomposition through the dual realization.
 
     Pair mode takes a word (lam and the interval data are derived from
-    it); full mode takes lam and a normalized xi tuple.  Returns a
-    GradedDecomposition over the dominant gammas (or the given ones).
+    it); full mode takes lam and a normalized xi tuple with nonnegative
+    pole depths.  Inputs of the other mode are refused with ValueError,
+    since the result would name them though they played no part.
+    Returns a GradedDecomposition over the dominant gammas (or the
+    given ones).
     """
     from .decomposition import GradedDecomposition
 
@@ -519,6 +522,8 @@ def oracle_decomposition(lam=None, mode: str = "full", xi=None, word=None,
     if mode == "pair":
         if word is None:
             raise ValueError("pair mode needs a word")
+        if lam is not None or xi is not None:
+            raise ValueError("pair mode takes a word, not lam or xi")
         lam = weight_of(word)
         pairs = consecutive_pairs(word)
         for (a, b) in pairs:
@@ -530,6 +535,11 @@ def oracle_decomposition(lam=None, mode: str = "full", xi=None, word=None,
     elif mode == "full":
         if lam is None or xi is None:
             raise ValueError("full mode needs lam and xi")
+        if word is not None:
+            raise ValueError("full mode takes lam and xi, not a word")
+        negative = sorted(root for root, depth in dict(xi).items() if depth < 0)
+        if negative:
+            raise ValueError("xi has negative pole depth at %r" % (negative,))
         lam = tuple(lam)
         if not is_normalized(len(lam), xi):
             raise ValueError("xi tuple is not normalized")

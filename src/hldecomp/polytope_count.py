@@ -11,11 +11,19 @@ rows of that length), subject to
 The grade of a lattice point with level sum_{d,r,i} d * C_{d,r,i} is
 p = (|gamma| - K(mu)) - level, and the multiplicity polynomial of gamma
 is the sum over multipartitions of the grade histograms.
+
+Most of these polytopes hold no lattice point, and count_levels rules
+them out before its depth-first walk: a pair constraint none of whose
+variables can be 1 (its weight exceeds the level bound, or its
+group's cap is below 1) cannot be met by any admissible point.  The
+rule only ever returns zero for polytopes that are empty, so it never
+changes a count.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from bisect import bisect_right
+from itertools import accumulate, combinations
 
 from . import multipartition as mpart
 from .hl_category import consecutive_pairs, weight_of
@@ -160,24 +168,45 @@ def count_levels(sizes, caps, pair_sets, max_level):
     least one must be positive.  A point's level is the weighted sum of
     its entries; only levels <= max_level are admissible.  Returns a
     list h with h[L] = number of points of level L.
+
+    A variable is usable when its weight is at most max_level and its
+    group cap is at least 1.  When some constraint has no usable
+    variable (an empty constraint included) the zero histogram is
+    returned before any per-variable table is built: an admissible
+    point sets some variable of every constraint to at least 1, which
+    adds its weight to the level and spends 1 of its group's cap.
+    Raises ValueError when caps and sizes differ in length, a size is
+    negative, or a pair index is not an integer in 0 .. nvars - 1.
     """
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
-    weights = []
-    group_of = []
-    for g, m in enumerate(sizes):
-        for d in range(1, m + 1):
-            weights.append(d)
-            group_of.append(g)
-    nvars = len(weights)
+    if len(caps) != len(sizes):
+        raise ValueError("%d caps for %d groups" % (len(caps), len(sizes)))
+    if any(m < 0 for m in sizes):
+        raise ValueError("negative group size in %r" % (sizes,))
+    ends = list(accumulate(sizes))  # group g holds flat indices below ends[g]
+    nvars = ends[-1] if ends else 0
+    hopeless = False
+    for varset in pair_sets:
+        usable = False
+        for v in varset:
+            if not (isinstance(v, int) and 0 <= v < nvars):
+                raise ValueError("pair index %r outside 0..%d" % (v, nvars - 1))
+            g = bisect_right(ends, v)
+            weight = v + 1 - (ends[g - 1] if g else 0)
+            usable = usable or (weight <= max_level and caps[g] >= 1)
+        hopeless = hopeless or not usable
+    if hopeless:
+        return [0] * (max_level + 1)
+
+    weights = [d for m in sizes for d in range(1, m + 1)]
+    group_of = [g for g, m in enumerate(sizes) for _ in range(m)]
 
     npairs = len(pair_sets)
     member = [[] for _ in range(nvars)]   # var -> constraints containing it
     deadline = [[] for _ in range(nvars)]  # var -> constraints it closes
     for c, varset in enumerate(pair_sets):
         varset = sorted(set(varset))
-        if not varset:
-            return [0] * (max_level + 1)
         for v in varset:
             member[v].append(c)
         deadline[varset[-1]].append(c)

@@ -414,6 +414,21 @@ def test_oracle_decomposition_validation():
     with pytest.raises(ValueError):
         oracle_decomposition(mode="full", lam=(1, 0),
                              xi={(1, 1): 5, (2, 2): 5, (1, 2): 1})
+    # a negative pole depth would be read as xi = 0
+    with pytest.raises(ValueError):
+        oracle_decomposition(lam=(2,), mode="full", xi={(1, 1): -1})
+    with pytest.raises(ValueError):
+        oracle_decomposition(lam=(5, 5), mode="full",
+                             xi={(1, 1): 1, (2, 2): 1, (1, 2): -1})
+    # the other mode's inputs would be named in the result unused
+    word = DrinfeldWord(2, [(1, 0), (2, 3)])
+    xi7 = {(1, 1): 7, (2, 2): 7, (1, 2): 7}
+    with pytest.raises(ValueError):
+        oracle_decomposition(lam=(1, 1), mode="full", xi=xi7, word=word)
+    with pytest.raises(ValueError):
+        oracle_decomposition(mode="pair", word=word, lam=(5, 5))
+    with pytest.raises(ValueError):
+        oracle_decomposition(mode="pair", word=word, xi=xi7)
 
 
 def test_oracle_decomposition_pair_mode():

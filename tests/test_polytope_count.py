@@ -149,6 +149,28 @@ def test_strategies_agree_on_word_grid():
             assert multiplicity(word, gamma) == _multiplicity_ie(word, gamma)
 
 
+def test_each_kept_polytope_matches_inclusion_exclusion():
+    # per polytope, not summed: empty polytopes (most of them) must
+    # count zero, and nodes outside every pair carry no constraint
+    cases = [(word, gamma) for word in word_grid(4, 3)
+             for gamma in enumerate_dominant_gammas(weight_of(word))]
+    cases.append((RANK8_WORD, RANK8_GAMMA))
+    empty = nonempty = outside = 0
+    for word, gamma in cases:
+        lam = weight_of(word)
+        pairs = consecutive_pairs(word)
+        paired = {t for a, b in pairs for t in range(a, b + 1)}
+        outside += len(paired) < len(lam)
+        for parts in enumerate_multipartitions(gamma, lam):
+            spec = build_polytope(parts, lam, pairs)
+            K = compute_K(parts, lam)
+            got = count_by_grade(spec, sum(gamma), K)
+            assert got == count_by_grade_ie(spec, sum(gamma), K), (word, gamma, parts)
+            empty += not got
+            nonempty += bool(got)
+    assert empty and nonempty and outside
+
+
 def test_strategies_agree_on_rank8_example():
     assert _multiplicity_ie(RANK8_WORD, RANK8_GAMMA) == QPolynomial({4: 2, 5: 1})
 
@@ -211,9 +233,66 @@ def test_count_levels_edge_cases():
         count_levels([1], [1], [], -1)
     # an empty constraint can never be satisfied
     assert count_levels([2], [2], [[]], 3) == [0, 0, 0, 0]
+    assert count_levels([], [], [[]], 0) == [0]
+    assert count_levels([], [], [], 1) == [1, 0]
     # negative capacity rejects every assignment, including zero
     assert count_levels([1], [-1], [], 2) == [0, 0, 0]
     assert count_levels([1], [2], [], 3) == [1, 1, 1, 0]
+
+
+def test_count_levels_rules_out_constraints_without_usable_variable():
+    # tables on which the no-usable-variable rule fires, or nearly does;
+    # variable indices: group 0 = 0, 1, 2 (weights 1..3), group 1 = 3, 4
+    cases = [
+        # every variable of the constraint heavier than max_level
+        ([3, 2], [2, 2], [[2]], 2),
+        ([3, 2], [2, 2], [[1, 2, 4]], 1),
+        ([3, 2], [2, 2], [[0, 3]], 0),
+        # zero and negative caps
+        ([3, 2], [0, 2], [[0, 1]], 4),
+        ([3, 2], [-1, 3], [[0, 2]], 4),
+        ([3, 2], [2, 0], [[3], [0]], 4),
+        ([3, 2], [2, -2], [[3, 4]], 4),
+        # repeated indices
+        ([3, 2], [2, 2], [[2, 2, 2]], 2),
+        ([3, 2], [2, 2], [[1, 1], [3, 3]], 3),
+        ([3, 2], [0, 2], [[0, 0, 4, 4]], 3),
+        # one usable variable among unusable ones
+        ([3, 2], [0, 1], [[0, 1, 3, 4], [2, 3]], 3),
+        ([3, 2], [2, 0], [[2, 3, 4, 0]], 1),
+        # usable variables in both constraints, yet empty: the rule is
+        # not exact, so the walk must still find no point
+        ([3, 2], [1, 1], [[2, 4], [1, 3]], 2),
+        # a second constraint hopeless while the first is usable
+        ([3, 2], [2, 2], [[0, 3], [2, 4]], 1),
+    ]
+    empty = 0
+    for sizes, caps, pair_sets, max_level in cases:
+        got = count_levels(sizes, caps, pair_sets, max_level)
+        assert got == _brute_levels(sizes, caps, pair_sets, max_level), \
+            (sizes, caps, pair_sets, max_level)
+        empty += not any(got)
+    assert empty == 10
+
+
+def test_count_levels_rejects_tables_it_would_misread():
+    with pytest.raises(ValueError):
+        count_levels([1, 1], [2], [], 2)
+    with pytest.raises(ValueError):
+        count_levels([1], [2, 2], [], 2)
+    # an index from the end would silently read the last variable
+    with pytest.raises(ValueError):
+        count_levels([1, 1], [2, 2], [[-1]], 2)
+    with pytest.raises(ValueError):
+        count_levels([1, 1], [2, 2], [[2]], 2)
+    # checked in every constraint, also after a hopeless one
+    with pytest.raises(ValueError):
+        count_levels([1, 1], [0, 0], [[0], [5]], 2)
+    with pytest.raises(ValueError):
+        count_levels([1, 1], [2, 2], [[0.5]], 2)
+    # a negative size would make the group ends go backwards
+    with pytest.raises(ValueError):
+        count_levels([2, -1, 1], [2, 2, 2], [[0]], 2)
 
 
 def test_count_levels_matches_inclusion_exclusion():

@@ -11,27 +11,29 @@ of the space of Laurent polynomials f that are
     e_gamma = sum_i r_i r_{i+1},
   * of degree at most r_{i-1} + r_{i+1} - 2 in each variable of node i,
 
-and satisfy two families of specialization conditions:
+and satisfy two families of specialization conditions, read from a map
+`depths` of pole depths v_{a,b} on the positive roots (a, b) that carry
+one (every root for an xi tuple; for the prime module of a level-one
+word, its consecutive word node pairs, each of depth 1):
 
   * pole depth: z^{lam_i} f|_{x_{i,1}=...=x_{i,r}=z} has no pole at
     z = 0, for every node i and 2 <= r <= r_i (the r = 1 case is the
     monomial window below),
-  * interval vanishing: z^{v} f|_{x_{a,1}=x_{a+1,1}=...=x_{b,1}=z} has
-    no pole at z = 0, where in full mode (a, b) runs over all intervals
-    whose nodes all carry a variable and v = xi_{a,b}, and in pair mode
-    only over consecutive word node pairs with v = 1.
+  * interval vanishing: z^{v_{a,b}} f|_{x_{a,1}=x_{a+1,1}=...=x_{b,1}=z}
+    has no pole at z = 0, for every root a < b in the map whose nodes
+    all carry a variable.
 
 Symmetry reduces everything to the orbit basis: one spanning function
 per family of per-node exponent multisets inside the window
-[lo_i, hi_i], lo_i = -lam_i (pair mode) or -min(lam_i, xi_{i,i}) (full
-mode), hi_i = r_{i-1} + r_{i+1} - 2.  The windows and the interval
-conditions are the only data that depend on the mode, and `conditions`
-works out both.  Each condition contributes integer linear relations on
-orbit coefficients (`constraint_rows`).  A relation row is indexed by a
-signature that depends only on the specialized head of each touched
-node's exponents and on the multiset of the rest, so the rows are
-counted once per distinct (head, rest) split, each split weighted by its
-number of permutations, not once per permutation.
+[lo_i, hi_i], lo_i = -min(lam_i, v_{i,i}) (-lam_i if (i, i) is not in
+the map), hi_i = r_{i-1} + r_{i+1} - 2; `conditions` reads the windows
+and the interval conditions off the map.  Each condition contributes
+integer linear relations on orbit coefficients (`constraint_rows`).  A
+relation row is indexed by a signature that depends only on the
+specialized head of each touched node's exponents and on the multiset
+of the rest, so the rows are counted once per distinct (head, rest)
+split, each split weighted by its number of permutations, not once per
+permutation.
 
 The dimension is the exact corank of the relation matrix, found in the
 following steps (`exact_corank`):
@@ -69,33 +71,25 @@ from math import factorial, isqrt, lcm
 
 from .hl_category import consecutive_pairs, is_normalized, weight_of
 from .polytope_count import QPolynomial
-from .root_system import e_gamma, enumerate_dominant_gammas, gamma_height, pairing
+from .root_system import (check_gamma, e_gamma, enumerate_dominant_gammas,
+                          gamma_height, is_dominant, pairing)
 
 
-def conditions(lam, gamma, mode: str, xi=None, pairs=None):
+def conditions(lam, gamma, depths):
     """Monomial windows and interval conditions, as (bounds, intervals).
 
-    bounds maps each node i carrying a variable to its exponent window
-    (lo_i, hi_i).  intervals lists (a, b, pole depth): in pair mode the
-    consecutive word node pairs with depth 1, in full mode every a < b
-    with depth xi_{a,b}.  Intervals with a = b are covered by the
-    window; intervals containing a node without variables have no
-    meaningful specialization and are skipped.
+    depths maps each positive root (a, b) that carries a condition to
+    its pole depth.  bounds maps each node i carrying a variable to its
+    exponent window (lo_i, hi_i), lo_i = -min(lam_i, depths[(i, i)]), or
+    -lam_i when (i, i) is not in the map.  intervals lists (a, b, depth)
+    for the roots a < b in sorted order; roots containing a node without
+    variables have no meaningful specialization and are skipped.
     """
-    n = len(lam)
     r = (0,) + tuple(gamma) + (0,)
-    nodes = range(1, n + 1)
-    if mode == "pair":
-        lo = [-lam[i - 1] for i in nodes]
-        spans = [(a, b, 1) for a, b in pairs or ()]
-    elif mode == "full":
-        lo = [-min(lam[i - 1], xi[(i, i)]) for i in nodes]
-        spans = [(a, b, xi[(a, b)]) for a, b in combinations(nodes, 2)]
-    else:
-        raise ValueError("unknown mode %r" % (mode,))
-    bounds = {i: (lo[i - 1], r[i - 1] + r[i + 1] - 2) for i in nodes if r[i]}
-    intervals = [(a, b, v) for a, b, v in spans
-                 if all(r[t] >= 1 for t in range(a, b + 1))]
+    bounds = {i: (-min(li, depths.get((i, i), li)), r[i - 1] + r[i + 1] - 2)
+              for i, li in enumerate(lam, start=1) if r[i]}
+    intervals = [(a, b, v) for (a, b), v in sorted(depths.items())
+                 if a < b and all(r[t] >= 1 for t in range(a, b + 1))]
     return bounds, intervals
 
 
@@ -461,13 +455,13 @@ def _rows_to_matrix(rows, norbits):
     return mat
 
 
-def dim_V(lam, gamma, p: int, mode: str, xi=None, pairs=None) -> int:
+def dim_V(lam, gamma, p: int, depths) -> int:
     """Dimension of the space of admissible functions at grade p."""
     if p < 0:
         raise ValueError("grade must be nonnegative")
     gamma = tuple(gamma)
     degree = -p - gamma_height(gamma) + e_gamma(gamma)
-    bounds, intervals = conditions(lam, gamma, mode, xi, pairs)
+    bounds, intervals = conditions(lam, gamma, depths)
     orbits = orbit_basis(gamma, bounds, degree)
     if not orbits:
         return 0
@@ -475,12 +469,15 @@ def dim_V(lam, gamma, p: int, mode: str, xi=None, pairs=None) -> int:
     return exact_corank(rows, len(orbits))
 
 
-def grade_window(lam, gamma, mode: str, xi=None) -> range:
-    """Grades p whose degree fits inside the monomial windows."""
+def grade_window(lam, gamma, depths, *legacy) -> range:
+    """Grades p whose degree fits inside the monomial windows.  A mode
+    string before the map, as perfbench's tests still pass, is skipped."""
+    if isinstance(depths, str):
+        depths = legacy[0] if legacy else {}
     gamma = tuple(gamma)
     if not any(gamma):
         return range(0, 1)
-    bounds, _ = conditions(lam, gamma, mode, xi)
+    bounds, _ = conditions(lam, gamma, depths)
     lo_total = 0
     hi_total = 0
     for i, r in enumerate(gamma, start=1):
@@ -495,11 +492,12 @@ def grade_window(lam, gamma, mode: str, xi=None) -> range:
     return range(max(0, base - hi_total), max(0, base - lo_total + 1))
 
 
-def oracle_multiplicity(lam, gamma, mode: str, xi=None, pairs=None) -> QPolynomial:
+def oracle_multiplicity(lam, gamma, depths) -> QPolynomial:
     """Graded multiplicity of V(lam - gamma) from the dual realization."""
+    gamma = check_gamma(lam, gamma)
     coeffs = {}
-    for p in grade_window(lam, gamma, mode, xi):
-        d = dim_V(lam, gamma, p, mode, xi=xi, pairs=pairs)
+    for p in grade_window(lam, gamma, depths):
+        d = dim_V(lam, gamma, p, depths)
         if d:
             coeffs[p] = d
     return QPolynomial(coeffs)
@@ -510,28 +508,26 @@ def oracle_decomposition(lam=None, mode: str = "full", xi=None, word=None,
     """Full graded decomposition through the dual realization.
 
     Pair mode takes a word (lam and the interval data are derived from
-    it); full mode takes lam and a normalized xi tuple with nonnegative
-    pole depths.  Inputs of the other mode are refused with ValueError,
-    since the result would name them though they played no part.
-    Returns a GradedDecomposition over the dominant gammas (or the
-    given ones).
+    it); full mode takes a dominant lam and a normalized xi tuple with
+    nonnegative pole depths.  Inputs of the other mode are refused with
+    ValueError, since the result would name them though they played no
+    part.  Returns a GradedDecomposition over the dominant gammas (or
+    the given ones).
     """
     from .decomposition import GradedDecomposition
 
-    pairs = None
     if mode == "pair":
         if word is None:
             raise ValueError("pair mode needs a word")
         if lam is not None or xi is not None:
             raise ValueError("pair mode takes a word, not lam or xi")
         lam = weight_of(word)
-        pairs = consecutive_pairs(word)
-        for (a, b) in pairs:
-            v = -(-pairing(lam, (a, b)) // 2)
+        depths = {pair: 1 for pair in consecutive_pairs(word)}
+        for pair in depths:
+            v = -(-pairing(lam, pair) // 2)
             if v != 1:
-                raise ArithmeticError(
-                    "pair %s has pole depth %d; level one words always give 1"
-                    % ((a, b), v))
+                raise ArithmeticError("pair %s has pole depth %d; level one "
+                                      "words always give 1" % (pair, v))
     elif mode == "full":
         if lam is None or xi is None:
             raise ValueError("full mode needs lam and xi")
@@ -541,14 +537,17 @@ def oracle_decomposition(lam=None, mode: str = "full", xi=None, word=None,
         if negative:
             raise ValueError("xi has negative pole depth at %r" % (negative,))
         lam = tuple(lam)
+        if not is_dominant(lam):
+            raise ValueError("need a dominant weight, got %r" % (lam,))
         if not is_normalized(len(lam), xi):
             raise ValueError("xi tuple is not normalized")
+        depths = xi
     else:
         raise ValueError("unknown mode %r" % (mode,))
     domain = list(gammas) if gammas is not None else enumerate_dominant_gammas(lam)
     entries = {}
     for gamma in domain:
-        poly = oracle_multiplicity(lam, tuple(gamma), mode, xi=xi, pairs=pairs)
+        poly = oracle_multiplicity(lam, gamma, depths)
         if poly:
             entries[tuple(gamma)] = poly
     return GradedDecomposition(len(lam), lam, entries, domain, word=word,

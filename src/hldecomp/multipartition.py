@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .root_system import check_gamma
+
 
 @lru_cache(maxsize=None)
 def col_counts(mu: tuple[int, ...]) -> tuple[int, ...]:
@@ -148,12 +150,8 @@ def enumerate_multipartitions(gamma, lam):
     the number of states and the output, not with the candidates.
     """
     lam = tuple(lam)
-    gamma = tuple(gamma)
+    gamma = check_gamma(lam, gamma)
     n = len(lam)
-    if len(gamma) != n:
-        raise ValueError("gamma and lam have different ranks")
-    if any(g < 0 for g in gamma):
-        raise ValueError("gamma must be nonnegative, got %r" % (gamma,))
     if not n:
         return []
     g_next = gamma[1:] + (0,)

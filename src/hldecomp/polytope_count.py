@@ -27,6 +27,7 @@ from itertools import accumulate, combinations
 
 from . import multipartition as mpart
 from .hl_category import consecutive_pairs, weight_of
+from .root_system import check_gamma
 
 
 class QPolynomial:
@@ -339,9 +340,7 @@ def multiplicity(word, gamma) -> QPolynomial:
     shape gamma that survive the capacity pruning.
     """
     lam = weight_of(word)
-    gamma = tuple(gamma)
-    if len(gamma) != len(lam):
-        raise ValueError("gamma has rank %d, expected %d" % (len(gamma), len(lam)))
+    gamma = check_gamma(lam, gamma)
     pairs = consecutive_pairs(word)
     height = sum(gamma)
     total = {}

@@ -36,6 +36,17 @@ def is_dominant(weight) -> bool:
     return all(c >= 0 for c in weight)
 
 
+def check_gamma(lam, gamma) -> tuple[int, ...]:
+    """gamma as a tuple, checked to be a nonnegative root lattice
+    element of the same rank as lam."""
+    gamma = tuple(gamma)
+    if len(gamma) != len(lam):
+        raise ValueError("gamma has rank %d, expected %d" % (len(gamma), len(lam)))
+    if any(g < 0 for g in gamma):
+        raise ValueError("gamma must be nonnegative, got %r" % (gamma,))
+    return gamma
+
+
 def fundamental_weight(n: int, i: int) -> tuple[int, ...]:
     check_rank(n)
     if not 1 <= i <= n:

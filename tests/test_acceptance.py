@@ -96,10 +96,9 @@ def test_criterion_1_rank8_worked_example():
 
 def test_criterion_2_rank2_oracle_example():
     t0 = time.perf_counter()
-    dims = {p: dim_V(X58_LAM, X58_GAMMA, p, "full", xi=X58_XI)
-            for p in range(8)}
-    window = grade_window(X58_LAM, X58_GAMMA, "full", X58_XI)
-    bounds, intervals = conditions(X58_LAM, X58_GAMMA, "full", X58_XI)
+    dims = {p: dim_V(X58_LAM, X58_GAMMA, p, X58_XI) for p in range(8)}
+    window = grade_window(X58_LAM, X58_GAMMA, X58_XI)
+    bounds, intervals = conditions(X58_LAM, X58_GAMMA, X58_XI)
     residuals = []
     for grade, func in ((3, F1), (2, F2)):
         degree = -grade - gamma_height(X58_GAMMA) + e_gamma(X58_GAMMA)
@@ -144,10 +143,10 @@ def test_criterion_4_polytope_agrees_with_oracle():
     ok = True
     for word in word_grid(3, 3, starts=(0, 3)):
         lam = weight_of(word)
-        pairs = consecutive_pairs(word)
+        depths = {pair: 1 for pair in consecutive_pairs(word)}
         for gamma in enumerate_dominant_gammas(lam):
             a = multiplicity(word, gamma)
-            b = oracle_multiplicity(lam, gamma, "pair", pairs=pairs)
+            b = oracle_multiplicity(lam, gamma, depths)
             ok = ok and a == b
             checked += 1
     elapsed = time.perf_counter() - t0

@@ -6,6 +6,7 @@ bases, two explicit admissible functions, and the graded dimensions.
 """
 
 import random
+import re
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -49,7 +50,7 @@ F1 = {((-2, -2), (0,)): 1, ((-1, -1), (-2,)): 1, ((-1, -2), (-1,)): -1}
 F2 = {((-1, -2), (0,)): 1, ((-1, -1), (-1,)): -2}
 
 
-X58_BOUNDS, X58_INTERVALS = conditions(X58_LAM, X58_GAMMA, "full", X58_XI)
+X58_BOUNDS, X58_INTERVALS = conditions(X58_LAM, X58_GAMMA, X58_XI)
 
 
 def _orbits_at(grade):
@@ -60,20 +61,24 @@ def _orbits_at(grade):
 # ------------------------------------------------------------------ windows
 
 def test_conditions_windows():
-    assert conditions(X58_LAM, X58_GAMMA, "full", X58_XI)[0] == \
+    assert conditions(X58_LAM, X58_GAMMA, X58_XI)[0] == \
         {1: (-2, -1), 2: (-2, 0)}
-    assert conditions((1, 1), (1, 1), "pair")[0] == \
+    assert conditions((1, 1), (1, 1), {(1, 2): 1})[0] == \
         {1: (-1, -1), 2: (-1, -1)}
-    assert conditions((1, 1), (0, 0), "pair")[0] == {}
-    with pytest.raises(ValueError):
-        conditions((1, 1), (1, 1), "sideways")
+    assert conditions((1, 1), (0, 0), {(1, 2): 1})[0] == {}
+    # without (1, 1) in the map, lo_1 = -lam_1
+    assert conditions(X58_LAM, X58_GAMMA, {(1, 2): 2, (2, 2): 2})[0] == \
+        {1: (-7, -1), 2: (-2, 0)}
 
 
 def test_grade_window():
-    assert grade_window(X58_LAM, X58_GAMMA, "full", X58_XI) == range(1, 6)
+    assert grade_window(X58_LAM, X58_GAMMA, X58_XI) == range(1, 6)
     # gamma = 0 leaves exactly the constant grade
-    assert grade_window((3, 3), (0, 0), "pair") == range(0, 1)
+    assert grade_window((3, 3), (0, 0), {}) == range(0, 1)
     # an empty monomial window empties the grade window
+    assert grade_window((1, 0), (1, 0), {}) == range(0, 0)
+    # the older (mode, xi) call form, which perfbench's tests use
+    assert grade_window(X58_LAM, X58_GAMMA, "full", X58_XI) == range(1, 6)
     assert grade_window((1, 0), (1, 0), "pair") == range(0, 0)
 
 
@@ -168,68 +173,68 @@ def _reference_rows(lam, gamma, orbits, intervals):
 
 
 def _row_cases():
-    """(lam, gamma, mode, xi, pairs): shape grids in full mode with
-    xi = 1 and xi = 2 (gamma up to 3 on ranks 1 and 2, so pole depth 3
-    occurs, and up to 2 on rank 3), and every dominant gamma of
-    word_grid(3, 3) in pair mode."""
+    """(lam, gamma, depths): shape grids with constant xi = 1 and xi = 2
+    (gamma up to 3 on ranks 1 and 2, so pole depth 3 occurs, and up to 2
+    on rank 3), and every dominant gamma of word_grid(3, 3) with depth 1
+    on the word's consecutive pairs."""
     for lam, gamma in sorted(set(shape_grid(2, 2, 3)) | set(shape_grid(3, 2, 2))):
         for v in (1, 2):
-            yield lam, gamma, "full", {root: v for root in positive_roots(len(lam))}, None
+            yield lam, gamma, {root: v for root in positive_roots(len(lam))}
     for word in word_grid(3, 3):
         lam = weight_of(word)
+        depths = {pair: 1 for pair in consecutive_pairs(word)}
         for gamma in enumerate_dominant_gammas(lam):
-            yield lam, tuple(gamma), "pair", None, consecutive_pairs(word)
+            yield lam, tuple(gamma), depths
 
 
 def test_constraint_rows_match_permutation_walk():
     grades = 0
-    for lam, gamma, mode, xi, pairs in _row_cases():
-        bounds, intervals = conditions(lam, gamma, mode, xi, pairs)
-        for grade in grade_window(lam, gamma, mode, xi):
+    for lam, gamma, depths in _row_cases():
+        bounds, intervals = conditions(lam, gamma, depths)
+        for grade in grade_window(lam, gamma, depths):
             degree = -grade - gamma_height(gamma) + e_gamma(gamma)
             orbits = orbit_basis(gamma, bounds, degree)
             got = constraint_rows(lam, gamma, orbits, intervals)
             assert got == _reference_rows(lam, gamma, orbits, intervals), \
-                (lam, gamma, mode, xi, grade)
+                (lam, gamma, depths, grade)
             grades += 1
     assert grades > 3000
 
 
 def test_rank2_graded_dimensions():
-    dims = {p: dim_V(X58_LAM, X58_GAMMA, p, "full", xi=X58_XI)
-            for p in range(8)}
+    dims = {p: dim_V(X58_LAM, X58_GAMMA, p, X58_XI) for p in range(8)}
     assert dims == {0: 0, 1: 0, 2: 1, 3: 1, 4: 0, 5: 0, 6: 0, 7: 0}
-    assert oracle_multiplicity(X58_LAM, X58_GAMMA, "full", xi=X58_XI) == \
+    assert oracle_multiplicity(X58_LAM, X58_GAMMA, X58_XI) == \
         QPolynomial({2: 1, 3: 1})
     with pytest.raises(ValueError):
-        dim_V(X58_LAM, X58_GAMMA, -1, "full", xi=X58_XI)
+        dim_V(X58_LAM, X58_GAMMA, -1, X58_XI)
 
 
 def test_gamma_zero_dimension():
-    assert dim_V((3, 1), (0, 0), 0, "pair") == 1
-    assert oracle_multiplicity((3, 1), (0, 0), "pair") == QPolynomial({0: 1})
+    assert dim_V((3, 1), (0, 0), 0, {}) == 1
+    assert oracle_multiplicity((3, 1), (0, 0), {}) == QPolynomial({0: 1})
 
 
 def test_evaluation_module_has_trivial_socle():
     # constant xi = 1: the graded limit collapses to V(lam)
     xi = {(1, 1): 1, (2, 2): 1, (1, 2): 1}
-    assert not oracle_multiplicity((1, 0), (1, 0), "full", xi=xi)
-    assert not oracle_multiplicity((1, 1), (1, 1), "full", xi=xi)
+    assert not oracle_multiplicity((1, 0), (1, 0), xi)
+    assert not oracle_multiplicity((1, 1), (1, 1), xi)
 
 
 # ---------------------------------------------------------------- intervals
 
 def test_conditions_intervals():
-    assert conditions(X58_LAM, X58_GAMMA, "full", X58_XI)[1] == [(1, 2, 2)]
-    assert conditions((1, 1), (1, 1), "pair", pairs=((1, 2),))[1] == \
-        [(1, 2, 1)]
+    assert conditions(X58_LAM, X58_GAMMA, X58_XI)[1] == [(1, 2, 2)]
+    assert conditions((1, 1), (1, 1), {(1, 2): 1})[1] == [(1, 2, 1)]
     # a node without variables makes the specialization vacuous
-    assert conditions((1, 1), (1, 0), "pair", pairs=((1, 2),))[1] == []
+    assert conditions((1, 1), (1, 0), {(1, 2): 1})[1] == []
     xi3 = {(i, j): 1 for i in (1, 2, 3) for j in (1, 2, 3) if i <= j}
-    assert conditions((1, 1, 1), (1, 1, 1), "full", xi3)[1] == \
+    assert conditions((1, 1, 1), (1, 1, 1), xi3)[1] == \
         [(1, 2, 1), (1, 3, 1), (2, 3, 1)]
-    with pytest.raises(ValueError):
-        conditions((1, 1), (1, 1), "sideways")
+    # a root a < b left out of the map gives no interval
+    del xi3[(1, 3)]
+    assert conditions((1, 1, 1), (1, 1, 1), xi3)[1] == [(1, 2, 1), (2, 3, 1)]
 
 
 # ------------------------------------------------------------ linear algebra
@@ -381,7 +386,7 @@ def test_peeling_leaves_a_positive_corank_remainder(monkeypatch):
 def _tensor_square_grades(lam):
     xi = {root: 2 for root in positive_roots(len(lam))}
     for gamma in enumerate_dominant_gammas(lam):
-        for grade in grade_window(lam, gamma, "full", xi):
+        for grade in grade_window(lam, gamma, xi):
             yield lam, gamma, xi, grade
 
 
@@ -391,13 +396,13 @@ def _tensor_square_grades(lam):
     *_tensor_square_grades((4, 0)),
 ])
 def test_dim_V_matches_bareiss_corank(monkeypatch, lam, gamma, xi, grade):
-    bounds, intervals = conditions(lam, gamma, "full", xi)
+    bounds, intervals = conditions(lam, gamma, xi)
     degree = -grade - gamma_height(gamma) + e_gamma(gamma)
     orbits = orbit_basis(gamma, bounds, degree)
     rows = constraint_rows(lam, gamma, orbits, intervals)
     want = len(orbits) - integer_rank(_rows_to_matrix(rows, len(orbits)))
     calls = _count_fallbacks(monkeypatch)
-    assert dim_V(lam, gamma, grade, "full", xi=xi) == want
+    assert dim_V(lam, gamma, grade, xi) == want
     # these kernels lift, so the certificate alone proves every corank
     assert calls == []
 
@@ -429,6 +434,21 @@ def test_oracle_decomposition_validation():
         oracle_decomposition(mode="pair", word=word, lam=(5, 5))
     with pytest.raises(ValueError):
         oracle_decomposition(mode="pair", word=word, xi=xi7)
+    # gammas of the wrong rank or with a negative coordinate, in both
+    # modes, fail as they do in the lattice count
+    xi1 = {(1, 1): 1, (2, 2): 1, (1, 2): 1}
+    for gamma, message in (((0, 0, 0), "gamma has rank 3, expected 2"),
+                           ((1,), "gamma has rank 1, expected 2"),
+                           ((-1, 0), "gamma must be nonnegative")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            multiplicity(word, gamma)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            oracle_decomposition(lam=(1, 1), mode="full", xi=xi1, gammas=[gamma])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            oracle_decomposition(mode="pair", word=word, gammas=[gamma])
+    # a weight that is not dominant, though no gamma needs enumerating
+    with pytest.raises(ValueError, match="dominant"):
+        oracle_decomposition(lam=(-1, 0), mode="full", xi=xi1, gammas=[(0, 0)])
 
 
 def test_oracle_decomposition_pair_mode():

@@ -12,8 +12,7 @@ import json
 
 from .hl_category import DrinfeldWord, consecutive_pairs, weight_of
 from .polytope_count import QPolynomial, multiplicity
-from .root_system import (enumerate_dominant_gammas, weight_minus_gamma,
-                          weyl_dim)
+from .root_system import gamma_domain, weight_minus_gamma, weyl_dim
 
 
 class GradedDecomposition:
@@ -56,7 +55,7 @@ def graded_decomposition(word: DrinfeldWord, gammas=None) -> GradedDecomposition
     """Graded decomposition of the graded limit of a word's module,
     computed by lattice point counting."""
     lam = weight_of(word)
-    domain = list(gammas) if gammas is not None else enumerate_dominant_gammas(lam)
+    domain = gamma_domain(lam, gammas)
     entries = {}
     for gamma in domain:
         poly = multiplicity(word, gamma)

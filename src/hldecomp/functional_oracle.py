@@ -2,20 +2,19 @@
 
 For gamma = sum_i r_i alpha_i attach variables x_{i,1}, ..., x_{i,r_i}
 to node i.  The multiplicity of grade p at gamma equals the dimension
-of the space of Laurent polynomials f that are
+of the space of Laurent polynomials f that are symmetric in each node's
+variables, homogeneous of total degree -p - |gamma| + e_gamma, where
+e_gamma = sum_i r_i r_{i+1}, of degree at most r_{i-1} + r_{i+1} - 2 in
+each variable of node i, and that satisfy a list of specialization
+conditions.  Each condition sets the first k variables of some nodes
+equal to one variable z and asks that every monomial of the result with
+z-exponent below a bound cancel.  The list has three kinds, read from a
+map `depths` of pole depths v_{a,b} on the positive roots (a, b) that
+carry one (every root for an xi tuple; for the prime module of a
+level-one word, its consecutive word node pairs, each of depth 1):
 
-  * symmetric in each node's variables,
-  * vanishing under the specialization x_{i,1} = x_{i,2} = x_{j,1} for
-    every edge (i, j) of the diagram,
-  * homogeneous of total degree -p - |gamma| + e_gamma, where
-    e_gamma = sum_i r_i r_{i+1},
-  * of degree at most r_{i-1} + r_{i+1} - 2 in each variable of node i,
-
-and satisfy two families of specialization conditions, read from a map
-`depths` of pole depths v_{a,b} on the positive roots (a, b) that carry
-one (every root for an xi tuple; for the prime module of a level-one
-word, its consecutive word node pairs, each of depth 1):
-
+  * join vanishing: f vanishes under x_{i,1} = x_{i,2} = x_{j,1} for
+    every edge (i, j) of the diagram (all monomials cancel),
   * pole depth: z^{lam_i} f|_{x_{i,1}=...=x_{i,r}=z} has no pole at
     z = 0, for every node i and 2 <= r <= r_i (the r = 1 case is the
     monomial window below),
@@ -26,14 +25,14 @@ word, its consecutive word node pairs, each of depth 1):
 Symmetry reduces everything to the orbit basis: one spanning function
 per family of per-node exponent multisets inside the window
 [lo_i, hi_i], lo_i = -min(lam_i, v_{i,i}) (-lam_i if (i, i) is not in
-the map), hi_i = r_{i-1} + r_{i+1} - 2; `conditions` reads the windows
-and the interval conditions off the map.  Each condition contributes
-integer linear relations on orbit coefficients (`constraint_rows`).  A
-relation row is indexed by a signature that depends only on the
-specialized head of each touched node's exponents and on the multiset
-of the rest, so the rows are counted once per distinct (head, rest)
-split, each split weighted by its number of permutations, not once per
-permutation.
+the map), hi_i = r_{i-1} + r_{i+1} - 2.  `conditions` decides the
+windows and the one list of conditions; `constraint_rows` turns every
+condition into integer linear relations on orbit coefficients in the
+same loop.  A relation row is indexed by a signature that depends only
+on the specialized head of each touched node's exponents and on the
+multiset of the rest, so the rows are counted once per distinct
+(head, rest) split, each split weighted by its number of permutations,
+not once per permutation.
 
 The dimension is the exact corank of the relation matrix, found in the
 following steps (`exact_corank`):
@@ -71,26 +70,45 @@ from math import factorial, isqrt, lcm
 
 from .hl_category import consecutive_pairs, is_normalized, weight_of
 from .polytope_count import QPolynomial
-from .root_system import (check_gamma, e_gamma, enumerate_dominant_gammas,
-                          gamma_height, is_dominant, pairing)
+from .root_system import (check_gamma, e_gamma, gamma_domain, gamma_height,
+                          is_dominant)
 
 
 def conditions(lam, gamma, depths):
-    """Monomial windows and interval conditions, as (bounds, intervals).
+    """Monomial windows and specialization conditions, as (bounds, conds).
 
     depths maps each positive root (a, b) that carries a condition to
     its pole depth.  bounds maps each node i carrying a variable to its
     exponent window (lo_i, hi_i), lo_i = -min(lam_i, depths[(i, i)]), or
-    -lam_i when (i, i) is not in the map.  intervals lists (a, b, depth)
-    for the roots a < b in sorted order; roots containing a node without
-    variables have no meaningful specialization and are skipped.
+    -lam_i when (i, i) is not in the map.
+
+    conds lists every condition as (label, heads, bound): heads holds the
+    (node, k) pairs whose first k variables are set to z, and every
+    monomial of the specialized expression with z-exponent below bound
+    must cancel.  In order:
+
+      * ("join", i, nb) for each edge with r_i >= 2 and r_nb >= 1, heads
+        (i, 2), (nb, 1); its bound exceeds every z-exponent the windows
+        allow, so all signatures cancel;
+      * ("pole", i, depth) for 2 <= depth <= r_i, head (i, depth), bound
+        -lam_i;
+      * ("interval", a, b) for the roots a < b of the map in sorted
+        order, heads (t, 1) for a <= t <= b, bound -depths[(a, b)].
+        Roots containing a node without variables have no meaningful
+        specialization and are skipped.
     """
     r = (0,) + tuple(gamma) + (0,)
     bounds = {i: (-min(li, depths.get((i, i), li)), r[i - 1] + r[i + 1] - 2)
               for i, li in enumerate(lam, start=1) if r[i]}
-    intervals = [(a, b, v) for (a, b), v in sorted(depths.items())
-                 if a < b and all(r[t] >= 1 for t in range(a, b + 1))]
-    return bounds, intervals
+    conds = [(("join", i, nb), ((i, 2), (nb, 1)),
+              2 * bounds[i][1] + bounds[nb][1] + 1)
+             for i in bounds if r[i] >= 2 for nb in (i - 1, i + 1) if nb in bounds]
+    conds += [(("pole", i, depth), ((i, depth),), -lam[i - 1])
+              for i in bounds for depth in range(2, r[i] + 1)]
+    conds += [(("interval", a, b), tuple((t, 1) for t in range(a, b + 1)), -v)
+              for (a, b), v in sorted(depths.items())
+              if a < b and all(r[t] >= 1 for t in range(a, b + 1))]
+    return bounds, conds
 
 
 def _node_multisets(r, lo, hi):
@@ -165,91 +183,75 @@ def _perms(seq) -> int:
 def _splits(ms, k):
     """Distinct (head, rest) splits of a weakly decreasing multiset.
 
-    One triple (sum of head, rest, count) per distinct k-element
-    sub-multiset head; rest is the weakly decreasing remainder and count
-    the number of distinct permutations of ms whose first k entries are
-    an ordering of head, perms(head) * perms(rest).
+    One triple (sum of head, (rest,), count) per distinct k-element
+    sub-multiset head; rest is the weakly decreasing remainder, wrapped
+    so the rests of several nodes join by tuple addition, and count the
+    number of distinct permutations of ms whose first k entries are an
+    ordering of head, perms(head) * perms(rest).
     """
     out = []
     for head in sorted(set(combinations(ms, k))):
         rest = list(ms)
         for v in head:
             rest.remove(v)
-        out.append((sum(head), tuple(rest), _perms(head) * _perms(rest)))
+        out.append((sum(head), (tuple(rest),), _perms(head) * _perms(rest)))
     return tuple(out)
 
 
-def constraint_rows(lam, gamma, orbits, intervals):
+# the pick of no node: z-exponent 0, no rests, one permutation
+_SEED = ((0, (), 1),)
+
+
+def constraint_rows(orbits, conds):
     """Linear relations on orbit coefficients, one row per forbidden
     monomial signature of a specialized expression.
 
     An orbit is the sum of the distinct permutations of its exponents at
-    every node, and a signature depends only on the specialized head of
-    each touched node's permutation (two entries for a join, `depth` for
-    a pole, one per node for an interval) and on the multiset of the
-    rest.  So each distinct (head, rest) split is visited once and adds
-    the number of permutations that give it, multiplied across the nodes
-    the condition touches.
+    every node, and a signature depends only on the z-exponent of the
+    specialized heads, the multiset of the rest at each head node and
+    the exponents of the untouched nodes.  So each distinct (head, rest)
+    split is visited once and adds the number of permutations that give
+    it, multiplied across the head nodes of the condition.
 
-    intervals: the (a, b, v) interval conditions, as `conditions`
-    returns them.  Returns rows as dicts mapping orbit index to integer
-    coefficient.
+    conds: the (label, heads, bound) conditions, as `conditions` returns
+    them.  Returns rows as dicts mapping orbit index to integer
+    coefficient, keyed by (label, signature).
     """
-    n = len(lam)
-    r = (0,) + tuple(gamma) + (0,)
+    n = len(orbits[0]) if orbits else 0
     # each (head, rest) split of an orbit gives its own signature, so an
     # orbit meets each row at most once and its coefficient is assigned
     rows = {}
-
-    # vanishing under x_{i,1} = x_{i,2} = x_{nb,1}: every signature of
-    # the specialized expression must cancel
-    for i in range(1, n + 1):
-        if r[i] < 2:
-            continue
-        for nb in (i - 1, i + 1):
-            if not 1 <= nb <= n or r[nb] == 0:
-                continue
-            cond = ("join", i, nb)
-            keep = [t for t in range(n) if t + 1 not in (i, nb)]
-            for o, orb in enumerate(orbits):
-                others = tuple([orb[t] for t in keep])
-                nb_splits = _splits(orb[nb - 1], 1)
-                for wi, rest_i, ci in _splits(orb[i - 1], 2):
-                    for wn, rest_n, cn in nb_splits:
-                        key = (cond, (wi + wn, rest_i, rest_n, others))
-                        rows.setdefault(key, {})[o] = ci * cn
-
-    # pole depth: signatures with z-exponent below -lam_i must cancel
-    for i in range(1, n + 1):
-        keep = [t for t in range(n) if t + 1 != i]
-        for depth in range(2, r[i] + 1):
-            cond = ("pole", i, depth)
-            for o, orb in enumerate(orbits):
-                others = tuple([orb[t] for t in keep])
-                for z, rest, c in _splits(orb[i - 1], depth):
-                    if z + lam[i - 1] < 0:
-                        rows.setdefault((cond, (z, rest, others)), {})[o] = c
-
-    # interval vanishing: substitute the first variable of every node in
-    # [a, b]; signatures with z-exponent below -v must cancel
-    for (a, b, v) in intervals:
-        cond = ("interval", a, b)
-        keep = [t for t in range(n) if not a <= t + 1 <= b]
+    # conditions on the same nodes share the untouched exponents
+    others_by_keep = {}
+    for label, heads, bound in conds:
+        touched = {t for t, _ in heads}
+        keep = tuple([t for t in range(n) if t + 1 not in touched])
+        others = others_by_keep.get(keep)
+        if others is None:
+            others = others_by_keep[keep] = [tuple([orb[t] for t in keep])
+                                             for orb in orbits]
+        # the first leading node's cached splits serve as the picks as
+        # they are, and the last node's are looped over in place, so only
+        # the middle nodes of an interval build lists of partial picks
+        # (a fresh list per orbit for every leading node made row
+        # building about a third slower on a rank-5 word)
+        *lead, (last, k_last) = heads
+        first, middle = lead[:1], lead[1:]
         for o, orb in enumerate(orbits):
-            others = tuple([orb[t] for t in keep])
-            # keep a partial pick only while the least heads of the
-            # nodes after it can still bring z below -v
-            tail = sum(orb[t][-1] for t in range(a - 1, b))
-            picks = [(0, (), 1)]
-            for t in range(a - 1, b):
-                tail -= orb[t][-1]
-                bound = -v - tail
-                picks = [(z + zt, rests + (rest,), c * ct)
-                         for z, rests, c in picks
-                         for zt, rest, ct in _splits(orb[t], 1) if z + zt < bound]
+            picks = _SEED
+            for t, k in first:
+                picks = _splits(orb[t - 1], k)
+            for t, k in middle:
+                splits = _splits(orb[t - 1], k)
+                picks = [(z + zt, rests + rest, c * ct)
+                         for z, rests, c in picks for zt, rest, ct in splits]
+            splits = _splits(orb[last - 1], k_last)
+            oth = others[o]
             for z, rests, c in picks:
-                rows.setdefault((cond, (z, rests, others)), {})[o] = c
-
+                for zt, rest, ct in splits:
+                    zt += z
+                    if zt < bound:
+                        rows.setdefault((label, (zt, rests + rest, oth)), {})[o] = c * ct
     return rows
 
 
@@ -459,13 +461,13 @@ def dim_V(lam, gamma, p: int, depths) -> int:
     """Dimension of the space of admissible functions at grade p."""
     if p < 0:
         raise ValueError("grade must be nonnegative")
-    gamma = tuple(gamma)
+    gamma = check_gamma(lam, gamma)
     degree = -p - gamma_height(gamma) + e_gamma(gamma)
-    bounds, intervals = conditions(lam, gamma, depths)
+    bounds, conds = conditions(lam, gamma, depths)
     orbits = orbit_basis(gamma, bounds, degree)
     if not orbits:
         return 0
-    rows = constraint_rows(lam, gamma, orbits, intervals)
+    rows = constraint_rows(orbits, conds)
     return exact_corank(rows, len(orbits))
 
 
@@ -474,7 +476,7 @@ def grade_window(lam, gamma, depths, *legacy) -> range:
     string before the map, as perfbench's tests still pass, is skipped."""
     if isinstance(depths, str):
         depths = legacy[0] if legacy else {}
-    gamma = tuple(gamma)
+    gamma = check_gamma(lam, gamma)
     if not any(gamma):
         return range(0, 1)
     bounds, _ = conditions(lam, gamma, depths)
@@ -494,7 +496,6 @@ def grade_window(lam, gamma, depths, *legacy) -> range:
 
 def oracle_multiplicity(lam, gamma, depths) -> QPolynomial:
     """Graded multiplicity of V(lam - gamma) from the dual realization."""
-    gamma = check_gamma(lam, gamma)
     coeffs = {}
     for p in grade_window(lam, gamma, depths):
         d = dim_V(lam, gamma, p, depths)
@@ -523,11 +524,6 @@ def oracle_decomposition(lam=None, mode: str = "full", xi=None, word=None,
             raise ValueError("pair mode takes a word, not lam or xi")
         lam = weight_of(word)
         depths = {pair: 1 for pair in consecutive_pairs(word)}
-        for pair in depths:
-            v = -(-pairing(lam, pair) // 2)
-            if v != 1:
-                raise ArithmeticError("pair %s has pole depth %d; level one "
-                                      "words always give 1" % (pair, v))
     elif mode == "full":
         if lam is None or xi is None:
             raise ValueError("full mode needs lam and xi")
@@ -544,7 +540,7 @@ def oracle_decomposition(lam=None, mode: str = "full", xi=None, word=None,
         depths = xi
     else:
         raise ValueError("unknown mode %r" % (mode,))
-    domain = list(gammas) if gammas is not None else enumerate_dominant_gammas(lam)
+    domain = gamma_domain(lam, gammas)
     entries = {}
     for gamma in domain:
         poly = oracle_multiplicity(lam, gamma, depths)

@@ -129,6 +129,19 @@ def enumerate_dominant_gammas(lam) -> list[tuple[int, ...]]:
     return found
 
 
+def gamma_domain(lam, gammas=None) -> list[tuple[int, ...]]:
+    """The gammas a decomposition of lam covers: every gamma with lam -
+    gamma dominant when gammas is None, else the given ones, all checked
+    (`check_gamma`, and lam - gamma dominant) before any is computed."""
+    if gammas is None:
+        return enumerate_dominant_gammas(lam)
+    domain = [check_gamma(lam, gamma) for gamma in gammas]
+    for gamma in domain:
+        if not is_dominant(weight_minus_gamma(lam, gamma)):
+            raise ValueError("weight - gamma is not dominant for gamma %r" % (gamma,))
+    return domain
+
+
 def weyl_dim(n: int, mu) -> int:
     """Dimension of the simple sl(n+1) module with highest weight mu.
 

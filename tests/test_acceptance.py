@@ -98,13 +98,13 @@ def test_criterion_2_rank2_oracle_example():
     t0 = time.perf_counter()
     dims = {p: dim_V(X58_LAM, X58_GAMMA, p, X58_XI) for p in range(8)}
     window = grade_window(X58_LAM, X58_GAMMA, X58_XI)
-    bounds, intervals = conditions(X58_LAM, X58_GAMMA, X58_XI)
+    bounds, conds = conditions(X58_LAM, X58_GAMMA, X58_XI)
     residuals = []
     for grade, func in ((3, F1), (2, F2)):
         degree = -grade - gamma_height(X58_GAMMA) + e_gamma(X58_GAMMA)
         orbits = orbit_basis(X58_GAMMA, bounds, degree)
         vec = [func.get(orb, 0) for orb in orbits]
-        rows = constraint_rows(X58_LAM, X58_GAMMA, orbits, intervals)
+        rows = constraint_rows(orbits, conds)
         residuals.extend(sum(c * vec[o] for o, c in row.items())
                          for row in rows.values())
     elapsed = time.perf_counter() - t0

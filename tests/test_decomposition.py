@@ -1,6 +1,7 @@
 """Tests for decomposition assembly, serialization and rendering."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from hldecomp.decomposition import (
     to_json_text,
     total_dimension,
 )
+from hldecomp import decomposition, functional_oracle
 from hldecomp.functional_oracle import oracle_decomposition
 from hldecomp.hl_category import DrinfeldWord, weight_of
 from hldecomp.polytope_count import QPolynomial
@@ -53,6 +55,25 @@ def test_gamma_restriction():
     dec = graded_decomposition(WORD3, gammas=[(1, 1, 1)])
     assert dec.domain == [(1, 1, 1)]
     assert dec.entries == {(1, 1, 1): QPolynomial({1: 1})}
+
+
+@pytest.mark.parametrize("compute", [
+    lambda gammas: graded_decomposition(WORD3, gammas=gammas),
+    lambda gammas: oracle_decomposition(mode="pair", word=WORD3, gammas=gammas),
+    lambda gammas: oracle_decomposition(
+        lam=(1, 1, 1), mode="full", gammas=gammas,
+        xi={(i, j): 1 for i in (1, 2, 3) for j in (1, 2, 3) if i <= j}),
+], ids=["lattice", "pair", "full"])
+def test_non_dominant_gammas_are_refused_before_any_is_computed(monkeypatch, compute):
+    # weight (1, 1, 1) minus (0, 0, 1) is (1, 2, -1), and minus (2, 0, 0)
+    # is (-3, 3, 1); only (0, 0, 0) is dominant
+    calls = []
+    for module, name in ((decomposition, "multiplicity"),
+                         (functional_oracle, "oracle_multiplicity")):
+        monkeypatch.setattr(module, name, lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=re.escape("gamma (0, 0, 1)")):
+        compute([(0, 0, 0), (0, 0, 1), (2, 0, 0)])
+    assert calls == []
 
 
 def test_total_dimension_bound_on_word_grid():

@@ -50,7 +50,7 @@ F1 = {((-2, -2), (0,)): 1, ((-1, -1), (-2,)): 1, ((-1, -2), (-1,)): -1}
 F2 = {((-1, -2), (0,)): 1, ((-1, -1), (-1,)): -2}
 
 
-X58_BOUNDS, X58_INTERVALS = conditions(X58_LAM, X58_GAMMA, X58_XI)
+X58_BOUNDS, X58_CONDS = conditions(X58_LAM, X58_GAMMA, X58_XI)
 
 
 def _orbits_at(grade):
@@ -61,11 +61,16 @@ def _orbits_at(grade):
 # ------------------------------------------------------------------ windows
 
 def test_conditions_windows():
-    assert conditions(X58_LAM, X58_GAMMA, X58_XI)[0] == \
-        {1: (-2, -1), 2: (-2, 0)}
+    # the join bound 2 hi_1 + hi_2 + 1 lies above every z-exponent the
+    # windows allow; the pole bound is -lam_1, the interval bound -v_{1,2}
+    assert conditions(X58_LAM, X58_GAMMA, X58_XI) == (
+        {1: (-2, -1), 2: (-2, 0)},
+        [(("join", 1, 2), ((1, 2), (2, 1)), -1),
+         (("pole", 1, 2), ((1, 2),), -7),
+         (("interval", 1, 2), ((1, 1), (2, 1)), -2)])
     assert conditions((1, 1), (1, 1), {(1, 2): 1})[0] == \
         {1: (-1, -1), 2: (-1, -1)}
-    assert conditions((1, 1), (0, 0), {(1, 2): 1})[0] == {}
+    assert conditions((1, 1), (0, 0), {(1, 2): 1}) == ({}, [])
     # without (1, 1) in the map, lo_1 = -lam_1
     assert conditions(X58_LAM, X58_GAMMA, {(1, 2): 2, (2, 2): 2})[0] == \
         {1: (-7, -1), 2: (-2, 0)}
@@ -80,6 +85,19 @@ def test_grade_window():
     # the older (mode, xi) call form, which perfbench's tests use
     assert grade_window(X58_LAM, X58_GAMMA, "full", X58_XI) == range(1, 6)
     assert grade_window((1, 0), (1, 0), "pair") == range(0, 0)
+
+
+def test_gamma_is_checked_per_grade():
+    for gamma, message in (((0, 0, 1), "gamma has rank 3, expected 2"),
+                           ((0, 0, 0), "gamma has rank 3, expected 2"),
+                           ((1,), "gamma has rank 1, expected 2"),
+                           ((-1, 0), "gamma must be nonnegative")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            grade_window((1, 1), gamma, {})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            grade_window((1, 1), gamma, "full", {})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dim_V((1, 1), gamma, 0, {})
 
 
 def test_orbit_basis_structure():
@@ -100,7 +118,7 @@ def test_known_functions_satisfy_all_constraints():
     for grade, func in ((3, F1), (2, F2)):
         orbits = _orbits_at(grade)
         assert set(func) <= set(orbits)
-        rows = constraint_rows(X58_LAM, X58_GAMMA, orbits, X58_INTERVALS)
+        rows = constraint_rows(orbits, X58_CONDS)
         assert rows
         vec = [func.get(orb, 0) for orb in orbits]
         for key, row in rows.items():
@@ -110,7 +128,7 @@ def test_known_functions_satisfy_all_constraints():
 
 def test_constraint_rows_reference_valid_orbits():
     orbits = _orbits_at(3)
-    rows = constraint_rows(X58_LAM, X58_GAMMA, orbits, X58_INTERVALS)
+    rows = constraint_rows(orbits, X58_CONDS)
     for row in rows.values():
         assert all(0 <= o < len(orbits) for o in row)
 
@@ -123,10 +141,11 @@ def _desc(seq):
     return tuple(sorted(seq, reverse=True))
 
 
-def _reference_rows(lam, gamma, orbits, intervals):
+def _reference_rows(lam, gamma, orbits, depths):
     """constraint_rows by its definition: walk every distinct permutation
     of each touched node's multiset and add 1 to the row of its
-    signature."""
+    signature.  The joins, poles and intervals are read off gamma, lam
+    and depths here, independently of `conditions`."""
     n = len(lam)
     r = (0,) + tuple(gamma) + (0,)
     rows = {}
@@ -147,7 +166,7 @@ def _reference_rows(lam, gamma, orbits, intervals):
                 for pi in _distinct_perms(orb[i - 1]):
                     for pn in _distinct_perms(orb[nb - 1]):
                         w = pi[0] + pi[1] + pn[0]
-                        add(cond, (w, _desc(pi[2:]), _desc(pn[1:]), others), o)
+                        add(cond, (w, (_desc(pi[2:]), _desc(pn[1:])), others), o)
 
     for i in range(1, n + 1):
         for depth in range(2, r[i] + 1):
@@ -157,9 +176,11 @@ def _reference_rows(lam, gamma, orbits, intervals):
                 for pi in _distinct_perms(orb[i - 1]):
                     z = sum(pi[:depth])
                     if z + lam[i - 1] < 0:
-                        add(cond, (z, _desc(pi[depth:]), others), o)
+                        add(cond, (z, (_desc(pi[depth:]),), others), o)
 
-    for (a, b, v) in intervals:
+    for (a, b), v in depths.items():
+        if a == b or 0 in gamma[a - 1:b]:
+            continue
         cond = ("interval", a, b)
         for o, orb in enumerate(orbits):
             others = tuple(orb[t] for t in range(n) if not a <= t + 1 <= b)
@@ -190,12 +211,12 @@ def _row_cases():
 def test_constraint_rows_match_permutation_walk():
     grades = 0
     for lam, gamma, depths in _row_cases():
-        bounds, intervals = conditions(lam, gamma, depths)
+        bounds, conds = conditions(lam, gamma, depths)
         for grade in grade_window(lam, gamma, depths):
             degree = -grade - gamma_height(gamma) + e_gamma(gamma)
             orbits = orbit_basis(gamma, bounds, degree)
-            got = constraint_rows(lam, gamma, orbits, intervals)
-            assert got == _reference_rows(lam, gamma, orbits, intervals), \
+            got = constraint_rows(orbits, conds)
+            assert got == _reference_rows(lam, gamma, orbits, depths), \
                 (lam, gamma, depths, grade)
             grades += 1
     assert grades > 3000
@@ -224,17 +245,39 @@ def test_evaluation_module_has_trivial_socle():
 
 # ---------------------------------------------------------------- intervals
 
+def test_conditions_on_rank_3():
+    # r = (2, 2, 1): joins from the two nodes with r_i >= 2, poles of
+    # depth 2 on both, and intervals (1, 3) and (2, 3); (1, 1) only
+    # narrows the window of node 1, and nodes 2 and 3 keep lo = -lam_i
+    depths = {(1, 1): 1, (1, 3): 2, (2, 3): 1}
+    assert conditions((2, 1, 2), (2, 2, 1), depths) == (
+        {1: (-1, 0), 2: (-1, 1), 3: (-2, 0)},
+        [(("join", 1, 2), ((1, 2), (2, 1)), 2),
+         (("join", 2, 1), ((2, 2), (1, 1)), 3),
+         (("join", 2, 3), ((2, 2), (3, 1)), 3),
+         (("pole", 1, 2), ((1, 2),), -2),
+         (("pole", 2, 2), ((2, 2),), -1),
+         (("interval", 1, 3), ((1, 1), (2, 1), (3, 1)), -2),
+         (("interval", 2, 3), ((2, 1), (3, 1)), -1)])
+
+
 def test_conditions_intervals():
-    assert conditions(X58_LAM, X58_GAMMA, X58_XI)[1] == [(1, 2, 2)]
-    assert conditions((1, 1), (1, 1), {(1, 2): 1})[1] == [(1, 2, 1)]
+    def intervals(lam, gamma, depths):
+        return [c for c in conditions(lam, gamma, depths)[1] if c[0][0] == "interval"]
+
+    assert intervals((1, 1), (1, 1), {(1, 2): 1}) == \
+        [(("interval", 1, 2), ((1, 1), (2, 1)), -1)]
     # a node without variables makes the specialization vacuous
-    assert conditions((1, 1), (1, 0), {(1, 2): 1})[1] == []
+    assert intervals((1, 1), (1, 0), {(1, 2): 1}) == []
     xi3 = {(i, j): 1 for i in (1, 2, 3) for j in (1, 2, 3) if i <= j}
-    assert conditions((1, 1, 1), (1, 1, 1), xi3)[1] == \
-        [(1, 2, 1), (1, 3, 1), (2, 3, 1)]
+    assert intervals((1, 1, 1), (1, 1, 1), xi3) == [
+        (("interval", 1, 2), ((1, 1), (2, 1)), -1),
+        (("interval", 1, 3), ((1, 1), (2, 1), (3, 1)), -1),
+        (("interval", 2, 3), ((2, 1), (3, 1)), -1)]
     # a root a < b left out of the map gives no interval
     del xi3[(1, 3)]
-    assert conditions((1, 1, 1), (1, 1, 1), xi3)[1] == [(1, 2, 1), (2, 3, 1)]
+    assert [c[0] for c in intervals((1, 1, 1), (1, 1, 1), xi3)] == \
+        [("interval", 1, 2), ("interval", 2, 3)]
 
 
 # ------------------------------------------------------------ linear algebra
@@ -290,7 +333,7 @@ def test_modular_corank_matches_exact_on_small_matrices(mat):
 def test_modular_corank_certifies_oracle_dimensions():
     for grade in (2, 3):
         orbits = _orbits_at(grade)
-        rows = constraint_rows(X58_LAM, X58_GAMMA, orbits, X58_INTERVALS)
+        rows = constraint_rows(orbits, X58_CONDS)
         echelon = _echelon_mod_p(sorted(rows.values(), key=len), len(orbits))
         mod = len(orbits) - len(echelon)
         exact = len(orbits) - integer_rank(_rows_to_matrix(rows, len(orbits)))
@@ -396,10 +439,10 @@ def _tensor_square_grades(lam):
     *_tensor_square_grades((4, 0)),
 ])
 def test_dim_V_matches_bareiss_corank(monkeypatch, lam, gamma, xi, grade):
-    bounds, intervals = conditions(lam, gamma, xi)
+    bounds, conds = conditions(lam, gamma, xi)
     degree = -grade - gamma_height(gamma) + e_gamma(gamma)
     orbits = orbit_basis(gamma, bounds, degree)
-    rows = constraint_rows(lam, gamma, orbits, intervals)
+    rows = constraint_rows(orbits, conds)
     want = len(orbits) - integer_rank(_rows_to_matrix(rows, len(orbits)))
     calls = _count_fallbacks(monkeypatch)
     assert dim_V(lam, gamma, grade, xi) == want

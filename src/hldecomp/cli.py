@@ -22,17 +22,24 @@ import tempfile
 from . import __version__
 from . import decomposition as dmod
 from . import functional_oracle as omod
-from .hl_category import (DrinfeldWord, InvalidWord, consecutive_pairs,
-                          marked_vertices, normalize_xi, pi_from_interval,
-                          pi_to_height_interval, weight_of,
+from .hl_category import (DrinfeldWord, consecutive_pairs, marked_vertices, normalize_xi,
+                          pi_from_interval, pi_to_height_interval, weight_of,
                           xi_from_weight)
-from .root_system import (check_rank, is_dominant, positive_roots, weight_minus_gamma,
-                          weyl_dim)
+from .root_system import check_rank, check_weight, gamma_domain, positive_roots, weyl_dim
 from .weyl_characters import weight_multiplicities
 
 
 class InputError(ValueError):
     """Bad command line input; reported with exit code 2."""
+
+
+def _checked(flag, rule, *args):
+    """rule(*args) for a library rule that decides whether an input is
+    valid; its ValueError becomes bad input, prefixed with the flag."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        raise InputError("%s: %s" % (flag, exc)) from None
 
 
 def _rank(text):
@@ -63,14 +70,14 @@ def _int_pair(tok, sep, flag, shape):
 
 
 def _parse_xi(text, n):
+    """The normalized xi tuple of --xi; `normalize_xi` checks its roots."""
     text = text.strip()
-    roots = positive_roots(n)
     if ":" not in text:
         try:
             const = int(text)
         except ValueError:
             raise InputError("--xi: expected i-j:v entries or a single constant, got %r" % text)
-        out = dict.fromkeys(roots, const)
+        out = dict.fromkeys(positive_roots(n), const)
     else:
         out = {}
         for tok in text.split(","):
@@ -82,17 +89,7 @@ def _parse_xi(text, n):
                 out[root] = int(val)
             except ValueError:
                 raise InputError("--xi: expected i-j:v entries, got %r" % tok)
-    missing = [r for r in roots if r not in out]
-    if missing:
-        raise InputError("--xi: missing roots %s" % ", ".join("%d-%d" % r for r in missing))
-    extra = [r for r in out if r not in roots]
-    if extra:
-        raise InputError("--xi: roots %s out of range" % ", ".join("%d-%d" % r for r in extra))
-    negative = [r for r in roots if out[r] < 0]
-    if negative:
-        raise InputError("--xi: pole depths must be nonnegative, got %s"
-                         % ", ".join("%d-%d:%d" % (i, j, out[i, j]) for i, j in negative))
-    return out
+    return _checked("--xi", normalize_xi, n, out)
 
 
 def _height_from_args(args):
@@ -103,45 +100,26 @@ def _height_from_args(args):
 
 
 def _word_from_args(args):
-    if args.pi and (args.kappa or args.interval):
+    if args.pi is not None and (args.kappa is not None or args.interval is not None):
         raise InputError("give either --pi or --kappa with --interval, not both")
-    if args.pi:
-        try:
-            return DrinfeldWord(args.n, [_int_pair(tok, ":", "--pi", "i:m pairs")
-                                         for tok in args.pi.split(",")])
-        except InvalidWord as exc:
-            raise InputError("--pi: %s" % exc)
-    if args.kappa and args.interval:
-        kappa, J = _height_from_args(args)
-        try:
-            return pi_from_interval(kappa, J)
-        except (ValueError, InvalidWord) as exc:
-            raise InputError("--kappa/--interval: %s" % exc)
+    if args.pi is not None:
+        factors = [_int_pair(tok, ":", "--pi", "i:m pairs") for tok in args.pi.split(",")]
+        return _checked("--pi", DrinfeldWord, args.n, factors)
+    if args.kappa is not None and args.interval is not None:
+        return _checked("--kappa/--interval", pi_from_interval, *_height_from_args(args))
     raise InputError("need --pi or both --kappa and --interval")
 
 
 def _gamma_from_args(args, lam):
-    if not args.gamma:
+    if args.gamma is None:
         return None
-    gamma = _ints(args.gamma, "--gamma")
-    if len(gamma) != len(lam):
-        raise InputError("--gamma: got %d values for rank %d" % (len(gamma), len(lam)))
-    if any(g < 0 for g in gamma):
-        raise InputError("--gamma: coordinates must be nonnegative")
-    if not is_dominant(weight_minus_gamma(lam, gamma)):
-        raise InputError("--gamma: weight - gamma is not dominant")
-    return [gamma]
+    return _checked("--gamma", gamma_domain, lam, [_ints(args.gamma, "--gamma")])
 
 
 def _lam_from_args(args):
-    if not args.lam:
+    if args.lam is None:
         raise InputError("--lambda is required here")
-    lam = _ints(args.lam, "--lambda")
-    if len(lam) != args.n:
-        raise InputError("--lambda: got %d values for rank %d" % (len(lam), args.n))
-    if not is_dominant(lam):
-        raise InputError("--lambda: weight must be dominant")
-    return lam
+    return _checked("--lambda", check_weight, args.n, _ints(args.lam, "--lambda"))
 
 
 def _cache_dir(args):
@@ -239,14 +217,14 @@ _MODES = ("a word (--pi, or --kappa with --interval) runs pair mode, "
 
 def cmd_oracle(args) -> int:
     word_flags = [f for f, v in (("--pi", args.pi), ("--kappa", args.kappa),
-                                 ("--interval", args.interval)) if v]
-    full_flags = [f for f, v in (("--lambda", args.lam), ("--xi", args.xi)) if v]
+                                 ("--interval", args.interval)) if v is not None]
+    full_flags = [f for f, v in (("--lambda", args.lam), ("--xi", args.xi)) if v is not None]
     if word_flags and full_flags:
         raise InputError("%s with %s: %s, not both"
                          % ("/".join(word_flags), "/".join(full_flags), _MODES))
     if len(full_flags) == 1:
-        raise InputError("%s without %s: %s"
-                         % (full_flags[0], "--xi" if args.lam else "--lambda", _MODES))
+        other = "--xi" if args.lam is not None else "--lambda"
+        raise InputError("%s without %s: %s" % (full_flags[0], other, _MODES))
     if not (word_flags or full_flags):
         raise InputError("no input: %s" % _MODES)
     if word_flags:
@@ -254,7 +232,7 @@ def cmd_oracle(args) -> int:
         compute = lambda: omod.oracle_decomposition(mode="pair", word=word, gammas=gammas)
     else:
         lam = _lam_from_args(args)
-        xi = normalize_xi(args.n, _parse_xi(args.xi, args.n))
+        xi = _parse_xi(args.xi, args.n)
         gammas = _gamma_from_args(args, lam)
         fields = _job_fields(args, lam, gammas, xi=xi)
         compute = lambda: omod.oracle_decomposition(lam=lam, mode="full", xi=xi,
@@ -278,7 +256,7 @@ def cmd_crosscheck(args) -> int:
 
 def cmd_hl_info(args) -> int:
     word = _word_from_args(args)
-    kappa, J = pi_to_height_interval(word) if args.pi else _height_from_args(args)
+    kappa, J = pi_to_height_interval(word) if args.pi is not None else _height_from_args(args)
     sinks, sources = marked_vertices(kappa, J)
     lam = weight_of(word)
     print("kappa: %s" % (list(kappa),))

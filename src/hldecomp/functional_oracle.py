@@ -70,8 +70,7 @@ from math import factorial, isqrt, lcm
 
 from .hl_category import consecutive_pairs, is_normalized, weight_of
 from .polytope_count import QPolynomial
-from .root_system import (check_gamma, e_gamma, gamma_domain, gamma_height,
-                          is_dominant)
+from .root_system import check_gamma, e_gamma, gamma_domain, gamma_height
 
 
 def conditions(lam, gamma, depths):
@@ -509,11 +508,11 @@ def oracle_decomposition(lam=None, mode: str = "full", xi=None, word=None,
     """Full graded decomposition through the dual realization.
 
     Pair mode takes a word (lam and the interval data are derived from
-    it); full mode takes a dominant lam and a normalized xi tuple with
-    nonnegative pole depths.  Inputs of the other mode are refused with
-    ValueError, since the result would name them though they played no
-    part.  Returns a GradedDecomposition over the dominant gammas (or
-    the given ones).
+    it); full mode takes a dominant lam and a normalized xi tuple, checked
+    by `gamma_domain` and `normalize_xi`.  Inputs of the other mode are
+    refused with ValueError, since the result would name them though
+    they played no part.  Returns a GradedDecomposition over the
+    dominant gammas (or the given ones).
     """
     from .decomposition import GradedDecomposition
 
@@ -529,12 +528,7 @@ def oracle_decomposition(lam=None, mode: str = "full", xi=None, word=None,
             raise ValueError("full mode needs lam and xi")
         if word is not None:
             raise ValueError("full mode takes lam and xi, not a word")
-        negative = sorted(root for root, depth in dict(xi).items() if depth < 0)
-        if negative:
-            raise ValueError("xi has negative pole depth at %r" % (negative,))
         lam = tuple(lam)
-        if not is_dominant(lam):
-            raise ValueError("need a dominant weight, got %r" % (lam,))
         if not is_normalized(len(lam), xi):
             raise ValueError("xi tuple is not normalized")
         depths = xi

@@ -218,13 +218,24 @@ def xi_from_weight(lam) -> dict[tuple[int, int], int]:
 def normalize_xi(n: int, xi) -> dict[tuple[int, int], int]:
     """Lower each xi_alpha to the minimum over roots containing alpha.
 
-    The result satisfies xi_beta <= xi_alpha whenever the interval of
-    beta contains the interval of alpha, and the map is idempotent.
+    xi must give a nonnegative pole depth on every positive root of rank
+    n and on nothing else; ValueError names the roots that are missing,
+    out of range or negative.  The result satisfies xi_beta <= xi_alpha
+    whenever the interval of beta contains the interval of alpha, and
+    the map is idempotent.
     """
     roots = positive_roots(n)
     missing = [r for r in roots if r not in xi]
     if missing:
-        raise ValueError("xi missing roots %r" % (missing,))
+        raise ValueError("missing roots %s" % ", ".join("%d-%d" % r for r in missing))
+    extra = sorted(set(xi).difference(roots))
+    if extra:
+        raise ValueError("roots %s out of range for rank %d"
+                         % (", ".join("%d-%d" % r for r in extra), n))
+    negative = [r for r in roots if xi[r] < 0]
+    if negative:
+        raise ValueError("pole depths must be nonnegative, got %s"
+                         % ", ".join("%d-%d:%d" % (i, j, xi[i, j]) for i, j in negative))
     out = {}
     for (i, j) in roots:
         out[(i, j)] = min(xi[(a, b)] for (a, b) in roots if a <= i and j <= b)

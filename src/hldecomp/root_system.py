@@ -36,6 +36,17 @@ def is_dominant(weight) -> bool:
     return all(c >= 0 for c in weight)
 
 
+def check_weight(n: int, lam) -> tuple[int, ...]:
+    """lam as a tuple, checked to be a dominant weight of rank n."""
+    check_rank(n)
+    lam = tuple(lam)
+    if len(lam) != n:
+        raise ValueError("weight has rank %d, expected %d" % (len(lam), n))
+    if not is_dominant(lam):
+        raise ValueError("weight must be dominant, got %r" % (lam,))
+    return lam
+
+
 def check_gamma(lam, gamma) -> tuple[int, ...]:
     """gamma as a tuple, checked to be a nonnegative root lattice
     element of the same rank as lam."""
@@ -100,10 +111,8 @@ def enumerate_dominant_gammas(lam) -> list[tuple[int, ...]]:
     node and prunes with the dominance condition at node i as soon as
     gamma_{i+1} is fixed, so large ranks with small lam stay cheap.
     """
-    lam = tuple(lam)
-    n = check_rank(len(lam))
-    if not is_dominant(lam):
-        raise ValueError("need a dominant weight, got %r" % (lam,))
+    lam = check_weight(len(lam), lam)
+    n = len(lam)
     bounds = dominant_gamma_bounds(lam)
     found = []
     prefix = []
@@ -132,7 +141,9 @@ def enumerate_dominant_gammas(lam) -> list[tuple[int, ...]]:
 def gamma_domain(lam, gammas=None) -> list[tuple[int, ...]]:
     """The gammas a decomposition of lam covers: every gamma with lam -
     gamma dominant when gammas is None, else the given ones, all checked
-    (`check_gamma`, and lam - gamma dominant) before any is computed."""
+    (`check_gamma`, and lam - gamma dominant) before any is computed.
+    lam is checked by `check_weight` either way."""
+    lam = check_weight(len(lam), lam)
     if gammas is None:
         return enumerate_dominant_gammas(lam)
     domain = [check_gamma(lam, gamma) for gamma in gammas]
@@ -147,12 +158,7 @@ def weyl_dim(n: int, mu) -> int:
 
     Product over positive roots (i, j) of (mu_{i..j} + j - i + 1) / (j - i + 1).
     """
-    check_rank(n)
-    mu = tuple(mu)
-    if len(mu) != n:
-        raise ValueError("weight has rank %d, expected %d" % (len(mu), n))
-    if not is_dominant(mu):
-        raise ValueError("dimension needs a dominant weight, got %r" % (mu,))
+    mu = check_weight(n, mu)
     num = 1
     den = 1
     for i in range(1, n + 1):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .root_system import check_rank, is_dominant
+from .root_system import check_weight, is_dominant
 
 
 @lru_cache(maxsize=None)
@@ -50,10 +50,7 @@ def weight_multiplicities(n: int, mu) -> dict[tuple[int, ...], int]:
     Keys are weights in the fundamental weight basis, values the
     multiplicities; together they enumerate a basis of V(mu).
     """
-    check_rank(n)
-    mu = tuple(mu)
-    if len(mu) != n or not is_dominant(mu):
-        raise ValueError("need a dominant weight of rank %d, got %r" % (n, mu))
+    mu = check_weight(n, mu)
     top = tuple(sum(mu[j:]) for j in range(n)) + (0,)
     out = {}
     for w, c in _eps_weights(top):

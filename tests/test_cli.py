@@ -78,16 +78,48 @@ def test_decompose_bad_input(capsys):
     code, _, err = run(capsys, "decompose", "--n", "3", "--pi", "1:0",
                        "--kappa", "0,1,2", "--interval", "1:1")
     assert code == 2
-    # gamma of the wrong rank, negative, or landing outside the cone
-    code, _, _ = run(capsys, "decompose", "--n", "2", "--pi", "1:0,2:3",
-                     "--gamma", "1,1,1")
-    assert code == 2
-    code, _, _ = run(capsys, "decompose", "--n", "2", "--pi", "1:0,2:3",
-                     "--gamma=-1,0")
-    assert code == 2
+    # gamma of the wrong rank, negative, or landing outside the cone: the
+    # messages are gamma_domain's, prefixed with the flag
+    code, _, err = run(capsys, "decompose", "--n", "2", "--pi", "1:0,2:3",
+                       "--gamma", "1,1,1")
+    assert code == 2 and err.startswith("error: --gamma: gamma has rank 3, expected 2")
+    code, _, err = run(capsys, "decompose", "--n", "2", "--pi", "1:0,2:3",
+                       "--gamma=-1,0")
+    assert code == 2 and err.startswith("error: --gamma: ") and "(-1, 0)" in err
     code, _, err = run(capsys, "decompose", "--n", "2", "--pi", "1:0,2:3",
                        "--gamma", "5,0")
-    assert code == 2 and "not dominant" in err
+    assert code == 2 and err.startswith("error: --gamma: ")
+    assert "not dominant" in err and "(5, 0)" in err
+    # an empty value is a parse error, not a request for every gamma
+    code, out, err = run(capsys, "decompose", "--n", "2", "--pi", "1:0,2:3", "--gamma=")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --gamma: ") and "got ''" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["decompose", "--n", "2", "--pi="], "--pi"),
+    (["decompose", "--n", "3", "--kappa=", "--interval", "1:3"], "--kappa"),
+    (["hl-info", "--n", "3", "--kappa", "0,1,2", "--interval="], "--interval"),
+    (["oracle", "--n", "2", "--lambda=", "--xi", "1"], "--lambda"),
+    (["character", "--n", "2", "--lambda="], "--lambda"),
+])
+def test_empty_flag_value_is_bad_input(capsys, argv, flag):
+    # a flag given with an empty value is present, and its value is bad
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s: " % flag) and "got ''" in err
+
+
+def test_errors_while_computing_are_not_bad_input(capsys, monkeypatch):
+    # only the resolution of the inputs turns a ValueError into exit code
+    # 2; one raised by the computation itself stays a traceback
+    def broken(*args, **kwargs):
+        raise ValueError("broken computation")
+
+    monkeypatch.setattr(cli.dmod, "graded_decomposition", broken)
+    with pytest.raises(ValueError, match="broken computation"):
+        main(["decompose", "--n", "2", "--pi", "1:0,2:3"])
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_missing_required_flag_exits_via_argparse(capsys):
@@ -144,12 +176,13 @@ def test_oracle_full_mode_requires_xi_and_lambda(capsys):
     code, _, err = run(capsys, "oracle", "--n", "2",
                        "--xi", "2")
     assert code == 2 and "--lambda" in err
-    code, _, _ = run(capsys, "oracle", "--n", "2",
-                     "--lambda", "7,-5", "--xi", "2")
+    code, _, err = run(capsys, "oracle", "--n", "2",
+                       "--lambda", "7,-5", "--xi", "2")
     assert code == 2
+    assert err.startswith("error: --lambda: weight must be dominant") and "(7, -5)" in err
     code, _, err = run(capsys, "oracle", "--n", "2",
                        "--lambda", "7,5", "--xi", "1-1:1")
-    assert code == 2 and "missing roots" in err
+    assert code == 2 and err.startswith("error: --xi: missing roots 1-2, 2-2")
 
 
 def test_oracle_pair_mode_matches_decompose(capsys):
@@ -194,6 +227,9 @@ def test_oracle_has_no_mode_flag(capsys):
     ("-1", "pole depths must be nonnegative, got 1-1:-1"),
     ("1-1:1,1-2:-2,2-2:1", "pole depths must be nonnegative, got 1-2:-2"),
     ("1-1:1,1-2:1,2-2:1,1-1:5", "root 1-1 given twice"),
+    ("1-1:1,1-2:1,2-2:1,3-3:1", "roots 3-3 out of range for rank 2"),
+    ("1-1:1,2-2:1", "missing roots 1-2"),
+    ("", "expected i-j:v entries or a single constant, got ''"),
     ("1-1:1,1x2:1,2-2:1", "expected i-j:v entries"),
     ("1-1:1,1-2,2-2:1", "expected i-j:v entries"),
 ])
@@ -262,12 +298,13 @@ def test_character_json(capsys):
 
 
 def test_character_bad_weight(capsys):
-    code, _, _ = run(capsys, "character", "--n", "2", "--lambda", "1,-1")
-    assert code == 2
-    code, _, _ = run(capsys, "character", "--n", "2", "--lambda", "1,1,1")
-    assert code == 2
-    code, _, _ = run(capsys, "character", "--n", "2")
-    assert code == 2
+    code, _, err = run(capsys, "character", "--n", "2", "--lambda", "1,-1")
+    assert code == 2 and err.startswith("error: --lambda: weight must be dominant")
+    assert "(1, -1)" in err
+    code, _, err = run(capsys, "character", "--n", "2", "--lambda", "1,1,1")
+    assert code == 2 and err.startswith("error: --lambda: weight has rank 3, expected 2")
+    code, _, err = run(capsys, "character", "--n", "2")
+    assert code == 2 and "--lambda" in err
 
 
 # -------------------------------------------------------------------- cache

@@ -1,10 +1,12 @@
 """Tests for height functions, words and their translations."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hldecomp.functional_oracle import oracle_decomposition
 from hldecomp.hl_category import (
     DrinfeldWord,
     FlatEdgeInJ,
@@ -171,3 +173,20 @@ def test_normalize_xi():
     assert not is_normalized(2, xi)
     with pytest.raises(ValueError):
         normalize_xi(2, {(1, 1): 1})
+
+
+@pytest.mark.parametrize("xi, message", [
+    ({(1, 1): 1}, "missing roots 1-2, 2-2"),
+    ({(1, 1): 1, (1, 2): 1, (2, 2): 1, (3, 3): 1, (2, 1): 0},
+     "roots 2-1, 3-3 out of range for rank 2"),
+    ({(1, 1): 1, (1, 2): -2, (2, 2): -1},
+     "pole depths must be nonnegative, got 1-2:-2, 2-2:-1"),
+])
+def test_normalize_xi_names_each_bad_root(xi, message):
+    # is_normalized and full-mode oracle_decomposition take the same message
+    with pytest.raises(ValueError, match=re.escape(message)):
+        normalize_xi(2, xi)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        is_normalized(2, xi)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        oracle_decomposition(lam=(2, 2), mode="full", xi=xi)

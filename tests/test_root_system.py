@@ -1,17 +1,21 @@
 """Tests for the type A root and weight helpers."""
 
 import itertools
+import re
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hldecomp.functional_oracle import oracle_decomposition
 from hldecomp.root_system import (
     check_rank,
+    check_weight,
     dominant_gamma_bounds,
     e_gamma,
     enumerate_dominant_gammas,
     fundamental_weight,
+    gamma_domain,
     gamma_height,
     is_dominant,
     pairing,
@@ -19,6 +23,7 @@ from hldecomp.root_system import (
     weight_minus_gamma,
     weyl_dim,
 )
+from hldecomp.weyl_characters import weight_multiplicities
 
 
 def test_check_rank():
@@ -81,6 +86,43 @@ def test_weyl_dim_rejects_non_dominant():
         weyl_dim(2, (1, -1))
     with pytest.raises(ValueError):
         weyl_dim(2, (1,))
+
+
+def _full_oracle(n, lam):
+    # xi = 1 on every root of lam's rank, so only the weight can be at fault
+    xi = dict.fromkeys(positive_roots(len(lam)), 1) if lam else {}
+    return oracle_decomposition(lam=lam, mode="full", xi=xi)
+
+
+_WEIGHT_RULES = {
+    "check_weight": check_weight,
+    "weyl_dim": weyl_dim,
+    "weight_multiplicities": weight_multiplicities,
+    "enumerate_dominant_gammas": lambda n, lam: enumerate_dominant_gammas(lam),
+    # a given gamma whose own check passes, so only the weight can be at fault
+    "gamma_domain": lambda n, lam: gamma_domain(lam, [(0,) * len(lam)]),
+    "oracle_decomposition": _full_oracle,
+}
+_BAD_WEIGHTS = [
+    (2, (7, -5), "weight must be dominant, got (7, -5)"),
+    (0, (), "rank must be a positive integer, got 0"),
+    (2, (1, 1, 1), "weight has rank 3, expected 2"),
+]
+
+
+@pytest.mark.parametrize("name, n, lam, message", [
+    pytest.param(name, n, lam, message, id="%s-%r" % (name, lam))
+    for n, lam, message in _BAD_WEIGHTS for name in _WEIGHT_RULES
+    # the others read the rank off lam, so no rank can disagree with it
+    if len(lam) == n or name in ("check_weight", "weyl_dim", "weight_multiplicities")
+])
+def test_each_bad_weight_gets_the_message_of_check_weight(name, n, lam, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _WEIGHT_RULES[name](n, lam)
+
+
+def test_check_weight_returns_a_tuple():
+    assert check_weight(3, [1, 0, 2]) == (1, 0, 2)
 
 
 def test_weight_minus_simple_roots():

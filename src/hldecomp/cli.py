@@ -5,8 +5,8 @@ pair mode from a word, full mode from --lambda with --xi), crosscheck
 (both, compared), hl-info (height function and word diagnostics),
 character (weight multiplicities).  Exit codes: 0 on success, 1 on an
 internal inconsistency such as a crosscheck mismatch, 2 on bad input.
-Results of decompose and oracle jobs can be cached as JSON files; the
-HLDECOMP_CACHE environment variable overrides --cache.
+Results of decompose and oracle jobs can be cached as JSON files; a
+nonempty HLDECOMP_CACHE environment variable overrides --cache.
 """
 
 from __future__ import annotations
@@ -123,6 +123,9 @@ def _lam_from_args(args):
 
 
 def _cache_dir(args):
+    if args.cache == "":
+        raise InputError("--cache: expected a directory, got ''")
+    # an empty HLDECOMP_CACHE counts as unset, as is usual for the environment
     return os.environ.get("HLDECOMP_CACHE") or args.cache
 
 

@@ -19,17 +19,22 @@ Every capacity at node i reads only (lam_i, mu_{i-1}, mu_i, mu_{i+1}),
 so the pruned search is a walk over node-local states.  The successor
 table _nexts(lam_i, mu_{i-1}, mu_i, gamma_{i+1}), cached for the life of
 the process, lists the choices of mu_{i+1} that keep every capacity at
-node i nonnegative.  Within one search, a dead-end memo keyed
-(i, mu_{i-1}, mu_i) keeps the successors that have a pruned completion,
-so no prefix without one is entered.  The polytope groups and K are
-lists and sums of node terms over the same four inputs, read from the
-one process-wide table node_terms.  Both tables are keyed by every
-input they read, so their entries never go stale across weights.
+node i nonnegative.  P_s >= 0 is a lower bound on mu_{i+1}(s) read off
+mu_{i-1} and mu_i alone, so each entry computes one threshold vector
+and compares every candidate's column counts with it.  Within one
+search, a dead-end memo keyed (i, mu_{i-1}, mu_i) keeps the successors
+that have a pruned completion, so no prefix without one is entered;
+`root_system.enumerate_dominant_gammas` walks the gammas the same way.
+The polytope groups and K are lists and sums of node terms over the
+same four inputs, read from the one process-wide table node_terms.
+Both tables are keyed by every input they read, so their entries
+never go stale across weights.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import ge
 
 from .root_system import check_gamma
 
@@ -129,12 +134,25 @@ def _nexts(lam_i: int, mu_prev, mu, g_next: int) -> tuple[tuple[int, ...], ...]:
     """The partitions of g_next, in partitions_of order, that as mu_next
     keep every capacity at the node of mu nonnegative.
 
-    This is the only place where the sign of a capacity decides a
-    result.  With g_next = 0 it is ((),) or (): whether the last node
-    passes.
+    P_s >= 0 asks mu_next(s) >= need_s = 2 mu(s) - lam_i - mu_prev(s).
+    So each call computes the threshold vector need_1, ..., need_t (t
+    the largest part of mu) once and keeps the candidates whose column
+    counts reach it at every s.  Every candidate has mu_next(s) = g_next
+    for s >= g_next, so the thresholds past g_next pass or fail all
+    candidates at once.  This is the only place where the sign of a
+    capacity decides a result; `capacities` lists the same numbers for
+    node_terms.  With g_next = 0 it is ((),) or (): whether the last
+    node passes.
     """
-    return tuple(nxt for nxt in partitions_of(g_next)
-                 if min(capacities(lam_i, mu_prev, mu, nxt), default=0) >= 0)
+    own = col_counts(mu)
+    left = col_counts(mu_prev)
+    nl = len(left) - 1
+    # need[s] lines up with col_counts(mu_next)[s]; need[0] = 0 with c[0]
+    need = [0] + [2 * own[s] - lam_i - left[s if s < nl else nl]
+                  for s in range(1, mu[0] + 1 if mu else 1)]
+    if max(need[g_next + 1:], default=0) > g_next:
+        return ()
+    return tuple(nxt for nxt in partitions_of(g_next) if all(map(ge, col_counts(nxt), need)))
 
 
 def enumerate_multipartitions(gamma, lam):

@@ -107,33 +107,46 @@ def dominant_gamma_bounds(lam) -> tuple[int, ...]:
 def enumerate_dominant_gammas(lam) -> list[tuple[int, ...]]:
     """All gamma in the positive root lattice with lam - gamma dominant.
 
-    Sorted by height, then lexicographically.  The search runs node by
-    node and prunes with the dominance condition at node i as soon as
-    gamma_{i+1} is fixed, so large ranks with small lam stay cheap.
+    Sorted by height, then lexicographically.  The dominance condition
+    at node i reads only gamma_{i-1}, gamma_i and gamma_{i+1}: it asks
+    gamma_{i+1} >= 2 gamma_i - gamma_{i-1} - lam_i.  So the search runs
+    over the states (i, gamma_{i-1}, gamma_i), scans gamma_{i+1} from
+    that floor (at least 0) up to its `dominant_gamma_bounds` entry, and
+    a dict local to the call keeps, per state, the values of gamma_{i+1}
+    that have a dominant completion.  The search enters only states that
+    have one, so its work grows with the number of states and the
+    output, not with the box of bounds.
     """
     lam = check_weight(len(lam), lam)
     n = len(lam)
-    bounds = dominant_gamma_bounds(lam)
+    bounds = dominant_gamma_bounds(lam) + (0,)  # gamma_{n+1} = 0
+    live = {}  # (i, gamma_{i-1}, gamma_i) -> gamma_{i+1} with a completion
+
+    def live_nexts(i, prev, cur):
+        key = (i, prev, cur)
+        out = live.get(key)
+        if out is None:
+            succ = range(max(0, 2 * cur - prev - lam[i - 1]), bounds[i] + 1)
+            if i < n:
+                succ = [nxt for nxt in succ if live_nexts(i + 1, cur, nxt)]
+            out = live[key] = tuple(succ)
+        return out
+
     found = []
     prefix = []
 
-    def extend(i):
-        for c in range(bounds[i - 1] + 1):
-            prefix.append(c)
-            ok = True
-            if i >= 2:
-                left = prefix[i - 3] if i >= 3 else 0
-                ok = lam[i - 2] - 2 * prefix[i - 2] + left + c >= 0
-            if ok:
-                if i == n:
-                    left = prefix[n - 2] if n >= 2 else 0
-                    if lam[n - 1] - 2 * c + left >= 0:
-                        found.append(tuple(prefix))
-                else:
-                    extend(i + 1)
-            prefix.pop()
+    def extend(i, prev, cur):
+        prefix.append(cur)
+        if i == n:
+            found.append(tuple(prefix))
+        else:
+            for nxt in live[i, prev, cur]:
+                extend(i + 1, cur, nxt)
+        prefix.pop()
 
-    extend(1)
+    for first in range(bounds[0] + 1):
+        if live_nexts(1, 0, first):
+            extend(1, 0, first)
     found.sort(key=lambda g: (sum(g), g))
     return found
 

@@ -102,6 +102,8 @@ def test_decompose_bad_input(capsys):
     (["hl-info", "--n", "3", "--kappa", "0,1,2", "--interval="], "--interval"),
     (["oracle", "--n", "2", "--lambda=", "--xi", "1"], "--lambda"),
     (["character", "--n", "2", "--lambda="], "--lambda"),
+    (["decompose", "--n", "2", "--pi", "1:0,2:3", "--cache="], "--cache"),
+    (["oracle", "--n", "2", "--lambda", "2,2", "--xi", "1", "--cache="], "--cache"),
 ])
 def test_empty_flag_value_is_bad_input(capsys, argv, flag):
     # a flag given with an empty value is present, and its value is bad
@@ -476,6 +478,21 @@ def test_cache_env_overrides_flag(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert len(os.listdir(env_dir)) == 1
     assert not flag_dir.exists()
+
+
+def test_empty_cache_env_is_unset(tmp_path, capsys, monkeypatch):
+    # an empty HLDECOMP_CACHE neither overrides --cache nor is an error
+    flag_dir = tmp_path / "flag_cache"
+    monkeypatch.setenv("HLDECOMP_CACHE", "")
+    code, _, err = run(capsys, "decompose", "--n", "2", "--pi", "1:0,2:3",
+                       "--cache", str(flag_dir))
+    assert code == 0 and err == ""
+    assert len(os.listdir(flag_dir)) == 1
+    # ... but --cache= stays bad input whatever the environment says
+    monkeypatch.setenv("HLDECOMP_CACHE", str(tmp_path / "env_cache"))
+    code, out, err = run(capsys, "decompose", "--n", "2", "--pi", "1:0,2:3", "--cache=")
+    assert code == 2 and out == "" and err.startswith("error: --cache: ")
+    assert not (tmp_path / "env_cache").exists()
 
 
 # ------------------------------------------------------------------- README

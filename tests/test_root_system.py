@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hldecomp.functional_oracle import oracle_decomposition
+from hldecomp.hl_category import weight_of
 from hldecomp.root_system import (
     check_rank,
     check_weight,
@@ -24,6 +25,8 @@ from hldecomp.root_system import (
     weyl_dim,
 )
 from hldecomp.weyl_characters import weight_multiplicities
+
+from conftest import word_grid
 
 
 def test_check_rank():
@@ -163,8 +166,19 @@ def _dominant_gammas_by_box(lam, slack=0):
 
 
 def test_enumerate_dominant_gammas_matches_box_search():
-    for lam in [(2,), (1, 1), (2, 2), (1, 0, 1), (2, 1, 2), (1, 1, 1, 1)]:
-        assert enumerate_dominant_gammas(lam) == _dominant_gammas_by_box(lam)
+    # every lam in {0,1,2}^n for n <= 4, and the weights of the words of
+    # rank <= 6 with <= 3 factors, against the full box of bounds
+    weights = [lam for n in range(1, 5) for lam in itertools.product(range(3), repeat=n)]
+    weights += sorted({weight_of(word) for word in word_grid(6, 3)})
+    for lam in weights:
+        assert enumerate_dominant_gammas(lam) == _dominant_gammas_by_box(lam), lam
+    # the rank 12 benchmark weight is too big for the box; check the
+    # list's own properties instead
+    lam = (1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1)
+    gammas = enumerate_dominant_gammas(lam)
+    assert len(gammas) == len(set(gammas)) == 634
+    assert all(is_dominant(weight_minus_gamma(lam, gamma)) for gamma in gammas)
+    assert gammas == sorted(gammas, key=lambda g: (sum(g), g))
 
 
 def test_dominant_gamma_bounds_dominate():

@@ -56,11 +56,7 @@ def graded_decomposition(word: DrinfeldWord, gammas=None) -> GradedDecomposition
     computed by lattice point counting."""
     lam = weight_of(word)
     domain = gamma_domain(lam, gammas)
-    entries = {}
-    for gamma in domain:
-        poly = multiplicity(word, gamma)
-        if poly:
-            entries[tuple(gamma)] = poly
+    entries = {gamma: multiplicity(word, gamma) for gamma in domain}
     return GradedDecomposition(word.n, lam, entries, domain, word=word)
 
 

@@ -535,10 +535,6 @@ def oracle_decomposition(lam=None, mode: str = "full", xi=None, word=None,
     else:
         raise ValueError("unknown mode %r" % (mode,))
     domain = gamma_domain(lam, gammas)
-    entries = {}
-    for gamma in domain:
-        poly = oracle_multiplicity(lam, gamma, depths)
-        if poly:
-            entries[tuple(gamma)] = poly
+    entries = {gamma: oracle_multiplicity(lam, gamma, depths) for gamma in domain}
     return GradedDecomposition(len(lam), lam, entries, domain, word=word,
                                xi=dict(xi) if xi else None)

@@ -16,15 +16,17 @@ part t of mu: past t, mu(s) stays put while the neighbours' counts can
 only grow, so no smaller capacity and no row lies beyond it.
 
 Every capacity at node i reads only (lam_i, mu_{i-1}, mu_i, mu_{i+1}),
-so the pruned search is a walk over node-local states.  The successor
-table _nexts(lam_i, mu_{i-1}, mu_i, gamma_{i+1}), cached for the life of
-the process, lists the choices of mu_{i+1} that keep every capacity at
-node i nonnegative.  P_s >= 0 is a lower bound on mu_{i+1}(s) read off
-mu_{i-1} and mu_i alone, so each entry computes one threshold vector
-and compares every candidate's column counts with it.  Within one
-search, a dead-end memo keyed (i, mu_{i-1}, mu_i) keeps the successors
-that have a pruned completion, so no prefix without one is entered;
-`root_system.enumerate_dominant_gammas` walks the gammas the same way.
+so the pruned search is a walk over node-local states: a call to
+`root_system.live_paths`, the walk that also lists the dominant gammas.
+The successor table _nexts(lam_i, mu_{i-1}, mu_i, gamma_{i+1}), cached
+for the life of the process, lists the choices of mu_{i+1} that keep
+every capacity at node i nonnegative.  P_s >= 0 is a lower bound
+need_s on mu_{i+1}(s) read off mu_{i-1} and mu_i alone (`_needs`), so
+each entry computes one threshold vector and compares every
+candidate's column counts with it; `capacities` subtracts the same
+vector from mu_{i+1}'s counts.  Within one search, the walk's dead-end
+memo keeps the successors of each state that have a pruned
+completion, so no prefix without one is entered.
 The polytope groups and K are lists and sums of node terms over the
 same four inputs, read from the one process-wide table node_terms.
 Both tables are keyed by every input they read, so their entries
@@ -36,7 +38,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import ge
 
-from .root_system import check_gamma
+from .root_system import check_gamma, live_paths
 
 
 @lru_cache(maxsize=None)
@@ -70,21 +72,32 @@ def partitions_of(m: int) -> tuple[tuple[int, ...], ...]:
     return _partitions_bounded(m, m)
 
 
+def _needs(lam_i: int, mu_prev, mu) -> list[int]:
+    """Thresholds [need_0, need_1, ..., need_t] at the node of mu, t its
+    largest part: P_s >= 0 asks mu_next(s) >= need_s = 2 mu(s) - lam_i -
+    mu_prev(s), and need_0 = 0 lines up with c[0] of a column-count
+    vector.  Pass () for a missing neighbour.
+    """
+    own = col_counts(mu)
+    left = col_counts(mu_prev)
+    nl = len(left) - 1
+    return [0] + [2 * own[s] - lam_i - left[s if s < nl else nl]
+                  for s in range(1, mu[0] + 1 if mu else 1)]
+
+
 def capacities(lam_i: int, mu_prev, mu, mu_next) -> list[int]:
     """Capacities [P_1, ..., P_t] at one node, t the largest part of mu.
 
     P_s = lam_i - 2 mu(s) + mu_prev(s) + mu_next(s), where mu(s) counts
-    the boxes in the first s columns; pass () for a missing neighbour.
-    P_s >= P_t for every s > t (see the module docstring).  The
-    partitions must be tuples.
+    the boxes in the first s columns: mu_next(s) less the threshold
+    need_s of `_needs`.  Pass () for a missing neighbour.  P_s >= P_t
+    for every s > t (see the module docstring).  The partitions must be
+    tuples.
     """
-    own = col_counts(mu)
-    left = col_counts(mu_prev)
+    need = _needs(lam_i, mu_prev, mu)
     right = col_counts(mu_next)
-    nl = len(left) - 1
     nr = len(right) - 1
-    return [lam_i - 2 * own[s] + left[s if s < nl else nl] + right[s if s < nr else nr]
-            for s in range(1, mu[0] + 1 if mu else 1)]
+    return [right[s if s < nr else nr] - need[s] for s in range(1, len(need))]
 
 
 def row_counts(mu) -> list[int]:
@@ -134,22 +147,16 @@ def _nexts(lam_i: int, mu_prev, mu, g_next: int) -> tuple[tuple[int, ...], ...]:
     """The partitions of g_next, in partitions_of order, that as mu_next
     keep every capacity at the node of mu nonnegative.
 
-    P_s >= 0 asks mu_next(s) >= need_s = 2 mu(s) - lam_i - mu_prev(s).
-    So each call computes the threshold vector need_1, ..., need_t (t
-    the largest part of mu) once and keeps the candidates whose column
-    counts reach it at every s.  Every candidate has mu_next(s) = g_next
-    for s >= g_next, so the thresholds past g_next pass or fail all
+    P_s >= 0 asks mu_next(s) >= need_s, so each call reads the threshold
+    vector of `_needs` once and keeps the candidates whose column counts
+    reach it at every s.  Every candidate has mu_next(s) = g_next for
+    s >= g_next, so the thresholds past g_next pass or fail all
     candidates at once.  This is the only place where the sign of a
-    capacity decides a result; `capacities` lists the same numbers for
-    node_terms.  With g_next = 0 it is ((),) or (): whether the last
+    capacity decides a result; `capacities` reads the same thresholds
+    for node_terms.  With g_next = 0 it is ((),) or (): whether the last
     node passes.
     """
-    own = col_counts(mu)
-    left = col_counts(mu_prev)
-    nl = len(left) - 1
-    # need[s] lines up with col_counts(mu_next)[s]; need[0] = 0 with c[0]
-    need = [0] + [2 * own[s] - lam_i - left[s if s < nl else nl]
-                  for s in range(1, mu[0] + 1 if mu else 1)]
+    need = _needs(lam_i, mu_prev, mu)
     if max(need[g_next + 1:], default=0) > g_next:
         return ()
     return tuple(nxt for nxt in partitions_of(g_next) if all(map(ge, col_counts(nxt), need)))
@@ -160,44 +167,14 @@ def enumerate_multipartitions(gamma, lam):
     P_{s,i}, 1 <= s <= gamma_i, are all nonnegative.
 
     They come in lexicographic partitions_of order.  The capacities at
-    node i involve only mu_{i-1}, mu_i, mu_{i+1}, so the search runs over
-    the states (i, mu_{i-1}, mu_i): the successors of a state are
-    _nexts(lam_i, mu_{i-1}, mu_i, gamma_{i+1}), and a dict local to the
-    call keeps, per state, the successors that have a pruned completion.
-    The search enters only states that have one, so its work grows with
-    the number of states and the output, not with the candidates.
+    node i involve only mu_{i-1}, mu_i, mu_{i+1}, so `live_paths` walks
+    them with successors _nexts(lam_i, mu_{i-1}, mu_i, gamma_{i+1}),
+    where gamma_{n+1} = 0 makes the last node a check.
     """
     lam = tuple(lam)
     gamma = check_gamma(lam, gamma)
-    n = len(lam)
-    if not n:
+    if not lam:
         return []
     g_next = gamma[1:] + (0,)
-    live = {}  # (i, mu_prev, mu) -> successors with a pruned completion
-
-    def live_nexts(i, prev, mu):
-        key = (i, prev, mu)
-        out = live.get(key)
-        if out is None:
-            succ = _nexts(lam[i], prev, mu, g_next[i])
-            if i < n - 1:
-                succ = tuple(nxt for nxt in succ if live_nexts(i + 1, mu, nxt))
-            out = live[key] = succ
-        return out
-
-    found = []
-    cur = []
-
-    def extend(i, prev, mu):
-        cur.append(mu)
-        if i == n - 1:
-            found.append(tuple(cur))
-        else:
-            for nxt in live[i, prev, mu]:
-                extend(i + 1, mu, nxt)
-        cur.pop()
-
-    for mu in partitions_of(gamma[0]):
-        if live_nexts(0, (), mu):
-            extend(0, (), mu)
-    return found
+    return live_paths(len(lam), (), partitions_of(gamma[0]),
+                      lambda i, prev, mu: _nexts(lam[i - 1], prev, mu, g_next[i - 1]))

@@ -34,6 +34,8 @@ class QPolynomial:
     """Polynomial in q with nonnegative integer coefficients.
 
     Stored sparsely as {grade: coefficient}; zeros are never kept.
+    Grades and coefficients must be ints (bools are refused), so a
+    fractional or boolean value is an error, never truncated.
     """
 
     __slots__ = ("coeffs",)
@@ -41,8 +43,8 @@ class QPolynomial:
     def __init__(self, coeffs=None):
         data = {}
         for p, c in (coeffs or {}).items():
-            p = int(p)
-            c = int(c)
+            if type(p) is not int or type(c) is not int:
+                raise TypeError("grade %r and coefficient %r must be integers" % (p, c))
             if p < 0:
                 raise ValueError("negative grade %d" % p)
             if c < 0:

@@ -4,6 +4,11 @@ Weights are tuples of length n in the fundamental weight basis, root
 lattice elements are tuples of length n in the simple root basis.
 Positive roots are encoded as intervals (i, j) with 1 <= i <= j <= n,
 meaning alpha_i + alpha_{i+1} + ... + alpha_j.
+
+`live_paths` is the one memoised walk over node-local states (i,
+x_{i-1}, x_i) in the package: `enumerate_dominant_gammas` lists the
+gammas with lam - gamma dominant through it, and
+`multipartition.enumerate_multipartitions` the pruned multipartitions.
 """
 
 from __future__ import annotations
@@ -58,13 +63,6 @@ def check_gamma(lam, gamma) -> tuple[int, ...]:
     return gamma
 
 
-def fundamental_weight(n: int, i: int) -> tuple[int, ...]:
-    check_rank(n)
-    if not 1 <= i <= n:
-        raise ValueError("node %d out of range for rank %d" % (i, n))
-    return tuple(1 if k == i else 0 for k in range(1, n + 1))
-
-
 def weight_minus_gamma(lam, gamma) -> tuple[int, ...]:
     """Coordinates of lam - gamma in the fundamental weight basis.
 
@@ -104,49 +102,66 @@ def dominant_gamma_bounds(lam) -> tuple[int, ...]:
     return tuple(out)
 
 
-def enumerate_dominant_gammas(lam) -> list[tuple[int, ...]]:
-    """All gamma in the positive root lattice with lam - gamma dominant.
+def live_paths(n: int, start, firsts, successors) -> list[tuple]:
+    """Every sequence (x_1, ..., x_n) with x_1 in firsts and x_{i+1} in
+    successors(i, x_{i-1}, x_i) for i < n, where x_0 = start and
+    successors(n, x_{n-1}, x_n) must be nonempty.
 
-    Sorted by height, then lexicographically.  The dominance condition
-    at node i reads only gamma_{i-1}, gamma_i and gamma_{i+1}: it asks
-    gamma_{i+1} >= 2 gamma_i - gamma_{i-1} - lam_i.  So the search runs
-    over the states (i, gamma_{i-1}, gamma_i), scans gamma_{i+1} from
-    that floor (at least 0) up to its `dominant_gamma_bounds` entry, and
-    a dict local to the call keeps, per state, the values of gamma_{i+1}
-    that have a dominant completion.  The search enters only states that
-    have one, so its work grows with the number of states and the
-    output, not with the box of bounds.
+    Sequences come in choice order: by x_1 in firsts order, then by
+    each x_{i+1} in the order successors lists it.  The walk runs over
+    the states (i, x_{i-1}, x_i), and a dict local to the call keeps,
+    per state, the successors that have a completion.  The first phase
+    fills that memo depth first from each x_1; the second reads the
+    sequences off it.  So no state without a completion is entered, and
+    the work grows with the number of states and the output, not with
+    the product of the choices.  successors is called once per state
+    reached and its values must be hashable.
     """
-    lam = check_weight(len(lam), lam)
-    n = len(lam)
-    bounds = dominant_gamma_bounds(lam) + (0,)  # gamma_{n+1} = 0
-    live = {}  # (i, gamma_{i-1}, gamma_i) -> gamma_{i+1} with a completion
+    live = {}  # (i, x_{i-1}, x_i) -> successors with a completion
 
     def live_nexts(i, prev, cur):
         key = (i, prev, cur)
         out = live.get(key)
         if out is None:
-            succ = range(max(0, 2 * cur - prev - lam[i - 1]), bounds[i] + 1)
+            succ = successors(i, prev, cur)
             if i < n:
                 succ = [nxt for nxt in succ if live_nexts(i + 1, cur, nxt)]
             out = live[key] = tuple(succ)
         return out
 
     found = []
-    prefix = []
+    path = []
 
     def extend(i, prev, cur):
-        prefix.append(cur)
+        path.append(cur)
         if i == n:
-            found.append(tuple(prefix))
+            found.append(tuple(path))
         else:
             for nxt in live[i, prev, cur]:
                 extend(i + 1, cur, nxt)
-        prefix.pop()
+        path.pop()
 
-    for first in range(bounds[0] + 1):
-        if live_nexts(1, 0, first):
-            extend(1, 0, first)
+    for first in firsts:
+        if live_nexts(1, start, first):
+            extend(1, start, first)
+    return found
+
+
+def enumerate_dominant_gammas(lam) -> list[tuple[int, ...]]:
+    """All gamma in the positive root lattice with lam - gamma dominant.
+
+    Sorted by height, then lexicographically.  The dominance condition
+    at node i reads only gamma_{i-1}, gamma_i and gamma_{i+1}: it asks
+    gamma_{i+1} >= 2 gamma_i - gamma_{i-1} - lam_i.  So `live_paths`
+    walks the gammas with successors running from that floor (at least
+    0) up to the `dominant_gamma_bounds` entry of gamma_{i+1}, where
+    gamma_{n+1} = 0 makes the last node a check.
+    """
+    lam = check_weight(len(lam), lam)
+    bounds = dominant_gamma_bounds(lam) + (0,)  # gamma_{n+1} = 0
+    found = live_paths(
+        len(lam), 0, range(bounds[0] + 1),
+        lambda i, prev, cur: range(max(0, 2 * cur - prev - lam[i - 1]), bounds[i] + 1))
     found.sort(key=lambda g: (sum(g), g))
     return found
 

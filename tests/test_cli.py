@@ -385,6 +385,28 @@ def test_cache_entry_without_domain_recomputed(tmp_path, capsys):
         assert "domain" in json.load(fh)
 
 
+@pytest.mark.parametrize("coefficient", [2.5, True])
+def test_cache_entry_with_non_integer_coefficient_recomputed(tmp_path, capsys, coefficient):
+    cache = str(tmp_path / "cache")
+    args = ["decompose", "--n", "3", "--pi", "1:0,2:3,3:0", "--cache", cache]
+    _, first, _ = run(capsys, *args)
+    (entry,) = os.listdir(cache)
+    path = os.path.join(cache, entry)
+    with open(path) as fh:
+        data = json.load(fh)
+    (grade,) = data["entries"][-1]["poly"]
+    assert grade == "1" and "  q\n" in first
+    data["entries"][-1]["poly"] = {grade: coefficient}
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    code, out, err = run(capsys, *args)
+    assert code == 0
+    assert out == first
+    assert "ignoring unreadable cache entry" in err
+    with open(path) as fh:
+        assert json.load(fh)["entries"][-1]["poly"] == {"1": 1}
+
+
 def test_cache_entry_for_another_job_is_a_miss(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     other = tmp_path / "other"

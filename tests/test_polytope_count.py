@@ -43,6 +43,23 @@ def test_qpolynomial_validation():
         QPolynomial({3: -1})
 
 
+@pytest.mark.parametrize("coeffs", [{1: 2.5}, {1: 2.0}, {1: True}, {True: 1},
+                                    {1.0: 1}, {"1": 1}, {1: "2"}, {0: None}])
+def test_qpolynomial_refuses_non_integers(coeffs):
+    # a fractional or boolean value is refused, never truncated to an int
+    with pytest.raises(TypeError):
+        QPolynomial(coeffs)
+
+
+def test_qpolynomial_from_json_parses_grades_only():
+    assert QPolynomial.from_json({"1": 2, "0": 1}) == QPolynomial({0: 1, 1: 2})
+    for bad in ({"1": 2.5}, {"1": True}, {"1": "2"}):
+        with pytest.raises(TypeError):
+            QPolynomial.from_json(bad)
+    with pytest.raises(ValueError):
+        QPolynomial.from_json({"1.5": 1})
+
+
 def test_qpolynomial_drops_zeros_and_accumulates():
     assert QPolynomial({0: 1, 2: 0}).coeffs == {0: 1}
     assert QPolynomial().coeffs == {}

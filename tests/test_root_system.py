@@ -15,10 +15,10 @@ from hldecomp.root_system import (
     dominant_gamma_bounds,
     e_gamma,
     enumerate_dominant_gammas,
-    fundamental_weight,
     gamma_domain,
     gamma_height,
     is_dominant,
+    live_paths,
     pairing,
     positive_roots,
     weight_minus_gamma,
@@ -49,7 +49,7 @@ def test_positive_roots_small():
 def test_pairing_on_fundamental_weights():
     for n in range(1, 6):
         for i in range(1, n + 1):
-            w = fundamental_weight(n, i)
+            w = tuple(int(k == i) for k in range(1, n + 1))
             for a, b in positive_roots(n):
                 assert pairing(w, (a, b)) == (1 if a <= i <= b else 0)
 
@@ -72,7 +72,8 @@ def test_pairing_is_additive_over_the_interval(lam, data):
 def test_weyl_dim_of_fundamentals_is_binomial():
     for n in range(1, 9):
         for i in range(1, n + 1):
-            assert weyl_dim(n, fundamental_weight(n, i)) == comb(n + 1, i)
+            omega = tuple(int(k == i) for k in range(1, n + 1))
+            assert weyl_dim(n, omega) == comb(n + 1, i)
 
 
 def test_weyl_dim_known_values():
@@ -153,6 +154,54 @@ def test_heights():
     assert gamma_height((1, 3, 4)) == 8
     assert e_gamma((1, 3, 4)) == 3 + 12
     assert e_gamma((2,)) == 0
+
+
+def test_live_paths_corners():
+    def succ(i, prev, cur):
+        return [cur] if cur else []
+    # n = 1: the last node's successors decide alone, in firsts order
+    assert live_paths(1, 0, [2, 0, 1], succ) == [(2,), (1,)]
+    assert live_paths(3, 0, [], succ) == []
+    # a last node that rejects everything leaves no path
+    assert live_paths(3, 0, [1, 2], lambda i, prev, cur: [0, 1, 2] if i < 3 else ()) == []
+
+
+_ALPHABET = range(3)
+
+
+@given(st.integers(1, 4), st.data())
+def test_live_paths_matches_filtered_product(n, data):
+    # a drawn successor table over a 3-letter alphabet, start -1; the
+    # reference keeps the product's sequences that follow the table and
+    # orders them by the position of each choice
+    start = -1
+    choice_lists = st.lists(st.sampled_from(_ALPHABET), unique=True)
+    firsts = data.draw(choice_lists)
+    keys = [(1, start, cur) for cur in _ALPHABET]
+    keys += itertools.product(range(2, n + 1), _ALPHABET, _ALPHABET)
+    table = dict(zip(keys, data.draw(st.lists(choice_lists, min_size=len(keys),
+                                              max_size=len(keys)))))
+    calls = []
+
+    def successors(i, prev, cur):
+        calls.append((i, prev, cur))
+        return table[i, prev, cur]
+
+    def choices(path):
+        steps = [(i, path[i - 2] if i > 1 else start, path[i - 1]) for i in range(1, n + 1)]
+        if path[0] not in firsts or not table[steps[-1]]:
+            return None
+        pos = [firsts.index(path[0])]
+        for key, nxt in zip(steps, path[1:]):
+            if nxt not in table[key]:
+                return None
+            pos.append(table[key].index(nxt))
+        return pos
+
+    keep = {path: choices(path) for path in itertools.product(_ALPHABET, repeat=n)}
+    expected = sorted((path for path, pos in keep.items() if pos is not None), key=keep.get)
+    assert live_paths(n, start, firsts, successors) == expected
+    assert len(calls) == len(set(calls))
 
 
 def _dominant_gammas_by_box(lam, slack=0):

@@ -17,6 +17,7 @@ from hldecomp import functional_oracle
 from hldecomp.functional_oracle import (
     _PRIME,
     _echelon_mod_p,
+    _node_multisets,
     _peel,
     _rows_to_matrix,
     conditions,
@@ -110,6 +111,65 @@ def test_orbit_basis_structure():
         assert sum(sum(ms) for ms in orb) == -4
     # degree out of reach of the windows
     assert _orbits_at(0) == []
+
+
+def _multisets_by_product(r, lo, hi):
+    """Weakly decreasing r-tuples over lo..hi, from the full product:
+    decreasing lexicographic order, grouped by sum in order of first
+    appearance."""
+    tuples = sorted((t for t in product(range(lo, hi + 1), repeat=r)
+                     if list(t) == sorted(t, reverse=True)), reverse=True)
+    out = {}
+    for t in tuples:
+        out.setdefault(sum(t), []).append(t)
+    return out
+
+
+def test_node_multisets_match_filtered_product():
+    for r in range(4):
+        for lo in range(-3, 2):
+            for hi in range(lo - 2, 3):
+                got = _node_multisets(r, lo, hi)
+                want = _multisets_by_product(r, lo, hi)
+                assert got == want and list(got) == list(want), (r, lo, hi)
+    assert _node_multisets(0, 1, -1) == {0: [()]}
+    assert _node_multisets(2, 1, 0) == {}
+
+
+def _orbits_by_product(gamma, bounds, degree):
+    """orbit_basis from the product of every node's multisets, sorted."""
+    tables = [_multisets_by_product(r, *bounds[i]) if r else {0: [()]}
+              for i, r in enumerate(gamma, start=1)]
+    flat = [[ms for msets in table.values() for ms in msets] for table in tables]
+    return sorted(orb for orb in product(*flat)
+                  if sum(sum(ms) for ms in orb) == degree)
+
+
+def test_orbit_basis_with_a_node_without_variables():
+    # node 2 carries no variable, so its entry is the empty tuple
+    lam, gamma = (2, 1, 2), (1, 0, 1)
+    bounds, _ = conditions(lam, gamma, {})
+    assert bounds == {1: (-2, -2), 3: (-2, -2)}
+    assert orbit_basis(gamma, bounds, -4) == [((-2,), (), (-2,))]
+    bounds = {1: (-2, 1), 3: (-1, 2)}
+    lengths = []
+    for degree in range(-10, 8):
+        got = orbit_basis((2, 0, 3), bounds, degree)
+        assert got == _orbits_by_product((2, 0, 3), bounds, degree), degree
+        assert all(orb[1] == () for orb in got)
+        lengths.append(len(got))
+    assert lengths[0] == 0 and max(lengths) > 5
+
+
+def test_orbit_basis_empty_window():
+    # lo > hi at node 1: no monomial fits, at any degree
+    bounds, _ = conditions((1, 0), (1, 0), {})
+    assert bounds == {1: (-1, -2)}
+    for degree in range(-4, 4):
+        assert orbit_basis((1, 0), bounds, degree) == []
+    # one empty window empties the basis, whatever the other nodes allow
+    for degree in range(-6, 6):
+        assert orbit_basis((2, 1), {1: (-2, 1), 2: (0, -1)}, degree) == []
 
 
 # ------------------------------------------- explicit admissible functions

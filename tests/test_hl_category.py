@@ -57,6 +57,46 @@ def test_marked_vertices_flat_edge():
     assert marked_vertices((5, 5, 4), (2, 3)) == ((3,), (2,))
 
 
+def _marked_by_definition(kappa, lo, hi):
+    """Sinks and sources straight from the definition: a node of J whose
+    neighbours inside J all lie strictly above it is a strict local
+    minimum (a sink), one whose neighbours all lie strictly below it a
+    strict local maximum (a source), and a single-node interval is a
+    sink.  None if kappa has a flat edge inside J."""
+    if any(kappa[t - 1] == kappa[t] for t in range(lo, hi)):
+        return None
+    if lo == hi:
+        return (lo,), ()
+    sinks, sources = [], []
+    for i in range(lo, hi + 1):
+        around = [kappa[j - 1] for j in (i - 1, i + 1) if lo <= j <= hi]
+        if min(around) > kappa[i - 1]:
+            sinks.append(i)
+        if max(around) < kappa[i - 1]:
+            sources.append(i)
+    return tuple(sinks), tuple(sources)
+
+
+def test_marked_vertices_match_definition():
+    # every height function with values in -2..2 on up to five nodes,
+    # restricted to every interval
+    checked = 0
+    for n in range(1, 6):
+        for kappa in itertools.product(range(-2, 3), repeat=n):
+            if any(abs(a - b) > 1 for a, b in zip(kappa, kappa[1:])):
+                continue
+            for lo in range(1, n + 1):
+                for hi in range(lo, n + 1):
+                    want = _marked_by_definition(kappa, lo, hi)
+                    if want is None:
+                        with pytest.raises(FlatEdgeInJ):
+                            marked_vertices(kappa, (lo, hi))
+                    else:
+                        assert marked_vertices(kappa, (lo, hi)) == want, (kappa, lo, hi)
+                    checked += 1
+    assert checked > 1000
+
+
 def test_marked_vertices_interval_range():
     with pytest.raises(ValueError):
         marked_vertices((0, 1, 0), (0, 2))
@@ -117,6 +157,19 @@ def test_single_factor_round_trip():
     assert kappa == (5, 5, 5, 5)
     assert J == (2, 2)
     assert pi_from_interval(kappa, J) == w
+
+
+@pytest.mark.parametrize("pi, kappa", [
+    # a rising single segment continues past both ends
+    ("2:0,4:4", (-1, 0, 1, 2, 3, 4, 5)),
+    # left of J the first segment continues, right of J the last one
+    ("3:0,4:3,6:-1", (-2, -1, 0, 1, 0, -1, -2)),
+    ("4:0,5:-3", (1, 0, -1, -2, -3, -4, -5)),
+])
+def test_pi_to_height_interval_outside_the_interval(pi, kappa):
+    factors = [tuple(int(v) for v in tok.split(":")) for tok in pi.split(",")]
+    word = DrinfeldWord(7, factors)
+    assert pi_to_height_interval(word) == (kappa, (factors[0][0], factors[-1][0]))
 
 
 def test_unreachable_marked_values_raise():

@@ -135,15 +135,16 @@ _CACHE_SCHEMA = 2
 
 def _job_fields(args, lam, gammas, word=None, xi=None):
     """Keys of the result JSON that name a job: they make its cache key and
-    are checked against a stored entry.  A job without a gamma covers the
-    full default domain; that case is left to the versioned key rather
-    than re-enumerated on every load."""
-    fields = {"n": args.n, "pi": [list(f) for f in word.factors] if word else None,
-              "weight": list(lam)}
-    if xi is not None:
-        fields["xi"] = [[i, j, v] for (i, j), v in sorted(xi.items())]
-    if gammas:
-        fields["domain"] = [list(gammas[0])]
+    are checked against a stored entry.  They are read off the JSON of an
+    empty decomposition of the job, without its entries.  A job without a
+    gamma covers the full default domain; that case is left to the
+    versioned key rather than re-enumerated on every load, so its domain
+    is dropped too."""
+    fields = dmod.to_json_dict(dmod.GradedDecomposition(
+        args.n, lam, {}, gammas or (), word=word, xi=xi))
+    del fields["entries"]
+    if not gammas:
+        del fields["domain"]
     return fields
 
 

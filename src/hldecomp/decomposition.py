@@ -163,8 +163,8 @@ def crosscheck(word: DrinfeldWord):
     poly_dec = graded_decomposition(word)
     orac_dec = oracle_decomposition(mode="pair", word=word)
     mismatches = []
-    for gamma in sorted(set(poly_dec.entries) | set(orac_dec.entries),
-                        key=lambda g: (sum(g), g)):
+    # both sides cover gamma_domain(weight_of(word)), in (height, lex) order
+    for gamma in poly_dec.domain:
         a = poly_dec.entries.get(gamma, QPolynomial())
         b = orac_dec.entries.get(gamma, QPolynomial())
         if a != b:

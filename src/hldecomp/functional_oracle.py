@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import factorial, isqrt, lcm
 
 from .hl_category import consecutive_pairs, is_normalized, weight_of
@@ -111,19 +111,13 @@ def conditions(lam, gamma, depths):
 
 
 def _node_multisets(r, lo, hi):
-    """Weakly decreasing exponent tuples, grouped by total degree."""
+    """Weakly decreasing r-tuples of exponents in [lo, hi], grouped by
+    total degree, each group in decreasing lexicographic order.  An
+    empty window (lo > hi) gives {} when r > 0, and r = 0 gives
+    {0: [()]} for any window."""
     out = {}
-
-    def rec(prefix, maxv, total):
-        if len(prefix) == r:
-            out.setdefault(total, []).append(tuple(prefix))
-            return
-        for v in range(min(maxv, hi), lo - 1, -1):
-            prefix.append(v)
-            rec(prefix, v, total + v)
-            prefix.pop()
-
-    rec([], hi, 0)
+    for ms in combinations_with_replacement(range(hi, lo - 1, -1), r):
+        out.setdefault(sum(ms), []).append(ms)
     return out
 
 
@@ -131,20 +125,16 @@ def orbit_basis(gamma, bounds, degree):
     """Families of per-node exponent multisets of the given total degree.
 
     Each orbit is a tuple with one weakly decreasing exponent tuple per
-    node (empty for nodes without variables) and represents the sum of
-    the distinct monomials in its symmetric group orbit.
+    node and represents the sum of the distinct monomials in its
+    symmetric group orbit.  A node without variables is not in bounds
+    and takes the window (0, 0), whose only tuple is the empty one; a
+    node whose window is empty (lo > hi) leaves no orbit at all.
     """
     n = len(gamma)
-    tables = []
-    for i in range(1, n + 1):
-        r = gamma[i - 1]
-        if r == 0:
-            tables.append({0: [()]})
-            continue
-        lo, hi = bounds[i]
-        if lo > hi:
-            return []
-        tables.append(_node_multisets(r, lo, hi))
+    tables = [_node_multisets(r, *bounds.get(i, (0, 0)))
+              for i, r in enumerate(gamma, start=1)]
+    if not all(tables):
+        return []
     sufmin = [0] * (n + 1)
     sufmax = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -387,18 +377,16 @@ def exact_corank(rows, ncols) -> int:
     (`_peel`): each forces its column to 0 exactly, so the corank is
     that of the remaining rows on the remaining columns, and a kernel
     vector of the remainder, padded with zeros on the forced columns,
-    satisfies the original rows.  If every column is forced the corank
-    is 0.  On the remainder, a full echelon mod p proves the corank is
-    0.  Otherwise, with k free columns, the corank is at most k; the k
-    lifted kernel vectors are independent (each is nonzero on its own
-    free column and zero on the other free columns), so once every row
-    annihilates every one of them exactly, the corank is at least k and
-    therefore k.  If a lift or a check fails, the corank comes from
-    `integer_rank`.
+    satisfies the original rows.  On the remainder, a full echelon mod
+    p proves the corank is 0; if every column is forced, the empty
+    echelon is already full.  Otherwise, with k free columns, the
+    corank is at most k; the k lifted kernel vectors are independent
+    (each is nonzero on its own free column and zero on the other free
+    columns), so once every row annihilates every one of them exactly,
+    the corank is at least k and therefore k.  If a lift or a check
+    fails, the corank comes from `integer_rank`.
     """
     rows, ncols = _peel(rows, ncols)
-    if not ncols:
-        return 0
     echelon = _echelon_mod_p(sorted(rows.values(), key=len), ncols)
     if len(echelon) == ncols:
         return 0
@@ -471,24 +459,25 @@ def dim_V(lam, gamma, p: int, depths) -> int:
 
 
 def grade_window(lam, gamma, depths, *legacy) -> range:
-    """Grades p whose degree fits inside the monomial windows.  A mode
-    string before the map, as perfbench's tests still pass, is skipped."""
+    """Grades p whose degree fits inside the monomial windows.
+
+    The degree -p - |gamma| + e_gamma of an orbit lies between the sums
+    of r_i lo_i and of r_i hi_i over the nodes with variables, so p runs
+    between the two matching bounds, clipped at 0; gamma = 0 leaves only
+    p = 0, and an empty window at some node no grade at all.  A mode
+    string before the map, as perfbench's tests still pass, is skipped.
+    """
     if isinstance(depths, str):
         depths = legacy[0] if legacy else {}
     gamma = check_gamma(lam, gamma)
-    if not any(gamma):
-        return range(0, 1)
     bounds, _ = conditions(lam, gamma, depths)
     lo_total = 0
     hi_total = 0
-    for i, r in enumerate(gamma, start=1):
-        if r == 0:
-            continue
-        lo, hi = bounds[i]
+    for i, (lo, hi) in bounds.items():
         if lo > hi:
             return range(0, 0)
-        lo_total += r * lo
-        hi_total += r * hi
+        lo_total += gamma[i - 1] * lo
+        hi_total += gamma[i - 1] * hi
     base = -gamma_height(gamma) + e_gamma(gamma)
     return range(max(0, base - hi_total), max(0, base - lo_total + 1))
 

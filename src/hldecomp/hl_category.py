@@ -12,6 +12,8 @@ strictly alternating step signs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .root_system import check_rank, pairing, positive_roots
 
 
@@ -44,10 +46,11 @@ def check_interval(J, n: int) -> tuple[int, int]:
 def marked_vertices(kappa, J):
     """Sinks and sources of kappa restricted to the interval J.
 
-    Returns (sinks, sources) as increasing tuples of nodes.  Sinks are
-    strict local minima and sources strict local maxima, where boundary
-    nodes only see their neighbour inside J and a single-node interval
-    is a sink.  A flat edge inside J raises FlatEdgeInJ.
+    Returns (sinks, sources) as increasing tuples of nodes.  Each node
+    of J is compared with its neighbours inside J only: a node whose
+    neighbours are all higher is a sink, one whose neighbours are all
+    lower a source.  A single-node interval has no neighbours in J, so
+    its node is a sink.  A flat edge inside J raises FlatEdgeInJ.
     """
     kappa = check_height_function(kappa)
     lo, hi = check_interval(J, len(kappa))
@@ -59,15 +62,10 @@ def marked_vertices(kappa, J):
     sinks = []
     sources = []
     for i in range(lo, hi + 1):
-        left_higher = i > lo and kappa[i - 2] > kappa[i - 1]
-        left_lower = i > lo and kappa[i - 2] < kappa[i - 1]
-        right_higher = i < hi and kappa[i] > kappa[i - 1]
-        right_lower = i < hi and kappa[i] < kappa[i - 1]
-        if lo == hi:
+        around = [kappa[j - 1] for j in (i - 1, i + 1) if lo <= j <= hi]
+        if all(v > kappa[i - 1] for v in around):
             sinks.append(i)
-        elif not left_lower and not right_lower and (left_higher or right_higher):
-            sinks.append(i)
-        elif not left_higher and not right_higher and (left_lower or right_lower):
+        elif all(v < kappa[i - 1] for v in around):
             sources.append(i)
     return tuple(sinks), tuple(sources)
 
@@ -168,45 +166,31 @@ def pi_to_height_interval(word: DrinfeldWord):
     """A height function and interval reproducing the word.
 
     Inverse of pi_from_interval up to the free choice of kappa off the
-    interval: marked nodes get kappa(i) = m_j for sinks and m_j - 2 for
-    sources, kappa interpolates with slope +-1 in between, and outside
-    the interval it continues the boundary slope (constant for a single
-    factor).
+    interval.  Marked nodes get kappa(i) = m_j for sinks and m_j - 2 for
+    sources.  Each node t then follows the segment of slope +-1 between
+    the consecutive marked nodes around it; a node left of the interval
+    follows the first segment and a node right of it the last, and a
+    single factor gives one segment of slope 0.
     """
     facs = word.factors
-    n = word.n
-    marked = [i for i, _ in facs]
-    lo, hi = marked[0], marked[-1]
-    if len(facs) == 1:
-        first_is_sink = True
-    else:
-        # the exponent rises sink -> source, so a rising first step
-        # means the first marked node is a sink
-        first_is_sink = facs[1][1] > facs[0][1]
-    values = {}
-    for idx, (i, m) in enumerate(facs):
-        is_sink = (idx % 2 == 0) == first_is_sink
-        values[i] = m if is_sink else m - 2
-    kappa = [0] * n
-    kappa[lo - 1] = values[lo]
-    for a, b in zip(marked, marked[1:]):
-        va, vb = values[a], values[b]
+    # the exponent rises sink -> source, so a rising first step (or a
+    # single factor) means the first marked node is a sink
+    first_is_sink = len(facs) == 1 or facs[1][1] > facs[0][1]
+    points = [(i, m if (idx % 2 == 0) == first_is_sink else m - 2)
+              for idx, (i, m) in enumerate(facs)]
+    segments = []
+    for (a, va), (b, vb) in zip(points, points[1:]):
         if abs(vb - va) != b - a:
             raise ArithmeticError("marked values %d at node %d and %d at node %d "
                                   "not reachable with slope +-1" % (va, a, vb, b))
-        step = 1 if vb > va else -1
-        for t in range(a + 1, b + 1):
-            kappa[t - 1] = va + step * (t - a)
-    if len(facs) >= 2:
-        left_step = 1 if values[marked[1]] > values[marked[0]] else -1
-        right_step = 1 if values[marked[-1]] > values[marked[-2]] else -1
-    else:
-        left_step = right_step = 0
-    for t in range(lo - 1, 0, -1):
-        kappa[t - 1] = kappa[t] - left_step
-    for t in range(hi + 1, n + 1):
-        kappa[t - 1] = kappa[t - 2] + right_step
-    return tuple(kappa), (lo, hi)
+        segments.append((a, va, (vb - va) // (b - a)))
+    segments = segments or [(*points[0], 0)]
+    starts = [a for a, _, _ in segments]
+    kappa = []
+    for t in range(1, word.n + 1):
+        a, va, slope = segments[max(bisect_right(starts, t) - 1, 0)]
+        kappa.append(va + slope * (t - a))
+    return tuple(kappa), (points[0][0], points[-1][0])
 
 
 def xi_from_weight(lam) -> dict[tuple[int, int], int]:

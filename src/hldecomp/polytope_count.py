@@ -34,8 +34,9 @@ class QPolynomial:
     """Polynomial in q with nonnegative integer coefficients.
 
     Stored sparsely as {grade: coefficient}; zeros are never kept.
-    Grades and coefficients must be ints (bools are refused), so a
-    fractional or boolean value is an error, never truncated.
+    Grades and coefficients must be ints (bools are refused), and so
+    must a grade that is looked up, so a fractional or boolean value is
+    an error, never truncated.
     """
 
     __slots__ = ("coeffs",)
@@ -70,7 +71,9 @@ class QPolynomial:
         return QPolynomial(out)
 
     def __getitem__(self, p):
-        return self.coeffs.get(int(p), 0)
+        if type(p) is not int:
+            raise TypeError("grade %r must be an integer" % (p,))
+        return self.coeffs.get(p, 0)
 
     def at_one(self) -> int:
         """Value at q = 1, the ungraded multiplicity."""

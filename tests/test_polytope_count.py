@@ -77,6 +77,14 @@ def test_qpolynomial_arithmetic():
     assert bool(p)
 
 
+@pytest.mark.parametrize("grade", [2.7, "2", True, 2.0])
+def test_qpolynomial_lookup_refuses_non_integer_grades(grade):
+    # a lookup reads a grade as strictly as the constructor does, so a
+    # fraction, a string or a bool never reads some integer grade
+    with pytest.raises(TypeError):
+        QPolynomial({1: 3, 2: 5})[grade]
+
+
 def test_qpolynomial_rendering():
     p = QPolynomial({4: 2, 5: 1})
     assert p.plain() == "2q^4 + q^5"

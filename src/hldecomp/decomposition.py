@@ -69,19 +69,20 @@ def total_dimension(dec: GradedDecomposition) -> int:
 
 
 def to_json_dict(dec: GradedDecomposition) -> dict:
+    entries = []
+    for g in dec.ordered_gammas():
+        mu = weight_minus_gamma(dec.lam, g)
+        entries.append({
+            "gamma": list(g),
+            "mu_weight": list(mu),
+            "dim": weyl_dim(dec.n, mu),
+            "poly": dec.entries[g].to_json(),
+        })
     out = {
         "n": dec.n,
         "pi": [[i, m] for i, m in dec.word.factors] if dec.word else None,
         "weight": list(dec.lam),
-        "entries": [
-            {
-                "gamma": list(g),
-                "mu_weight": list(weight_minus_gamma(dec.lam, g)),
-                "dim": weyl_dim(dec.n, weight_minus_gamma(dec.lam, g)),
-                "poly": dec.entries[g].to_json(),
-            }
-            for g in dec.ordered_gammas()
-        ],
+        "entries": entries,
     }
     out["domain"] = [list(g) for g in sorted(dec.domain)]
     if dec.xi is not None:

@@ -137,9 +137,11 @@ def node_terms(lam_i: int, mu_prev, mu, mu_next):
 def compute_K(mp, lam) -> int:
     """Base grade of a multipartition: the sum of its node_terms K terms."""
     n = len(lam)
-    parts = ((),) + tuple(tuple(mu) for mu in mp[:n]) + ((),)
-    return sum(node_terms(lam[i - 1], parts[i - 1], parts[i], parts[i + 1])[1]
-               for i in range(1, n + 1))
+    parts = ((),) + tuple(map(tuple, mp[:n])) + ((),)
+    if len(parts) != n + 2:
+        raise ValueError("multipartition has %d components, expected %d" % (len(mp), n))
+    return sum(node_terms(lam_i, prev, mu, nxt)[1]
+               for lam_i, prev, mu, nxt in zip(lam, parts, parts[1:], parts[2:]))
 
 
 @lru_cache(maxsize=None)

@@ -12,18 +12,20 @@ The grade of a lattice point with level sum_{d,r,i} d * C_{d,r,i} is
 p = (|gamma| - K(mu)) - level, and the multiplicity polynomial of gamma
 is the sum over multipartitions of the grade histograms.
 
-Most of these polytopes hold no lattice point, and count_levels rules
-them out before its depth-first walk: a pair constraint none of whose
-variables can be 1 (its weight exceeds the level bound, or its
-group's cap is below 1) cannot be met by any admissible point.  The
-rule only ever returns zero for polytopes that are empty, so it never
-changes a count.
+Most of these polytopes hold no lattice point, and build_polytope
+decides that where it emits the pair constraints: an admissible point
+sets some variable of every constraint to at least 1, so its level is
+at least the least weight of a variable with cap >= 1 in each
+constraint.  The largest of these is the polytope's level floor, and
+count_by_grade returns zero from one comparison when the level bound
+lies below it.  The floor is a lower bound, not the least level of a
+point, so it only ever skips polytopes that are empty for that bound.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import accumulate, combinations
+import math
+from itertools import combinations
 
 from . import multipartition as mpart
 from .hl_category import consecutive_pairs, weight_of
@@ -120,49 +122,72 @@ class PolytopeSpec:
     groups: ((r, i), size, cap) triples for the depths r of node i that
     hold rows, in (i, r) order, as node_terms lists them; flat
     variables enumerate each group as d = 1..size.  pair_sets: flat
-    index sets of the emitted pair constraints.  A group cap may be
-    negative when the multipartition was not pruned; the counters then
-    return zero.  For lam >= 0 this covers the depths without rows too:
-    a negative capacity there always comes with one at an occupied
-    depth, since P_{s,i} is concave between occupied depths,
-    P_{0,i} = lam_i and P_{s,i} only grows past the largest part.
+    index sets of the emitted pair constraints.  floor: a lower bound
+    on the level of every admissible point, math.inf when there is no
+    such point; count_by_grade returns zero below it without walking.
+    The default 0 claims nothing, so a hand-built spec is always
+    counted.
+    A group cap may be negative when the multipartition was not
+    pruned; the counters then return zero.  For lam >= 0 this covers
+    the depths without rows too: a negative capacity there always
+    comes with one at an occupied depth, since P_{s,i} is concave
+    between occupied depths, P_{0,i} = lam_i and P_{s,i} only grows
+    past the largest part.
     """
 
-    __slots__ = ("groups", "pair_sets")
+    __slots__ = ("groups", "pair_sets", "floor")
 
-    def __init__(self, groups, pair_sets):
+    def __init__(self, groups, pair_sets, floor=0):
         self.groups = tuple(groups)
-        self.pair_sets = tuple(tuple(s) for s in pair_sets)
+        self.pair_sets = tuple(map(tuple, pair_sets))
+        self.floor = floor
 
 
 def build_polytope(parts, lam, pairs=()) -> PolytopeSpec:
     """Polytope of one multipartition.
 
     parts: tuple of partitions, component i holding gamma_i boxes.
-    pairs: node intervals (a, b) of consecutive word factors.  The pair
-    constraint for (a, b) is emitted only when every node in the range
-    has a row of length 1; otherwise the underlying relation is vacuous
-    and the constraint is dropped.  Each node's groups come from the
-    process-wide table mpart.node_terms.
+    pairs: node intervals (a, b) of consecutive word factors, two ints
+    with 1 <= a < b <= n.  The pair constraint for (a, b) reads the top
+    length 1 row variable C_{m_{t,1},1,t} of each node a <= t <= b; it
+    is emitted only when every node in the range has a row of length 1,
+    otherwise the underlying relation is vacuous and the constraint is
+    dropped.  Each node's groups come from the process-wide table
+    mpart.node_terms, in depth order, so its depth 1 group comes first.
+
+    The spec's floor is the largest, over the emitted constraints, of
+    the least weight m_{t,1} of a top variable with cap P_{1,t} >= 1
+    (math.inf when a constraint has none), and 0 with no constraint.
+    Raises ValueError on a multipartition with the wrong number of
+    components or a pair outside 1 <= a < b <= n.
     """
     n = len(lam)
     if len(parts) != n:
         raise ValueError("multipartition has %d components, expected %d" % (len(parts), n))
-    parts = ((),) + tuple(tuple(mu) for mu in parts) + ((),)
+    parts = ((),) + tuple(map(tuple, parts)) + ((),)
     groups = []
-    last_one = {}  # node -> flat index of its last length 1 row variable
+    top = [None] * (n + 1)  # node -> flat index of its top length 1 row variable
+    least = [0] * (n + 1)   # node -> weight of that variable if its cap is >= 1, else inf
     flat = 0
-    for i in range(1, n + 1):
-        node, _ = mpart.node_terms(lam[i - 1], parts[i - 1], parts[i], parts[i + 1])
+    for i, lam_i, prev, mu, nxt in zip(range(1, n + 1), lam, parts, parts[1:], parts[2:]):
+        node, _ = mpart.node_terms(lam_i, prev, mu, nxt)
+        if node and node[0][0] == 1:
+            _, m1, p1 = node[0]
+            top[i] = flat + m1 - 1
+            least[i] = m1 if p1 >= 1 else math.inf
         for r, size, cap in node:
             groups.append(((r, i), size, cap))
             flat += size
-            if r == 1:
-                last_one[i] = flat - 1
-    pair_sets = [tuple(last_one[t] for t in range(a, b + 1))
-                 for (a, b) in pairs
-                 if all(t in last_one for t in range(a, b + 1))]
-    return PolytopeSpec(groups, pair_sets)
+    pair_sets = []
+    floor = 0
+    for a, b in pairs:
+        if not 1 <= a < b <= n:
+            raise ValueError("pair %r is not two nodes 1 <= a < b <= %d" % ((a, b), n))
+        span = top[a:b + 1]
+        if None not in span:
+            pair_sets.append(tuple(span))
+            floor = max(floor, min(least[a:b + 1]))
+    return PolytopeSpec(groups, pair_sets, floor)
 
 
 def count_levels(sizes, caps, pair_sets, max_level):
@@ -175,12 +200,9 @@ def count_levels(sizes, caps, pair_sets, max_level):
     its entries; only levels <= max_level are admissible.  Returns a
     list h with h[L] = number of points of level L.
 
-    A variable is usable when its weight is at most max_level and its
-    group cap is at least 1.  When some constraint has no usable
-    variable (an empty constraint included) the zero histogram is
-    returned before any per-variable table is built: an admissible
-    point sets some variable of every constraint to at least 1, which
-    adds its weight to the level and spends 1 of its group's cap.
+    The walk visits every table it is given; polytopes that are empty
+    below their level floor never reach it from count_by_grade (see
+    build_polytope).  An empty constraint gives the zero histogram.
     Raises ValueError when caps and sizes differ in length, a size is
     negative, or a pair index is not an integer in 0 .. nvars - 1.
     """
@@ -190,19 +212,12 @@ def count_levels(sizes, caps, pair_sets, max_level):
         raise ValueError("%d caps for %d groups" % (len(caps), len(sizes)))
     if any(m < 0 for m in sizes):
         raise ValueError("negative group size in %r" % (sizes,))
-    ends = list(accumulate(sizes))  # group g holds flat indices below ends[g]
-    nvars = ends[-1] if ends else 0
-    hopeless = False
+    nvars = sum(sizes)
     for varset in pair_sets:
-        usable = False
         for v in varset:
             if not (isinstance(v, int) and 0 <= v < nvars):
                 raise ValueError("pair index %r outside 0..%d" % (v, nvars - 1))
-            g = bisect_right(ends, v)
-            weight = v + 1 - (ends[g - 1] if g else 0)
-            usable = usable or (weight <= max_level and caps[g] >= 1)
-        hopeless = hopeless or not usable
-    if hopeless:
+    if not all(pair_sets):
         return [0] * (max_level + 1)
 
     weights = [d for m in sizes for d in range(1, m + 1)]
@@ -253,10 +268,12 @@ def count_by_grade(spec: PolytopeSpec, height: int, K: int) -> QPolynomial:
     """Grade polynomial of one polytope.
 
     height is |gamma|; a point of level L contributes to grade
-    p = (height - K) - L, so the histogram is read off in reverse.
+    p = (height - K) - L, so the histogram is read off in reverse.  A
+    level bound height - K below spec.floor (negative ones included,
+    as the floor is at least 0) gives zero before any table is built.
     """
     max_level = height - K
-    if max_level < 0:
+    if max_level < spec.floor:
         return QPolynomial()
     sizes = [size for _, size, _ in spec.groups]
     caps = [cap for _, _, cap in spec.groups]

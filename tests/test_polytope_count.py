@@ -8,6 +8,7 @@ inclusion-exclusion recount.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -379,12 +380,17 @@ def _polytope_by_definition(parts, lam, pairs):
     return tuple(groups), tuple(pair_sets), negative
 
 
-def test_build_polytope_matches_definition():
-    rank8_lam = weight_of(RANK8_WORD)
+def _definition_cases():
+    # shape_grid with every node pair, and the rank 8 gamma with its
+    # word's pairs
     cases = [(lam, gamma, tuple(itertools.combinations(range(1, len(lam) + 1), 2)))
              for lam, gamma in shape_grid()]
-    cases.append((rank8_lam, RANK8_GAMMA, consecutive_pairs(RANK8_WORD)))
-    for lam, gamma, pairs in cases:
+    cases.append((weight_of(RANK8_WORD), RANK8_GAMMA, consecutive_pairs(RANK8_WORD)))
+    return cases
+
+
+def test_build_polytope_matches_definition():
+    for lam, gamma, pairs in _definition_cases():
         for parts in all_multipartitions(gamma):
             groups, pair_sets, negative = _polytope_by_definition(parts, lam, pairs)
             spec = build_polytope(parts, lam, pairs)
@@ -396,9 +402,47 @@ def test_build_polytope_matches_definition():
                 assert not count_by_grade_ie(spec, sum(gamma), 0), (parts, lam)
 
 
+def _floor_by_definition(spec):
+    # the largest, over the pair sets, of the least weight d of a
+    # variable whose group cap is at least 1, read from spec.groups
+    weight_cap = [(d, cap) for _, size, cap in spec.groups for d in range(1, size + 1)]
+    return max((min((weight_cap[v][0] for v in varset if weight_cap[v][1] >= 1),
+                    default=math.inf)
+                for varset in spec.pair_sets), default=0)
+
+
+def test_build_polytope_floor_matches_definition():
+    # the floor bounds the level of every admissible point from below,
+    # so no point lies under it, and count_by_grade, which skips the
+    # walk below it, counts every level bound exactly.  The recount at
+    # level bound |gamma| holds every point up to it: at K = 0 a point
+    # of level L has grade |gamma| - L, and the recount at a smaller
+    # bound keeps the points of level <= bound
+    skipped = counted = 0
+    for lam, gamma, pairs in _definition_cases():
+        height = sum(gamma)
+        for parts in all_multipartitions(gamma):
+            spec = build_polytope(parts, lam, pairs)
+            assert spec.floor == _floor_by_definition(spec), (parts, lam)
+            levels = {height - p: c for p, c in count_by_grade_ie(spec, height, 0).coeffs.items()}
+            assert min(levels, default=math.inf) >= spec.floor, (parts, lam)
+            for bound in range(height + 1):
+                expected = QPolynomial({bound - lvl: c for lvl, c in levels.items()
+                                        if lvl <= bound})
+                assert count_by_grade(spec, bound, 0) == expected, (parts, lam, bound)
+                skipped += bound < spec.floor
+                counted += bool(expected)
+    assert skipped and counted
+
+
 def test_build_polytope_validation():
     with pytest.raises(ValueError):
         build_polytope(((1,),), (1, 1), ())
+    # a reversed pair, a node 0 and a node past n are misread pairs,
+    # not vacuous ones, and a pair spans two distinct nodes
+    for pair in ((2, 1), (0, 1), (1, 5), (1, 1)):
+        with pytest.raises(ValueError):
+            build_polytope(((1,), (1,)), (1, 1), [pair])
 
 
 def _K_by_definition(parts, lam):

@@ -91,6 +91,14 @@ def to_json_dict(dec: GradedDecomposition) -> dict:
 
 
 def from_json_dict(data) -> GradedDecomposition:
+    """Inverse of to_json_dict.
+
+    Raises ValueError for an entry whose gamma is outside the domain,
+    and unless to_json_dict of the result gives back every key of data
+    that it writes: a repeated gamma, a grade key that int() reads but
+    to_json never writes (such as "1_0"), or a stale mu_weight or dim
+    fails that round trip.
+    """
     n = data["n"]
     lam = tuple(data["weight"])
     word = DrinfeldWord(n, [tuple(f) for f in data["pi"]]) if data.get("pi") else None
@@ -99,7 +107,14 @@ def from_json_dict(data) -> GradedDecomposition:
     for ent in data["entries"]:
         entries[tuple(ent["gamma"])] = QPolynomial.from_json(ent["poly"])
     domain = [tuple(g) for g in data["domain"]]
-    return GradedDecomposition(n, lam, entries, domain, word=word, xi=xi)
+    outside = sorted(set(entries).difference(domain))
+    if outside:
+        raise ValueError("entries outside the domain: %s" % (outside,))
+    dec = GradedDecomposition(n, lam, entries, domain, word=word, xi=xi)
+    wrong = sorted(k for k, v in to_json_dict(dec).items() if data.get(k) != v)
+    if wrong:
+        raise ValueError("does not round-trip in %s" % ", ".join(wrong))
+    return dec
 
 
 def to_json_text(dec: GradedDecomposition) -> str:

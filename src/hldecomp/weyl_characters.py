@@ -2,11 +2,11 @@
 
 Weight multiplicities come from counting Gelfand-Tsetlin patterns, so
 everything stays in exact integer arithmetic.  Tensor products are
-decomposed greedily: convolve the two characters, then repeatedly strip
-the character of the highest weight that maximizes a strictly concave
-linear functional.  Concavity makes that weight a genuine highest
-weight of the remainder, so the loop terminates with the full list of
-constituents.
+decomposed by the Brauer-Klimyk formula (the Racah-Speiser algorithm,
+Humphreys, Introduction to Lie Algebras and Representation Theory,
+section 24): the character of one factor is read once, and each of its
+weights, shifted by the other factor's highest weight, is straightened
+under the dot action to a signed highest weight.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .root_system import check_weight, is_dominant
+from .root_system import check_weight
 
 
 @lru_cache(maxsize=None)
@@ -59,56 +59,55 @@ def weight_multiplicities(n: int, mu) -> dict[tuple[int, ...], int]:
     return out
 
 
-def character_convolve(a: dict, b: dict) -> dict:
-    """Pointwise product of two characters given as weight -> count."""
-    out = {}
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            w = tuple(x + y for x, y in zip(w1, w2))
-            out[w] = out.get(w, 0) + c1 * c2
-    return out
+def straighten(weight):
+    """Move weight to the dominant chamber under the dot action.
 
-
-def _concave_key(n):
-    # f(w) = sum_i i (n + 1 - i) w_i; strictly concave across the nodes,
-    # so f(alpha_i) = 2 for every simple root and the f-maximal weight of
-    # a character is always a highest weight
-    coeff = [i * (n + 1 - i) for i in range(1, n + 1)]
-    return lambda w: sum(c * x for c, x in zip(coeff, w))
-
-
-def _peel(n: int, weights: dict) -> dict[tuple[int, ...], int]:
-    """Decompose a character into irreducible highest weights greedily."""
-    key = _concave_key(n)
-    rest = {w: c for w, c in weights.items() if c}
-    out = {}
-    while rest:
-        top = max(rest, key=lambda w: (key(w), w))
-        mult = rest[top]
-        if mult < 0 or not is_dominant(top):
-            raise ArithmeticError("input is not a genuine character, stuck at %r" % (top,))
-        out[top] = mult
-        for w, c in weight_multiplicities(n, top).items():
-            left = rest.get(w, 0) - mult * c
-            if left:
-                rest[w] = left
-            else:
-                rest.pop(w, None)
-    return out
+    Reflects y = weight + rho by a simple reflection s_i while some
+    fundamental coordinate y_i is negative; each step raises y in the
+    dominance order inside a finite Weyl group orbit, so the loop ends.
+    Returns (sign, y - rho) with sign (-1)^steps, or None when
+    weight + rho lies on a wall, where the alternating sum cancels.
+    """
+    y = [c + 1 for c in weight]
+    sign = 1
+    while (c := min(y)) < 0:
+        i = y.index(c)
+        # s_i y = y - y_i alpha_i, and alpha_i is row i of the Cartan matrix
+        y[i] = -c
+        if i > 0:
+            y[i - 1] += c
+        if i + 1 < len(y):
+            y[i + 1] += c
+        sign = -sign
+    if 0 in y:
+        return None
+    return sign, tuple(c - 1 for c in y)
 
 
 def tensor_decompose(n: int, mu, nu) -> dict[tuple[int, ...], int]:
-    """Multiplicities of the simple constituents of V(mu) (x) V(nu)."""
-    prod = character_convolve(weight_multiplicities(n, mu),
-                              weight_multiplicities(n, nu))
-    return _peel(n, prod)
+    """Multiplicities of the simple constituents of V(mu) (x) V(nu).
+
+    Brauer-Klimyk: each weight w of V(nu), with multiplicity c, adds
+    sign * c at the dominant weight straighten(mu + w).
+    """
+    mu = check_weight(n, mu)
+    out = {}
+    for w, c in weight_multiplicities(n, nu).items():
+        hit = straighten([a + b for a, b in zip(mu, w)])
+        if hit:
+            sign, top = hit
+            out[top] = out.get(top, 0) + sign * c
+    if any(c < 0 for c in out.values()):
+        raise ArithmeticError("not a genuine character: %r" % (out,))
+    return {w: c for w, c in out.items() if c}
 
 
 def tensor_power_multiplicity(n: int, mu, power: int, nu) -> int:
     """Multiplicity of V(nu) inside V(mu) tensored with itself power times."""
+    mu = check_weight(n, mu)
+    nu = check_weight(n, nu)
     if power < 1:
         raise ValueError("power must be at least 1")
-    mu = tuple(mu)
     acc = {mu: 1}
     for _ in range(power - 1):
         nxt = {}
@@ -116,5 +115,5 @@ def tensor_power_multiplicity(n: int, mu, power: int, nu) -> int:
             for w, c in tensor_decompose(n, eta, mu).items():
                 nxt[w] = nxt.get(w, 0) + mult * c
         acc = nxt
-    return acc.get(tuple(nu), 0)
+    return acc.get(nu, 0)
 

@@ -407,6 +407,39 @@ def test_cache_entry_with_non_integer_coefficient_recomputed(tmp_path, capsys, c
         assert json.load(fh)["entries"][-1]["poly"] == {"1": 1}
 
 
+def _repeat_gamma_0(entries):
+    entries.append({**entries[0], "poly": {"1_0": 7}})
+
+
+def _outside_domain(entries):
+    entries.append({"gamma": [1, 0], "mu_weight": [-1, 2], "dim": 0, "poly": {"0": 1}})
+
+
+def _padded_grade(entries):
+    entries[0]["poly"] = {" 0": 1}
+
+
+@pytest.mark.parametrize("edit", [_repeat_gamma_0, _outside_domain, _padded_grade])
+def test_cache_entry_that_does_not_round_trip_recomputed(tmp_path, capsys, edit):
+    cache = str(tmp_path / "cache")
+    args = ["decompose", "--n", "2", "--pi", "1:0,2:3", "--cache", cache]
+    _, first, _ = run(capsys, *args)
+    (entry,) = os.listdir(cache)
+    path = os.path.join(cache, entry)
+    with open(path) as fh:
+        data = json.load(fh)
+    assert data["entries"][0]["gamma"] == [0, 0]
+    edit(data["entries"])
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    code, out, err = run(capsys, *args)
+    assert code == 0
+    assert out == first
+    assert "ignoring unreadable cache entry" in err
+    with open(path) as fh:
+        assert len(json.load(fh)["entries"]) == 1
+
+
 def test_cache_entry_for_another_job_is_a_miss(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     other = tmp_path / "other"

@@ -128,6 +128,21 @@ def test_json_round_trip_with_xi():
     assert from_json_dict({**data, "xi": [[1, 1, 2], [1, 2, 1], [2, 2, 2]]}) != dec
 
 
+@pytest.mark.parametrize("edit", [
+    lambda ents: ents.append(dict(ents[0])),
+    lambda ents: ents[0].update(poly={"1_0": 7}),
+    lambda ents: ents[0].update(poly={" 0": 1}),
+    lambda ents: ents[0].update(dim=ents[0]["dim"] + 1),
+    lambda ents: ents[-1].update(mu_weight=ents[0]["mu_weight"]),
+    lambda ents: ents.append({**ents[0], "gamma": [5, 5, 5]}),
+])
+def test_json_that_does_not_round_trip_is_rejected(edit):
+    data = to_json_dict(graded_decomposition(WORD3))
+    edit(data["entries"])
+    with pytest.raises(ValueError):
+        from_json_dict(data)
+
+
 def test_json_entry_fields():
     data = to_json_dict(graded_decomposition(WORD3))
     assert data["n"] == 3

@@ -1,13 +1,13 @@
-"""Tests for character tables and tensor product peeling."""
+"""Tests for character tables and tensor product decomposition."""
 
 import itertools
 
 import pytest
 
+from hldecomp import weyl_characters
 from hldecomp.root_system import weyl_dim
 from hldecomp.weyl_characters import (
-    _peel,
-    character_convolve,
+    straighten,
     tensor_decompose,
     tensor_power_multiplicity,
     weight_multiplicities,
@@ -76,17 +76,68 @@ def test_tensor_decompose_conserves_dimension():
         assert total == weyl_dim(n, mu) * weyl_dim(n, nu)
 
 
-def test_peel_rejects_non_characters():
-    with pytest.raises(ArithmeticError):
-        _peel(2, {(0, 1): -1})
-    with pytest.raises(ArithmeticError):
-        _peel(2, {(1, 0): 1, (0, 0): 5})
+def _character_product(a, b):
+    # pointwise product of two characters, written here so the identity
+    # below does not go through straighten
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            w = tuple(x + y for x, y in zip(w1, w2))
+            out[w] = out.get(w, 0) + c1 * c2
+    return out
 
 
-def test_convolve_is_symmetric():
-    a = weight_multiplicities(2, (2, 0))
-    b = weight_multiplicities(2, (0, 1))
-    assert character_convolve(a, b) == character_convolve(b, a)
+def _assert_character_identity(n, entries):
+    for mu, nu in itertools.product(itertools.product(entries, repeat=n), repeat=2):
+        lhs = _character_product(weight_multiplicities(n, mu), weight_multiplicities(n, nu))
+        rhs = {}
+        for top, c in tensor_decompose(n, mu, nu).items():
+            assert c > 0
+            for w, m in weight_multiplicities(n, top).items():
+                rhs[w] = rhs.get(w, 0) + c * m
+        assert lhs == rhs, (mu, nu)
+
+
+def test_character_identity():
+    # chi(mu) chi(nu) = sum over constituents of c chi(top)
+    for n in (1, 2):
+        _assert_character_identity(n, range(3))
+    _assert_character_identity(3, range(2))
+
+
+@pytest.mark.slow
+def test_character_identity_rank3():
+    _assert_character_identity(3, range(3))
+
+
+def _regular(y):
+    # no positive root alpha_i + ... + alpha_j pairs to zero with y
+    return all(sum(y[i:j + 1]) for i in range(len(y)) for j in range(i, len(y)))
+
+
+def test_straighten_properties():
+    for n in (1, 2, 3):
+        for x in itertools.product(range(-5, 6), repeat=n):
+            got = straighten(x)
+            if min(x) >= 0:
+                assert got == (1, x)
+            if not _regular([c + 1 for c in x]):
+                assert got is None, x
+                continue
+            sign, top = got
+            assert sign in (1, -1) and min(top) >= 0
+            for i in range(1, n + 1):
+                # dot action: s_i . x = s_i(x + rho) - rho
+                dot = tuple(c - 1 for c in _reflect(tuple(c + 1 for c in x), i, n))
+                assert straighten(dot) == (-sign, top), (x, i)
+
+
+@pytest.mark.parametrize("table", [{(0, 1): -1}, {(-2, 1): 1}])
+def test_tensor_decompose_rejects_non_characters(monkeypatch, table):
+    # a table that is not W-invariant straightens to a negative total
+    monkeypatch.setattr(weyl_characters, "weight_multiplicities", lambda n, mu: table)
+    with pytest.raises(ArithmeticError):
+        tensor_decompose(2, (0, 0), (0, 0))
 
 
 def test_tensor_power_multiplicity():
@@ -102,3 +153,9 @@ def test_tensor_power_multiplicity():
     assert tensor_power_multiplicity(2, (1, 0), 3, (0, 0)) == 1
     with pytest.raises(ValueError):
         tensor_power_multiplicity(2, (1, 0), 0, (0, 0))
+    # both weights go through check_weight
+    for nu in ((5,), (0, 1, 7), (-1, 2)):
+        with pytest.raises(ValueError):
+            tensor_power_multiplicity(2, (1, 0), 2, nu)
+    with pytest.raises(ValueError):
+        tensor_power_multiplicity(2, (1, -1), 1, (1, -1))

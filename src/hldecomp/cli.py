@@ -133,19 +133,23 @@ def _cache_dir(args):
 _CACHE_SCHEMA = 2
 
 
-def _job_fields(args, lam, gammas, word=None, xi=None):
-    """Keys of the result JSON that name a job: they make its cache key and
-    are checked against a stored entry.  They are read off the JSON of an
-    empty decomposition of the job, without its entries.  A job without a
-    gamma covers the full default domain; that case is left to the
-    versioned key rather than re-enumerated on every load, so its domain
-    is dropped too."""
-    fields = dmod.to_json_dict(dmod.GradedDecomposition(
-        args.n, lam, {}, gammas or (), word=word, xi=xi))
+def _job(args, lam, gammas, word=None, xi=None):
+    """(job, fields) of a decompose or oracle run.  job is the empty
+    decomposition of the run: everything its result holds but the
+    polynomials, the domain computed by gamma_domain.  fields are the
+    keys of the result JSON that name the run, read off job's JSON
+    without its entries: they make the cache key and are checked against
+    a stored entry.  A run without a gamma covers the full default
+    domain; that case is left to the versioned key, so its domain is
+    dropped from the fields, and the load checks the stored gammas
+    against job's domain instead."""
+    job = dmod.GradedDecomposition(args.n, lam, {}, gamma_domain(lam, gammas),
+                                   word=word, xi=xi)
+    fields = dmod.to_json_dict(job)
     del fields["entries"]
-    if not gammas:
+    if gammas is None:
         del fields["domain"]
-    return fields
+    return job, fields
 
 
 def _job_key(job) -> str:
@@ -156,7 +160,11 @@ def _job_key(job) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _cache_load(cachedir, key, fields):
+def _cache_load(cachedir, key, fields, job):
+    """The job's decomposition with the polynomials of a stored entry, or
+    None.  job is the empty decomposition of the job: its n, weight,
+    word, xi and domain come from the job itself, never from disk, and
+    every gamma the entry names must lie in that domain."""
     path = os.path.join(cachedir, key + ".json")
     try:
         with open(path) as fh:
@@ -164,7 +172,12 @@ def _cache_load(cachedir, key, fields):
         wrong = sorted(f for f, v in fields.items() if data.get(f) != v)
         if wrong:
             raise ValueError("does not match the job in %s" % ", ".join(wrong))
-        return dmod.from_json_dict(data)
+        stored = dmod.from_json_dict(data)
+        outside = sorted(set(stored.domain).difference(job.domain))
+        if outside:
+            raise ValueError("gammas outside the job's domain: %s" % (outside,))
+        return dmod.GradedDecomposition(job.n, job.lam, stored.entries, job.domain,
+                                        word=job.word, xi=job.xi)
     except FileNotFoundError:
         return None
     except Exception as exc:
@@ -189,12 +202,12 @@ def _cache_store(cachedir, key, dec):
                 os.unlink(tmp)
 
 
-def _cached(args, fields, compute):
+def _cached(args, job, fields, compute):
     cachedir = _cache_dir(args)
     if not cachedir:
         return compute()
     key = _job_key({"cmd": args.command, **fields})
-    dec = _cache_load(cachedir, key, fields)
+    dec = _cache_load(cachedir, key, fields, job)
     if dec is None:
         dec = compute()
         _cache_store(cachedir, key, dec)
@@ -205,12 +218,13 @@ def _word_job(args):
     word = _word_from_args(args)
     lam = weight_of(word)
     gammas = _gamma_from_args(args, lam)
-    return word, gammas, _job_fields(args, lam, gammas, word=word)
+    return (word, gammas) + _job(args, lam, gammas, word=word)
 
 
 def cmd_decompose(args) -> int:
-    word, gammas, fields = _word_job(args)
-    dec = _cached(args, fields, lambda: dmod.graded_decomposition(word, gammas=gammas))
+    word, gammas, job, fields = _word_job(args)
+    dec = _cached(args, job, fields,
+                  lambda: dmod.graded_decomposition(word, gammas=gammas))
     sys.stdout.write(dmod.report(dec, args.format))
     return 0
 
@@ -232,16 +246,16 @@ def cmd_oracle(args) -> int:
     if not (word_flags or full_flags):
         raise InputError("no input: %s" % _MODES)
     if word_flags:
-        word, gammas, fields = _word_job(args)
+        word, gammas, job, fields = _word_job(args)
         compute = lambda: omod.oracle_decomposition(mode="pair", word=word, gammas=gammas)
     else:
         lam = _lam_from_args(args)
         xi = _parse_xi(args.xi, args.n)
         gammas = _gamma_from_args(args, lam)
-        fields = _job_fields(args, lam, gammas, xi=xi)
+        job, fields = _job(args, lam, gammas, xi=xi)
         compute = lambda: omod.oracle_decomposition(lam=lam, mode="full", xi=xi,
                                                     gammas=gammas)
-    sys.stdout.write(dmod.report(_cached(args, fields, compute), args.format))
+    sys.stdout.write(dmod.report(_cached(args, job, fields, compute), args.format))
     return 0
 
 

@@ -28,13 +28,15 @@ vector from mu_{i+1}'s counts.  Within one search, the walk's dead-end
 memo keeps the successors of each state that have a pruned
 completion, so no prefix without one is entered.
 The polytope groups and K are lists and sums of node terms over the
-same four inputs, read from the one process-wide table node_terms.
+same four inputs, read from the one process-wide table node_terms;
+polytope_count.build_polytope reads both from one entry per node.
 Both tables are keyed by every input they read, so their entries
 never go stale across weights.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from operator import ge
 
@@ -113,14 +115,20 @@ def row_counts(mu) -> list[int]:
 
 @lru_cache(maxsize=None)
 def node_terms(lam_i: int, mu_prev, mu, mu_next):
-    """(groups, K term) of one node, cached for the life of the process.
+    """(groups, K term, variable count, top index, top weight) of one
+    node, cached for the life of the process.
 
     groups holds (r, m_r, P_r) for the depths r that hold rows of mu;
     depths past the largest part hold none, and their capacities are at
     least the one at that part.  The K term is
     sum_j (2 j mu^j - mu_next(mu^j)) - lam_i d(mu), d the number of
-    rows.  Pass () for a missing neighbour; the partitions must be
-    tuples.
+    rows.  The variable count is d, the sum of the m_r.  The last two
+    describe the top length 1 row variable C_{m_1,1}: its index m_1 - 1
+    among the node's variables (the depth 1 group comes first), and its
+    level weight m_1 when its cap P_1 is at least 1, math.inf when it
+    can never be positive, None when mu has no row of length 1 (the
+    index is then 0 and means nothing).  Pass () for a missing
+    neighbour; the partitions must be tuples.
     """
     caps = capacities(lam_i, mu_prev, mu, mu_next)
     groups = tuple((r, size, cap)
@@ -131,11 +139,17 @@ def node_terms(lam_i: int, mu_prev, mu, mu_next):
     k_term = (sum(2 * j * part - nxt[part if part < top else top]
                   for j, part in enumerate(mu, start=1))
               - lam_i * len(mu))
-    return groups, k_term
+    if groups and groups[0][0] == 1:
+        _, m1, p1 = groups[0]
+        return groups, k_term, len(mu), m1 - 1, m1 if p1 >= 1 else math.inf
+    return groups, k_term, len(mu), 0, None
 
 
 def compute_K(mp, lam) -> int:
-    """Base grade of a multipartition: the sum of its node_terms K terms."""
+    """Base grade of a multipartition: the sum of its node_terms K terms.
+
+    build_polytope sums the same terms as it reads the groups and keeps
+    the total as spec.K; this is the stand-alone reading."""
     n = len(lam)
     parts = ((),) + tuple(map(tuple, mp[:n])) + ((),)
     if len(parts) != n + 2:

@@ -20,12 +20,19 @@ constraint.  The largest of these is the polytope's level floor, and
 count_by_grade returns zero from one comparison when the level bound
 lies below it.  The floor is a lower bound, not the least level of a
 point, so it only ever skips polytopes that are empty for that bound.
+build_polytope also sums K(mu) from the node terms it reads, so
+multiplicity needs no second pass over the nodes, and it flattens the
+groups only for a polytope that is read past its floor.  That walk,
+count_levels, first drops every variable that cannot be positive (its
+weight exceeds the level bound, or its group cap is 0) and then runs
+over the variables that are left.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import add
 
 from . import multipartition as mpart
 from .hl_category import consecutive_pairs, weight_of
@@ -121,12 +128,17 @@ class PolytopeSpec:
 
     groups: ((r, i), size, cap) triples for the depths r of node i that
     hold rows, in (i, r) order, as node_terms lists them; flat
-    variables enumerate each group as d = 1..size.  pair_sets: flat
-    index sets of the emitted pair constraints.  floor: a lower bound
-    on the level of every admissible point, math.inf when there is no
-    such point; count_by_grade returns zero below it without walking.
-    The default 0 claims nothing, so a hand-built spec is always
-    counted.
+    variables enumerate each group as d = 1..size.  A spec from
+    build_polytope keeps each node's node_terms groups as they are and
+    flattens them into groups on the first read, which most specs,
+    empty below their floor, never make.  pair_sets: flat index sets
+    of the emitted pair constraints.  floor: a lower bound on the level
+    of every admissible point, math.inf when there is no such point;
+    count_by_grade returns zero below it without walking.  The default
+    0 claims nothing, so a hand-built spec is always counted.  K: the
+    base grade of the multipartition, summed by build_polytope from the
+    node terms it reads (compute_K gives the same value); None on a
+    hand-built spec, whose K the caller passes to count_by_grade.
     A group cap may be negative when the multipartition was not
     pruned; the counters then return zero.  For lam >= 0 this covers
     the depths without rows too: a negative capacity there always
@@ -135,12 +147,33 @@ class PolytopeSpec:
     past the largest part.
     """
 
-    __slots__ = ("groups", "pair_sets", "floor")
+    __slots__ = ("_groups", "_nodes", "pair_sets", "floor", "K")
 
     def __init__(self, groups, pair_sets, floor=0):
-        self.groups = tuple(groups)
+        self._groups = tuple(groups)
+        self._nodes = None
         self.pair_sets = tuple(map(tuple, pair_sets))
         self.floor = floor
+        self.K = None
+
+    @classmethod
+    def _of_nodes(cls, nodes, pair_sets, floor, K):
+        # nodes[i - 1] is node i's node_terms groups; pair_sets are tuples
+        spec = cls.__new__(cls)
+        spec._groups = None
+        spec._nodes = nodes
+        spec.pair_sets = pair_sets
+        spec.floor = floor
+        spec.K = K
+        return spec
+
+    @property
+    def groups(self):
+        if self._groups is None:
+            self._groups = tuple(((r, i), size, cap)
+                                 for i, node in enumerate(self._nodes, start=1)
+                                 for r, size, cap in node)
+        return self._groups
 
 
 def build_polytope(parts, lam, pairs=()) -> PolytopeSpec:
@@ -152,8 +185,9 @@ def build_polytope(parts, lam, pairs=()) -> PolytopeSpec:
     length 1 row variable C_{m_{t,1},1,t} of each node a <= t <= b; it
     is emitted only when every node in the range has a row of length 1,
     otherwise the underlying relation is vacuous and the constraint is
-    dropped.  Each node's groups come from the process-wide table
-    mpart.node_terms, in depth order, so its depth 1 group comes first.
+    dropped.  Each node's groups, K term, variable count and top row
+    come from one entry of the process-wide table mpart.node_terms; the
+    K terms add up to spec.K.
 
     The spec's floor is the largest, over the emitted constraints, of
     the least weight m_{t,1} of a top variable with cap P_{1,t} >= 1
@@ -165,29 +199,20 @@ def build_polytope(parts, lam, pairs=()) -> PolytopeSpec:
     if len(parts) != n:
         raise ValueError("multipartition has %d components, expected %d" % (len(parts), n))
     parts = ((),) + tuple(map(tuple, parts)) + ((),)
-    groups = []
-    top = [None] * (n + 1)  # node -> flat index of its top length 1 row variable
-    least = [0] * (n + 1)   # node -> weight of that variable if its cap is >= 1, else inf
-    flat = 0
-    for i, lam_i, prev, mu, nxt in zip(range(1, n + 1), lam, parts, parts[1:], parts[2:]):
-        node, _ = mpart.node_terms(lam_i, prev, mu, nxt)
-        if node and node[0][0] == 1:
-            _, m1, p1 = node[0]
-            top[i] = flat + m1 - 1
-            least[i] = m1 if p1 >= 1 else math.inf
-        for r, size, cap in node:
-            groups.append(((r, i), size, cap))
-            flat += size
+    terms = map(mpart.node_terms, lam, parts, parts[1:], parts[2:])
+    nodes, k_terms, counts, offsets, weights = zip(*terms) if n else ((),) * 5
+    # flat index of each node's top length 1 row variable
+    top = list(map(add, accumulate(counts, initial=0), offsets))
     pair_sets = []
     floor = 0
     for a, b in pairs:
         if not 1 <= a < b <= n:
             raise ValueError("pair %r is not two nodes 1 <= a < b <= %d" % ((a, b), n))
-        span = top[a:b + 1]
+        span = weights[a - 1:b]
         if None not in span:
-            pair_sets.append(tuple(span))
-            floor = max(floor, min(least[a:b + 1]))
-    return PolytopeSpec(groups, pair_sets, floor)
+            pair_sets.append(tuple(top[a - 1:b]))
+            floor = max(floor, min(span))
+    return PolytopeSpec._of_nodes(nodes, tuple(pair_sets), floor, sum(k_terms))
 
 
 def count_levels(sizes, caps, pair_sets, max_level):
@@ -200,9 +225,14 @@ def count_levels(sizes, caps, pair_sets, max_level):
     its entries; only levels <= max_level are admissible.  Returns a
     list h with h[L] = number of points of level L.
 
-    The walk visits every table it is given; polytopes that are empty
-    below their level floor never reach it from count_by_grade (see
-    build_polytope).  An empty constraint gives the zero histogram.
+    Before any table is built, the variables that cannot be positive
+    are dropped: those of weight above max_level, and those of a group
+    with cap 0.  A negative cap on a nonempty group, or a constraint
+    with no variable left (an empty one included), gives the zero
+    histogram; a cap on an empty group bounds nothing.  The pair sets
+    are renumbered over the kept variables and the walk visits only
+    those.  Polytopes that are empty below their level floor never
+    reach it from count_by_grade (see build_polytope).
     Raises ValueError when caps and sizes differ in length, a size is
     negative, or a pair index is not an integer in 0 .. nvars - 1.
     """
@@ -217,27 +247,41 @@ def count_levels(sizes, caps, pair_sets, max_level):
         for v in varset:
             if not (isinstance(v, int) and 0 <= v < nvars):
                 raise ValueError("pair index %r outside 0..%d" % (v, nvars - 1))
-    if not all(pair_sets):
-        return [0] * (max_level + 1)
+    hist = [0] * (max_level + 1)
 
-    weights = [d for m in sizes for d in range(1, m + 1)]
-    group_of = [g for g, m in enumerate(sizes) for _ in range(m)]
+    # a group's usable variables are its first min(size, max_level),
+    # or none at cap 0
+    weights = []
+    group_of = []
+    index = {}  # flat index -> index among the kept variables
+    start = 0
+    for g, (m, cap) in enumerate(zip(sizes, caps)):
+        if cap < 0 and m:
+            return hist
+        if cap > 0:
+            for d in range(1, min(m, max_level) + 1):
+                index[start + d - 1] = len(weights)
+                weights.append(d)
+                group_of.append(g)
+        start += m
+    nkept = len(weights)
 
     npairs = len(pair_sets)
-    member = [[] for _ in range(nvars)]   # var -> constraints containing it
-    deadline = [[] for _ in range(nvars)]  # var -> constraints it closes
+    member = [[] for _ in range(nkept)]   # var -> constraints containing it
+    deadline = [[] for _ in range(nkept)]  # var -> constraints it closes
     for c, varset in enumerate(pair_sets):
-        varset = sorted(set(varset))
-        for v in varset:
+        kept = sorted({index[v] for v in varset if v in index})
+        if not kept:
+            return hist
+        for v in kept:
             member[v].append(c)
-        deadline[varset[-1]].append(c)
+        deadline[kept[-1]].append(c)
 
-    hist = [0] * (max_level + 1)
     sat = [0] * npairs
     caps_left = list(caps)
 
     def walk(v, level):
-        if v == nvars:
+        if v == nkept:
             hist[level] += 1
             return
         g = group_of[v]
@@ -275,8 +319,9 @@ def count_by_grade(spec: PolytopeSpec, height: int, K: int) -> QPolynomial:
     max_level = height - K
     if max_level < spec.floor:
         return QPolynomial()
-    sizes = [size for _, size, _ in spec.groups]
-    caps = [cap for _, _, cap in spec.groups]
+    groups = spec.groups
+    sizes = [size for _, size, _ in groups]
+    caps = [cap for _, _, cap in groups]
     hist = count_levels(sizes, caps, spec.pair_sets, max_level)
     return QPolynomial({max_level - lvl: cnt for lvl, cnt in enumerate(hist) if cnt})
 
@@ -359,7 +404,8 @@ def multiplicity(word, gamma) -> QPolynomial:
     """Graded multiplicity polynomial of V(wt(word) - gamma).
 
     Sums the grade histograms of the polytopes of all multipartitions of
-    shape gamma that survive the capacity pruning.
+    shape gamma that survive the capacity pruning, each shifted by the
+    K that build_polytope keeps on its spec.
     """
     lam = weight_of(word)
     gamma = check_gamma(lam, gamma)
@@ -368,7 +414,7 @@ def multiplicity(word, gamma) -> QPolynomial:
     total = {}
     for parts in mpart.enumerate_multipartitions(gamma, lam):
         spec = build_polytope(parts, lam, pairs)
-        poly = count_by_grade(spec, height, mpart.compute_K(parts, lam))
+        poly = count_by_grade(spec, height, spec.K)
         for p, c in poly.coeffs.items():
             total[p] = total.get(p, 0) + c
     return QPolynomial(total)

@@ -185,14 +185,20 @@ def weyl_dim(n: int, mu) -> int:
     """Dimension of the simple sl(n+1) module with highest weight mu.
 
     Product over positive roots (i, j) of (mu_{i..j} + j - i + 1) / (j - i + 1).
+    With s_k = mu_1 + ... + mu_k + k (s_0 = 0), the factor of (i, j) is
+    (s_j - s_{i-1}) / (j - i + 1), so each root reads one difference of
+    prefix sums.
     """
     mu = check_weight(n, mu)
+    s = [0]
+    for c in mu:
+        s.append(s[-1] + c + 1)
     num = 1
     den = 1
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            num *= sum(mu[i - 1 : j]) + j - i + 1
-            den *= j - i + 1
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            num *= s[j] - s[i]
+            den *= j - i
     if num % den:
         raise ArithmeticError("Weyl dimension formula gave %d/%d" % (num, den))
     return num // den

@@ -1,5 +1,6 @@
 """End to end tests of the command line front end (in process)."""
 
+import hashlib
 import json
 import os
 import re
@@ -12,6 +13,11 @@ from hldecomp import cli
 from hldecomp.cli import main
 
 RANK8_ARGS = ["--n", "8", "--pi", "2:0,3:3,4:0,5:3,7:-1"]
+# the rank 12 benchmark word drawn by seed 1, and the SHA-256 of its
+# decompose --format json output as an earlier version of the lattice
+# count wrote it, so a change to any answer or to the layout shows here
+RANK12_ARGS = ["--n", "12", "--pi", "1:-2,3:2,5:-2,7:2,9:-2,11:2,12:-1"]
+RANK12_JSON_SHA256 = "76aa1685fa97e11d86ff883dc9141477fa55f78cff7eaeb2d9b7179d33b0851a"
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -43,6 +49,13 @@ def test_decompose_is_deterministic(capsys):
                          "--pi", "1:0,2:3,3:0", "--format", "json")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_decompose_json_bytes_of_the_rank12_word(capsys):
+    code, out, _ = run(capsys, "decompose", *RANK12_ARGS, "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["entries"]) == 400
+    assert hashlib.sha256(out.encode()).hexdigest() == RANK12_JSON_SHA256
 
 
 def test_decompose_kappa_equals_pi(capsys):
@@ -438,6 +451,31 @@ def test_cache_entry_that_does_not_round_trip_recomputed(tmp_path, capsys, edit)
     assert "ignoring unreadable cache entry" in err
     with open(path) as fh:
         assert len(json.load(fh)["entries"]) == 1
+
+
+def test_cache_entry_with_a_wider_domain_recomputed(tmp_path, capsys):
+    # a full-domain job's stored domain is not part of its key; widened
+    # in the order to_json_dict writes, it still round-trips, so only the
+    # job's own domain can tell that (1, 0) and (2, 2) do not belong
+    cache = str(tmp_path / "cache")
+    args = ["decompose", "--n", "2", "--pi", "1:0,2:3", "--cache", cache]
+    _, fresh, _ = run(capsys, "decompose", "--n", "2", "--pi", "1:0,2:3")
+    assert "checked 2 dominant gamma" in fresh
+    run(capsys, *args)
+    (entry,) = os.listdir(cache)
+    path = os.path.join(cache, entry)
+    with open(path) as fh:
+        data = json.load(fh)
+    assert data["domain"] == [[0, 0], [1, 1]]
+    data["domain"] = [[0, 0], [1, 0], [1, 1], [2, 2]]
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    code, out, err = run(capsys, *args)
+    assert code == 0
+    assert out == fresh
+    assert "gammas outside the job's domain: [(1, 0), (2, 2)]" in err
+    with open(path) as fh:
+        assert json.load(fh)["domain"] == [[0, 0], [1, 1]]
 
 
 def test_cache_entry_for_another_job_is_a_miss(tmp_path, capsys):

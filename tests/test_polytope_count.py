@@ -190,6 +190,11 @@ def test_each_kept_polytope_matches_inclusion_exclusion():
         for parts in enumerate_multipartitions(gamma, lam):
             spec = build_polytope(parts, lam, pairs)
             K = compute_K(parts, lam)
+            # the K build_polytope sums as it reads the node terms, and
+            # the groups it flattens on first read
+            assert spec.K == K, (word, gamma, parts)
+            groups, pair_sets, _ = _polytope_by_definition(parts, lam, pairs)
+            assert (spec.groups, spec.pair_sets) == (groups, pair_sets), (word, gamma, parts)
             got = count_by_grade(spec, sum(gamma), K)
             assert got == count_by_grade_ie(spec, sum(gamma), K), (word, gamma, parts)
             empty += not got
@@ -301,6 +306,41 @@ def test_count_levels_rules_out_constraints_without_usable_variable():
     assert empty == 10
 
 
+def test_count_levels_drops_variables_that_cannot_be_positive():
+    # variable indices: group 0 = 0, 1, 2 (weights 1..3), group 1 = 3, 4,
+    # group 2 = 5 (weight 1)
+    cases = [
+        # weights above max_level, inside and outside a constraint
+        ([3, 2, 1], [3, 2, 2], [[2, 5]], 2),
+        ([3, 2, 1], [3, 2, 2], [[1, 4], [2, 3]], 1),
+        ([3, 2, 1], [3, 2, 2], [], 2),
+        # cap-0 groups, inside and outside a constraint
+        ([3, 2, 1], [0, 2, 1], [[0, 3]], 4),
+        ([3, 2, 1], [2, 0, 1], [[3, 5], [1, 4, 5]], 4),
+        ([3, 2, 1], [0, 0, 0], [], 3),
+        # a negative cap on a nonempty group: no point, not even zero
+        ([3, 2, 1], [2, -1, 2], [], 3),
+        ([3, 2, 1], [2, 2, -3], [[0]], 3),
+        # every member of a constraint forced to zero, by weight or cap
+        ([3, 2, 1], [2, 0, 1], [[2, 3, 4]], 2),
+        ([3, 2, 1], [2, 2, 0], [[0], [1, 2, 5]], 1),
+    ]
+    for sizes, caps, pair_sets, max_level in cases:
+        got = count_levels(sizes, caps, pair_sets, max_level)
+        assert got == _brute_levels(sizes, caps, pair_sets, max_level), \
+            (sizes, caps, pair_sets, max_level)
+    assert count_levels([3, 2, 1], [2, -1, 2], [], 3) == [0, 0, 0, 0]
+    # a negative cap on an empty group bounds no variable and is ignored;
+    # the brute force would reject every point on it, so compare with the
+    # group left out
+    for sizes, caps, pair_sets, max_level in [([2, 0, 1], [2, -1, 1], [[1, 2]], 3),
+                                              ([0, 2], [-2, 1], [], 2)]:
+        kept = [g for g, m in enumerate(sizes) if m]
+        reduced = ([sizes[g] for g in kept], [caps[g] for g in kept], pair_sets, max_level)
+        got = count_levels(sizes, caps, pair_sets, max_level)
+        assert any(got) and got == _brute_levels(*reduced), (sizes, caps, pair_sets)
+
+
 def test_count_levels_rejects_tables_it_would_misread():
     with pytest.raises(ValueError):
         count_levels([1, 1], [2], [], 2)
@@ -395,6 +435,7 @@ def test_build_polytope_matches_definition():
             groups, pair_sets, negative = _polytope_by_definition(parts, lam, pairs)
             spec = build_polytope(parts, lam, pairs)
             assert (spec.groups, spec.pair_sets) == (groups, pair_sets), (parts, lam)
+            assert spec.K == _K_by_definition(parts, lam), (parts, lam)
             if negative:
                 # a negative capacity, occupied depth or not, empties the
                 # polytope at every level bound

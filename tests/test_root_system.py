@@ -2,7 +2,8 @@
 
 import itertools
 import re
-from math import comb
+from fractions import Fraction
+from math import comb, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,7 +27,7 @@ from hldecomp.root_system import (
 )
 from hldecomp.weyl_characters import weight_multiplicities
 
-from conftest import word_grid
+from conftest import word_grid, words_on_nodes
 
 
 def test_check_rank():
@@ -83,6 +84,24 @@ def test_weyl_dim_known_values():
     assert weyl_dim(2, (1, 1)) == 8
     assert weyl_dim(3, (1, 0, 1)) == 15
     assert weyl_dim(3, (1, 1, 1)) == 64
+
+
+def _weyl_dim_by_definition(n, mu):
+    # product over the positive roots (i, j) of
+    # (<mu, (i, j)> + j - i + 1) / (j - i + 1)
+    return prod(Fraction(pairing(mu, (i, j)) + j - i + 1, j - i + 1)
+                for i, j in positive_roots(n))
+
+
+def test_weyl_dim_matches_the_product_over_roots():
+    small = [mu for n in range(1, 4) for mu in itertools.product(range(4), repeat=n)]
+    # every lam - gamma of the rank 12 benchmark weight, the 400 weights
+    # of its nonzero entries among them
+    lam = weight_of(words_on_nodes(12, (1, 3, 5, 7, 9, 11, 12))[0])
+    rank12 = [weight_minus_gamma(lam, g) for g in enumerate_dominant_gammas(lam)]
+    assert len(small) == 84 and len(rank12) == 634
+    for mu in small + rank12:
+        assert weyl_dim(len(mu), mu) == _weyl_dim_by_definition(len(mu), mu), mu
 
 
 def test_weyl_dim_rejects_non_dominant():

@@ -5,8 +5,11 @@ pair mode from a word, full mode from --lambda with --xi), crosscheck
 (both, compared), hl-info (height function and word diagnostics),
 character (weight multiplicities).  Exit codes: 0 on success, 1 on an
 internal inconsistency such as a crosscheck mismatch, 2 on bad input.
-Results of decompose and oracle jobs can be cached as JSON files; a
-nonempty HLDECOMP_CACHE environment variable overrides --cache.
+Results of decompose and oracle jobs can be cached as JSON files, keyed
+by the job: its command, rank, weight, word or xi, and domain.  An entry
+is served only if it is exactly what the job would write with the
+entry's polynomials.  A nonempty HLDECOMP_CACHE environment variable
+overrides --cache.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from . import functional_oracle as omod
 from .hl_category import (DrinfeldWord, consecutive_pairs, marked_vertices, normalize_xi,
                           pi_from_interval, pi_to_height_interval, weight_of,
                           xi_from_weight)
+from .polytope_count import QPolynomial
 from .root_system import check_rank, check_weight, gamma_domain, positive_roots, weyl_dim
 from .weyl_characters import weight_multiplicities
 
@@ -134,22 +138,11 @@ _CACHE_SCHEMA = 2
 
 
 def _job(args, lam, gammas, word=None, xi=None):
-    """(job, fields) of a decompose or oracle run.  job is the empty
-    decomposition of the run: everything its result holds but the
-    polynomials, the domain computed by gamma_domain.  fields are the
-    keys of the result JSON that name the run, read off job's JSON
-    without its entries: they make the cache key and are checked against
-    a stored entry.  A run without a gamma covers the full default
-    domain; that case is left to the versioned key, so its domain is
-    dropped from the fields, and the load checks the stored gammas
-    against job's domain instead."""
-    job = dmod.GradedDecomposition(args.n, lam, {}, gamma_domain(lam, gammas),
-                                   word=word, xi=xi)
-    fields = dmod.to_json_dict(job)
-    del fields["entries"]
-    if gammas is None:
-        del fields["domain"]
-    return job, fields
+    """The empty decomposition of a decompose or oracle run: everything
+    its result holds but the polynomials, with the domain computed by
+    gamma_domain.  Its JSON, with the command, makes the cache key."""
+    return dmod.GradedDecomposition(args.n, lam, {}, gamma_domain(lam, gammas),
+                                    word=word, xi=xi)
 
 
 def _job_key(job) -> str:
@@ -160,24 +153,29 @@ def _job_key(job) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _cache_load(cachedir, key, fields, job):
+def _cache_load(cachedir, key, job):
     """The job's decomposition with the polynomials of a stored entry, or
-    None.  job is the empty decomposition of the job: its n, weight,
-    word, xi and domain come from the job itself, never from disk, and
-    every gamma the entry names must lie in that domain."""
+    None.  job is the empty decomposition of the job; only the (gamma,
+    poly) pairs are read from disk, and those of gammas in job's domain
+    fill it.  The result is served only if to_json_dict of it is exactly
+    the stored entry, so a foreign header, an edited domain, a repeated
+    or out-of-domain gamma, an odd grade key or a stale mu_weight or dim
+    is recomputed."""
     path = os.path.join(cachedir, key + ".json")
     try:
         with open(path) as fh:
             data = json.load(fh)
-        wrong = sorted(f for f, v in fields.items() if data.get(f) != v)
+        polys = {tuple(e["gamma"]): QPolynomial.from_json(e["poly"])
+                 for e in data["entries"]}
+        dec = dmod.GradedDecomposition(job.n, job.lam,
+                                       {g: polys[g] for g in job.domain if g in polys},
+                                       job.domain, word=job.word, xi=job.xi)
+        written = dmod.to_json_dict(dec)
+        wrong = sorted(k for k in written.keys() | data.keys()
+                       if written.get(k) != data.get(k))
         if wrong:
             raise ValueError("does not match the job in %s" % ", ".join(wrong))
-        stored = dmod.from_json_dict(data)
-        outside = sorted(set(stored.domain).difference(job.domain))
-        if outside:
-            raise ValueError("gammas outside the job's domain: %s" % (outside,))
-        return dmod.GradedDecomposition(job.n, job.lam, stored.entries, job.domain,
-                                        word=job.word, xi=job.xi)
+        return dec
     except FileNotFoundError:
         return None
     except Exception as exc:
@@ -202,12 +200,12 @@ def _cache_store(cachedir, key, dec):
                 os.unlink(tmp)
 
 
-def _cached(args, job, fields, compute):
+def _cached(args, job, compute):
     cachedir = _cache_dir(args)
     if not cachedir:
         return compute()
-    key = _job_key({"cmd": args.command, **fields})
-    dec = _cache_load(cachedir, key, fields, job)
+    key = _job_key({"cmd": args.command, **dmod.to_json_dict(job)})
+    dec = _cache_load(cachedir, key, job)
     if dec is None:
         dec = compute()
         _cache_store(cachedir, key, dec)
@@ -218,13 +216,12 @@ def _word_job(args):
     word = _word_from_args(args)
     lam = weight_of(word)
     gammas = _gamma_from_args(args, lam)
-    return (word, gammas) + _job(args, lam, gammas, word=word)
+    return word, gammas, _job(args, lam, gammas, word=word)
 
 
 def cmd_decompose(args) -> int:
-    word, gammas, job, fields = _word_job(args)
-    dec = _cached(args, job, fields,
-                  lambda: dmod.graded_decomposition(word, gammas=gammas))
+    word, gammas, job = _word_job(args)
+    dec = _cached(args, job, lambda: dmod.graded_decomposition(word, gammas=gammas))
     sys.stdout.write(dmod.report(dec, args.format))
     return 0
 
@@ -246,16 +243,16 @@ def cmd_oracle(args) -> int:
     if not (word_flags or full_flags):
         raise InputError("no input: %s" % _MODES)
     if word_flags:
-        word, gammas, job, fields = _word_job(args)
+        word, gammas, job = _word_job(args)
         compute = lambda: omod.oracle_decomposition(mode="pair", word=word, gammas=gammas)
     else:
         lam = _lam_from_args(args)
         xi = _parse_xi(args.xi, args.n)
         gammas = _gamma_from_args(args, lam)
-        job, fields = _job(args, lam, gammas, xi=xi)
+        job = _job(args, lam, gammas, xi=xi)
         compute = lambda: omod.oracle_decomposition(lam=lam, mode="full", xi=xi,
                                                     gammas=gammas)
-    sys.stdout.write(dmod.report(_cached(args, job, fields, compute), args.format))
+    sys.stdout.write(dmod.report(_cached(args, job, compute), args.format))
     return 0
 
 

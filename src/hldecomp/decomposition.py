@@ -1,9 +1,11 @@
-"""Assemble, serialize and render graded decompositions.
+"""Assemble graded decompositions, write them as JSON and render them.
 
 A GradedDecomposition holds the multiplicity polynomial of V(lam - gamma)
 for every dominant gamma with a nonzero contribution; the checked domain
-is kept alongside (and serialized) so "zero" and "never computed" stay
-distinguishable.
+is kept alongside (and written out) so "zero" and "never computed" stay
+distinguishable.  Nothing here reads JSON back: the command line cache
+takes only the polynomials of a stored entry and builds the rest from
+the job.
 """
 
 from __future__ import annotations
@@ -88,33 +90,6 @@ def to_json_dict(dec: GradedDecomposition) -> dict:
     if dec.xi is not None:
         out["xi"] = [[i, j, v] for (i, j), v in sorted(dec.xi.items())]
     return out
-
-
-def from_json_dict(data) -> GradedDecomposition:
-    """Inverse of to_json_dict.
-
-    Raises ValueError for an entry whose gamma is outside the domain,
-    and unless to_json_dict of the result gives back every key of data
-    that it writes: a repeated gamma, a grade key that int() reads but
-    to_json never writes (such as "1_0"), or a stale mu_weight or dim
-    fails that round trip.
-    """
-    n = data["n"]
-    lam = tuple(data["weight"])
-    word = DrinfeldWord(n, [tuple(f) for f in data["pi"]]) if data.get("pi") else None
-    xi = {(i, j): v for i, j, v in data["xi"]} if data.get("xi") else None
-    entries = {}
-    for ent in data["entries"]:
-        entries[tuple(ent["gamma"])] = QPolynomial.from_json(ent["poly"])
-    domain = [tuple(g) for g in data["domain"]]
-    outside = sorted(set(entries).difference(domain))
-    if outside:
-        raise ValueError("entries outside the domain: %s" % (outside,))
-    dec = GradedDecomposition(n, lam, entries, domain, word=word, xi=xi)
-    wrong = sorted(k for k, v in to_json_dict(dec).items() if data.get(k) != v)
-    if wrong:
-        raise ValueError("does not round-trip in %s" % ", ".join(wrong))
-    return dec
 
 
 def to_json_text(dec: GradedDecomposition) -> str:

@@ -227,11 +227,10 @@ def count_levels(sizes, caps, pair_sets, max_level):
 
     Before any table is built, the variables that cannot be positive
     are dropped: those of weight above max_level, and those of a group
-    with cap 0.  A negative cap on a nonempty group, or a constraint
+    with cap 0.  A negative cap, on an empty group too, or a constraint
     with no variable left (an empty one included), gives the zero
-    histogram; a cap on an empty group bounds nothing.  The pair sets
-    are renumbered over the kept variables and the walk visits only
-    those.  Polytopes that are empty below their level floor never
+    histogram.  The pair sets are renumbered over the kept variables
+    and the walk visits only those.  Polytopes that are empty below their level floor never
     reach it from count_by_grade (see build_polytope).
     Raises ValueError when caps and sizes differ in length, a size is
     negative, or a pair index is not an integer in 0 .. nvars - 1.
@@ -256,7 +255,7 @@ def count_levels(sizes, caps, pair_sets, max_level):
     index = {}  # flat index -> index among the kept variables
     start = 0
     for g, (m, cap) in enumerate(zip(sizes, caps)):
-        if cap < 0 and m:
+        if cap < 0:
             return hist
         if cap > 0:
             for d in range(1, min(m, max_level) + 1):

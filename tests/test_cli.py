@@ -420,43 +420,83 @@ def test_cache_entry_with_non_integer_coefficient_recomputed(tmp_path, capsys, c
         assert json.load(fh)["entries"][-1]["poly"] == {"1": 1}
 
 
+# edits of a stored entry whose first gamma is 0; the rank 3 word's
+# full domain holds 0 and (1, 1, 1), both nonzero
+
+
+def _repeated_entry(entries):
+    entries.append(dict(entries[0]))
+
+
 def _repeat_gamma_0(entries):
     entries.append({**entries[0], "poly": {"1_0": 7}})
 
 
-def _outside_domain(entries):
-    entries.append({"gamma": [1, 0], "mu_weight": [-1, 2], "dim": 0, "poly": {"0": 1}})
+def _underscored_grade(entries):
+    # int() reads "1_0" as 10, to_json writes "10"
+    entries[0]["poly"] = {"1_0": 7}
 
 
 def _padded_grade(entries):
     entries[0]["poly"] = {" 0": 1}
 
 
-@pytest.mark.parametrize("edit", [_repeat_gamma_0, _outside_domain, _padded_grade])
+def _stale_dim(entries):
+    entries[0]["dim"] += 1
+
+
+def _stale_mu_weight(entries):
+    entries[0]["mu_weight"] = [0, 1, 0]
+
+
+def _outside_domain(entries):
+    entries.append({"gamma": [1, 0, 0], "mu_weight": [-1, 2, 1], "dim": 0, "poly": {"0": 1}})
+
+
+def _far_gamma(entries):
+    entries.append({**entries[0], "gamma": [5, 5, 5]})
+
+
+def _dominant_outside_the_job(entries):
+    # the entry of (1, 1, 1) as the full-domain job writes it: a repeat
+    # there, and outside the domain of the job restricted to gamma 0
+    entries.append({"gamma": [1, 1, 1], "mu_weight": [0, 1, 0], "dim": 6, "poly": {"1": 1}})
+
+
+@pytest.mark.parametrize("edit", [
+    _repeated_entry, _repeat_gamma_0, _underscored_grade, _padded_grade, _stale_dim,
+    _stale_mu_weight, _outside_domain, _far_gamma, _dominant_outside_the_job])
 def test_cache_entry_that_does_not_round_trip_recomputed(tmp_path, capsys, edit):
-    cache = str(tmp_path / "cache")
-    args = ["decompose", "--n", "2", "--pi", "1:0,2:3", "--cache", cache]
-    _, first, _ = run(capsys, *args)
-    (entry,) = os.listdir(cache)
-    path = os.path.join(cache, entry)
-    with open(path) as fh:
-        data = json.load(fh)
-    assert data["entries"][0]["gamma"] == [0, 0]
-    edit(data["entries"])
-    with open(path, "w") as fh:
-        json.dump(data, fh)
-    code, out, err = run(capsys, *args)
-    assert code == 0
-    assert out == first
-    assert "ignoring unreadable cache entry" in err
-    with open(path) as fh:
-        assert len(json.load(fh)["entries"]) == 1
+    # an entry is served only if it is exactly what the job would write
+    # with the entry's polynomials; each edit is tried on the full-domain
+    # job and on the job restricted to gamma 0
+    for restrict in ([], ["--gamma", "0,0,0"]):
+        job = ["decompose", "--n", "3", "--pi", "1:0,2:3,3:0", *restrict]
+        cache = str(tmp_path / ("cache%d" % len(restrict)))
+        _, fresh, _ = run(capsys, *job)
+        run(capsys, *job, "--cache", cache)
+        (entry,) = os.listdir(cache)
+        path = os.path.join(cache, entry)
+        with open(path) as fh:
+            written = fh.read()
+        data = json.loads(written)
+        assert data["entries"][0]["gamma"] == [0, 0, 0]
+        edit(data["entries"])
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        code, out, err = run(capsys, *job, "--cache", cache)
+        assert code == 0
+        assert out == fresh
+        assert "ignoring unreadable cache entry" in err
+        assert "does not match the job in entries)" in err
+        with open(path) as fh:
+            assert fh.read() == written
 
 
 def test_cache_entry_with_a_wider_domain_recomputed(tmp_path, capsys):
-    # a full-domain job's stored domain is not part of its key; widened
-    # in the order to_json_dict writes, it still round-trips, so only the
-    # job's own domain can tell that (1, 0) and (2, 2) do not belong
+    # widened in the order to_json_dict writes, the stored domain still
+    # lists every stored gamma, and the entries are those of the job; only
+    # the job's own domain can tell that (1, 0) and (2, 2) do not belong
     cache = str(tmp_path / "cache")
     args = ["decompose", "--n", "2", "--pi", "1:0,2:3", "--cache", cache]
     _, fresh, _ = run(capsys, "decompose", "--n", "2", "--pi", "1:0,2:3")
@@ -473,9 +513,29 @@ def test_cache_entry_with_a_wider_domain_recomputed(tmp_path, capsys):
     code, out, err = run(capsys, *args)
     assert code == 0
     assert out == fresh
-    assert "gammas outside the job's domain: [(1, 0), (2, 2)]" in err
+    assert "ignoring unreadable cache entry" in err
+    assert "does not match the job in domain)" in err
     with open(path) as fh:
         assert json.load(fh)["domain"] == [[0, 0], [1, 1]]
+
+
+def test_cache_hit_of_a_full_mode_oracle_job(tmp_path, capsys, monkeypatch):
+    # the job, not the entry, gives the weight, the truncation data xi and
+    # the domain, full or restricted to one gamma
+    job = ["oracle", "--n", "2", "--lambda", "2,0", "--xi", "2", "--format", "json"]
+    for restrict in ([], ["--gamma", "1,0"]):
+        _, fresh, _ = run(capsys, *job, *restrict)
+        assert json.loads(fresh)["xi"] == [[1, 1, 2], [1, 2, 2], [2, 2, 2]]
+        cache = str(tmp_path / ("cache%d" % len(restrict)))
+        code, first, err = run(capsys, *job, *restrict, "--cache", cache)
+        assert code == 0 and first == fresh and err == ""
+        with monkeypatch.context() as m:
+            # with nothing to compute it, only a served entry can answer
+            m.setattr(cli.omod, "oracle_decomposition", None)
+            code, hit, err = run(capsys, *job, *restrict, "--cache", cache)
+        assert code == 0 and err == ""
+        assert hit == fresh
+    assert json.loads(hit)["domain"] == [[1, 0]]
 
 
 def test_cache_entry_for_another_job_is_a_miss(tmp_path, capsys):
@@ -495,7 +555,9 @@ def test_cache_entry_for_another_job_is_a_miss(tmp_path, capsys):
     assert code == 0
     assert out == first
     assert "ignoring unreadable cache entry" in err
-    assert "does not match the job in n, pi, weight" in err
+    assert "does not match the job in domain, entries, n, pi, weight)" in err
+    # the JSON output is the entry as written
+    assert Path(path).read_text() == first
 
 
 def test_cache_entry_for_another_xi_is_a_miss(tmp_path, capsys):
@@ -514,7 +576,9 @@ def test_cache_entry_for_another_xi_is_a_miss(tmp_path, capsys):
     code, out, err = run(capsys, *job, "--xi", "1", "--cache", cache)
     assert code == 0
     assert out == first
+    assert "ignoring unreadable cache entry" in err
     assert "does not match the job in xi)" in err
+    assert Path(path).read_text() == first
 
 
 def test_cache_entry_for_another_gamma_is_a_miss(tmp_path, capsys):
@@ -533,7 +597,9 @@ def test_cache_entry_for_another_gamma_is_a_miss(tmp_path, capsys):
     code, out, err = run(capsys, *args)
     assert code == 0
     assert out == first
+    assert "ignoring unreadable cache entry" in err
     assert "does not match the job in domain)" in err
+    assert Path(path).read_text() == first
 
 
 def test_cache_write_failure_leaves_no_temp_file(tmp_path, capsys, monkeypatch):

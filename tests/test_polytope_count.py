@@ -318,9 +318,11 @@ def test_count_levels_drops_variables_that_cannot_be_positive():
         ([3, 2, 1], [0, 2, 1], [[0, 3]], 4),
         ([3, 2, 1], [2, 0, 1], [[3, 5], [1, 4, 5]], 4),
         ([3, 2, 1], [0, 0, 0], [], 3),
-        # a negative cap on a nonempty group: no point, not even zero
+        # a negative cap: no point, not even zero, also on an empty group
         ([3, 2, 1], [2, -1, 2], [], 3),
         ([3, 2, 1], [2, 2, -3], [[0]], 3),
+        ([2, 0, 1], [2, -1, 1], [[1, 2]], 3),
+        ([0, 2], [-2, 1], [], 2),
         # every member of a constraint forced to zero, by weight or cap
         ([3, 2, 1], [2, 0, 1], [[2, 3, 4]], 2),
         ([3, 2, 1], [2, 2, 0], [[0], [1, 2, 5]], 1),
@@ -330,15 +332,7 @@ def test_count_levels_drops_variables_that_cannot_be_positive():
         assert got == _brute_levels(sizes, caps, pair_sets, max_level), \
             (sizes, caps, pair_sets, max_level)
     assert count_levels([3, 2, 1], [2, -1, 2], [], 3) == [0, 0, 0, 0]
-    # a negative cap on an empty group bounds no variable and is ignored;
-    # the brute force would reject every point on it, so compare with the
-    # group left out
-    for sizes, caps, pair_sets, max_level in [([2, 0, 1], [2, -1, 1], [[1, 2]], 3),
-                                              ([0, 2], [-2, 1], [], 2)]:
-        kept = [g for g, m in enumerate(sizes) if m]
-        reduced = ([sizes[g] for g in kept], [caps[g] for g in kept], pair_sets, max_level)
-        got = count_levels(sizes, caps, pair_sets, max_level)
-        assert any(got) and got == _brute_levels(*reduced), (sizes, caps, pair_sets)
+    assert count_levels([0, 2], [-2, 1], [], 2) == [0, 0, 0]
 
 
 def test_count_levels_rejects_tables_it_would_misread():
@@ -383,6 +377,9 @@ def test_count_by_grade_degenerate_cases():
     assert bad.groups == (((1, 1), 1, -1),)
     assert not count_by_grade(bad, 18, 0)
     assert not count_by_grade_ie(bad, 18, 0)
+    # so does an empty group with negative capacity, in both counters
+    empty = PolytopeSpec([((1, 1), 0, -1), ((1, 2), 1, 1)], [])
+    assert count_by_grade(empty, 2, 0) == count_by_grade_ie(empty, 2, 0) == QPolynomial()
 
 
 def _polytope_by_definition(parts, lam, pairs):

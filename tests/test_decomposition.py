@@ -1,5 +1,6 @@
-"""Tests for decomposition assembly, JSON output and rendering."""
+"""Tests for decomposition assembly, serialization and rendering."""
 
+import json
 import re
 
 import pytest
@@ -15,6 +16,7 @@ from hldecomp.decomposition import (
     total_dimension,
 )
 from hldecomp import decomposition, functional_oracle
+from hldecomp.cli import _cache_load
 from hldecomp.functional_oracle import oracle_decomposition
 from hldecomp.hl_category import DrinfeldWord, weight_of
 from hldecomp.polytope_count import QPolynomial
@@ -97,6 +99,58 @@ def test_ordered_gammas():
 def test_zero_polynomials_dropped():
     dec = GradedDecomposition(2, (1, 1), {(1, 1): QPolynomial()}, [(1, 1)])
     assert dec.entries == {}
+
+
+def _read_back(tmp_path, data, dec):
+    """data, stored as a cache entry, read back for the job of dec, or None
+    if the entry is not exactly what that job would write."""
+    (tmp_path / "entry.json").write_text(json.dumps(data))
+    job = GradedDecomposition(dec.n, dec.lam, {}, dec.domain, word=dec.word, xi=dec.xi)
+    return _cache_load(str(tmp_path), "entry", job)
+
+
+def test_json_round_trip_full(tmp_path):
+    dec = graded_decomposition(WORD3)
+    back = _read_back(tmp_path, json.loads(to_json_text(dec)), dec)
+    assert back == dec
+    assert back.word == WORD3
+    assert sorted(back.domain) == sorted(dec.domain)
+
+
+def test_json_round_trip_restricted(tmp_path):
+    dec = graded_decomposition(WORD3, gammas=[(1, 1, 1)])
+    back = _read_back(tmp_path, json.loads(to_json_text(dec)), dec)
+    assert back == dec
+    assert back.domain == [(1, 1, 1)]
+
+
+def test_json_round_trip_with_xi(tmp_path):
+    xi = {(1, 1): 2, (2, 2): 2, (1, 2): 2}
+    dec = oracle_decomposition(lam=(2, 0), mode="full", xi=xi)
+    data = json.loads(to_json_text(dec))
+    back = _read_back(tmp_path, data, dec)
+    assert back == dec
+    assert back.xi == xi
+    # an entry that differs only in xi is not read back
+    assert _read_back(tmp_path, {**data, "xi": None}, dec) is None
+    assert _read_back(tmp_path, {**data, "xi": [[1, 1, 2], [1, 2, 1], [2, 2, 2]]}, dec) is None
+
+
+@pytest.mark.parametrize("edit", [
+    lambda ents: ents.append(dict(ents[0])),
+    lambda ents: ents[0].update(poly={"1_0": 7}),
+    lambda ents: ents[0].update(poly={" 0": 1}),
+    lambda ents: ents[0].update(dim=ents[0]["dim"] + 1),
+    lambda ents: ents[-1].update(mu_weight=ents[0]["mu_weight"]),
+    lambda ents: ents.append({**ents[0], "gamma": [5, 5, 5]}),
+])
+def test_json_that_does_not_round_trip_is_rejected(tmp_path, capsys, edit):
+    dec = graded_decomposition(WORD3)
+    data = to_json_dict(dec)
+    assert _read_back(tmp_path, data, dec) == dec
+    edit(data["entries"])
+    assert _read_back(tmp_path, data, dec) is None
+    assert "does not match the job in entries" in capsys.readouterr().err
 
 
 def test_json_entry_fields():

@@ -137,14 +137,6 @@ def _cache_dir(args):
 _CACHE_SCHEMA = 2
 
 
-def _job(args, lam, gammas, word=None, xi=None):
-    """The empty decomposition of a decompose or oracle run: everything
-    its result holds but the polynomials, with the domain computed by
-    gamma_domain.  Its JSON, with the command, makes the cache key."""
-    return dmod.GradedDecomposition(args.n, lam, {}, gamma_domain(lam, gammas),
-                                    word=word, xi=xi)
-
-
 def _job_key(job) -> str:
     # the package version is part of the key, so a release with an
     # algorithm fix never serves entries computed before it
@@ -200,10 +192,17 @@ def _cache_store(cachedir, key, dec):
                 os.unlink(tmp)
 
 
-def _cached(args, job, compute):
+def _cached(args, compute, lam, gammas, word=None, xi=None):
+    """compute(), or, when a cache directory is set, the stored result
+    of the same job.  The job is the empty decomposition of the run:
+    everything its result holds but the polynomials, with the domain
+    computed by gamma_domain.  Its JSON, with the command, makes the
+    cache key; without a cache directory it is never built."""
     cachedir = _cache_dir(args)
     if not cachedir:
         return compute()
+    job = dmod.GradedDecomposition(args.n, lam, {}, gamma_domain(lam, gammas),
+                                   word=word, xi=xi)
     key = _job_key({"cmd": args.command, **dmod.to_json_dict(job)})
     dec = _cache_load(cachedir, key, job)
     if dec is None:
@@ -212,16 +211,16 @@ def _cached(args, job, compute):
     return dec
 
 
-def _word_job(args):
+def _word_inputs(args):
     word = _word_from_args(args)
     lam = weight_of(word)
-    gammas = _gamma_from_args(args, lam)
-    return word, gammas, _job(args, lam, gammas, word=word)
+    return word, lam, _gamma_from_args(args, lam)
 
 
 def cmd_decompose(args) -> int:
-    word, gammas, job = _word_job(args)
-    dec = _cached(args, job, lambda: dmod.graded_decomposition(word, gammas=gammas))
+    word, lam, gammas = _word_inputs(args)
+    dec = _cached(args, lambda: dmod.graded_decomposition(word, gammas=gammas),
+                  lam, gammas, word=word)
     sys.stdout.write(dmod.report(dec, args.format))
     return 0
 
@@ -243,16 +242,18 @@ def cmd_oracle(args) -> int:
     if not (word_flags or full_flags):
         raise InputError("no input: %s" % _MODES)
     if word_flags:
-        word, gammas, job = _word_job(args)
+        word, lam, gammas = _word_inputs(args)
+        xi = None
         compute = lambda: omod.oracle_decomposition(mode="pair", word=word, gammas=gammas)
     else:
+        word = None
         lam = _lam_from_args(args)
         xi = _parse_xi(args.xi, args.n)
         gammas = _gamma_from_args(args, lam)
-        job = _job(args, lam, gammas, xi=xi)
         compute = lambda: omod.oracle_decomposition(lam=lam, mode="full", xi=xi,
                                                     gammas=gammas)
-    sys.stdout.write(dmod.report(_cached(args, job, compute), args.format))
+    dec = _cached(args, compute, lam, gammas, word=word, xi=xi)
+    sys.stdout.write(dmod.report(dec, args.format))
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 
-from .hl_category import DrinfeldWord, consecutive_pairs, weight_of
+from .hl_category import DrinfeldWord, weight_of
 from .polytope_count import QPolynomial, multiplicity
 from .root_system import gamma_domain, weight_minus_gamma, weyl_dim
 

@@ -35,14 +35,20 @@ multiset of the rest, so the rows are counted once per distinct
 not once per permutation.
 
 The dimension is the exact corank of the relation matrix, found in the
-following steps (`exact_corank`):
+following steps (`exact_corank` for given rows, `dim_V` for a grade):
 
   0. Peeling: a row with one nonzero entry forces its column to 0 over
      Q, so that column is dropped from every row, repeatedly, until no
      such row is left (the first step of structured Gaussian
      elimination, LaMacchia-Odlyzko 1990).  The corank is that of the
      remaining rows on the remaining columns, and is 0 if every column
-     is forced; steps 1-3 run on the remainder.
+     is forced; steps 1-3 run on the remainder.  `dim_V` builds the
+     rows in batches and peels after each: all interval conditions,
+     then all pole conditions, then each join condition alone.  A
+     forced orbit is 0 in every kernel vector, so each batch is built
+     only on the orbits still free, and once every orbit is forced no
+     further batch is built.  One forced-column list and one
+     column-to-row index carry over from batch to batch.
   1. A sparse echelon over GF(p), p = 2^31 - 1.  The rank mod p is at
      most the rank over Q, so a full echelon proves the corank is 0.
   2. Otherwise, with k free columns, the corank over Q is at most k.
@@ -330,43 +336,69 @@ def _lift_kernel(echelon, ncols):
     return kernel
 
 
-def _peel(rows, ncols):
+def _peel(rows, ncols, more=()):
     """Rows and columns left once singleton rows are peeled.
 
     A row with one nonzero entry c x_j = 0 forces x_j = 0 over Q, so
     column j is dropped from every row and the step repeats until no
-    row has exactly one entry left.  Returns (rows over the surviving
-    columns, renumbered in order and keyed by their position in rows;
-    number of surviving columns).  Every row left has at least two
-    entries, and columns no row touches survive.
+    row has exactly one entry left.  more holds functions that build
+    further rows, called in turn once the rows so far are peeled: each
+    gets the list of columns not yet forced, in increasing order, and
+    returns rows keyed as rows are, whose column k stands for the k-th
+    column of that list.  A forced column is zero in every kernel
+    vector, so no later row needs an entry on it, and once every column
+    is forced no further function is called.  Returns (rows over the
+    surviving columns, renumbered in order and keyed by their position
+    among all rows built; number of surviving columns).  Every row left
+    has at least two entries, and columns no row touches survive.
     """
-    rows = list(rows.values())
-    live = [0] * len(rows)
+    built = []
+    live = []
     on_col = [[] for _ in range(ncols)]
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            if v:
-                on_col[c].append(r)
-                live[r] += 1
     forced = [False] * ncols
-    queue = [r for r, k in enumerate(live) if k == 1]
-    while queue:
-        r = queue.pop()
-        if live[r] != 1:
-            continue
-        col = next(c for c, v in rows[r].items() if v and not forced[c])
-        forced[col] = True
-        for other in on_col[col]:
-            live[other] -= 1
-            if live[other] == 1:
-                queue.append(other)
-    new_col = {}
-    for c in range(ncols):
-        if not forced[c]:
-            new_col[c] = len(new_col)
-    left = {r: {new_col[c]: v for c, v in rows[r].items() if v and not forced[c]}
-            for r, k in enumerate(live) if k}
-    return left, len(new_col)
+    free = list(range(ncols))
+    for build in (lambda _: rows, *more):
+        if not free:
+            break
+        queue = []
+        for row in build(free).values():
+            row = {free[c]: v for c, v in row.items() if v}
+            r = len(built)
+            built.append(row)
+            live.append(len(row))
+            for c in row:
+                on_col[c].append(r)
+            if len(row) == 1:
+                queue.append(r)
+        while queue:
+            r = queue.pop()
+            if live[r] != 1:
+                continue
+            col = next(c for c in built[r] if not forced[c])
+            forced[col] = True
+            for other in on_col[col]:
+                live[other] -= 1
+                if live[other] == 1:
+                    queue.append(other)
+        free = [c for c in free if not forced[c]]
+    new_col = {c: k for k, c in enumerate(free)}
+    left = {r: {new_col[c]: v for c, v in row.items() if not forced[c]}
+            for r, row in enumerate(built) if live[r]}
+    return left, len(free)
+
+
+def _corank(rows, ncols) -> int:
+    """Exact corank over Q of rows that `_peel` has left, by the steps
+    after peeling that `exact_corank` describes."""
+    echelon = _echelon_mod_p(sorted(rows.values(), key=len), ncols)
+    if len(echelon) == ncols:
+        return 0
+    kernel = _lift_kernel(echelon, ncols)
+    if kernel is not None and all(
+            sum(c * vec.get(o, 0) for o, c in row.items()) == 0
+            for row in rows.values() for vec in kernel):
+        return len(kernel)
+    return ncols - integer_rank(_rows_to_matrix(rows, ncols))
 
 
 def exact_corank(rows, ncols) -> int:
@@ -386,16 +418,7 @@ def exact_corank(rows, ncols) -> int:
     the corank is at least k and therefore k.  If a lift or a check
     fails, the corank comes from `integer_rank`.
     """
-    rows, ncols = _peel(rows, ncols)
-    echelon = _echelon_mod_p(sorted(rows.values(), key=len), ncols)
-    if len(echelon) == ncols:
-        return 0
-    kernel = _lift_kernel(echelon, ncols)
-    if kernel is not None and all(
-            sum(c * vec.get(o, 0) for o, c in row.items()) == 0
-            for row in rows.values() for vec in kernel):
-        return len(kernel)
-    return ncols - integer_rank(_rows_to_matrix(rows, ncols))
+    return _corank(*_peel(rows, ncols))
 
 
 def integer_rank(mat) -> int:
@@ -445,7 +468,9 @@ def _rows_to_matrix(rows, norbits):
 
 
 def dim_V(lam, gamma, p: int, depths) -> int:
-    """Dimension of the space of admissible functions at grade p."""
+    """Dimension of the space of admissible functions at grade p: the
+    corank of the relation rows on the grade's orbits, built and peeled
+    batch by batch (step 0 of the module docstring)."""
     if p < 0:
         raise ValueError("grade must be nonnegative")
     gamma = check_gamma(lam, gamma)
@@ -454,8 +479,14 @@ def dim_V(lam, gamma, p: int, depths) -> int:
     orbits = orbit_basis(gamma, bounds, degree)
     if not orbits:
         return 0
-    rows = constraint_rows(orbits, conds)
-    return exact_corank(rows, len(orbits))
+    # all interval rows, then all pole rows, then each join alone
+    kinds = {"interval": [], "pole": [], "join": []}
+    for cond in conds:
+        kinds[cond[0][0]].append(cond)
+    batches = [kinds["interval"], kinds["pole"], *([c] for c in kinds["join"])]
+    return _corank(*_peel({}, len(orbits), [
+        lambda free, batch=batch: constraint_rows([orbits[o] for o in free], batch)
+        for batch in batches if batch]))
 
 
 def grade_window(lam, gamma, depths, *legacy) -> range:

@@ -30,7 +30,6 @@ over the variables that are left.
 
 from __future__ import annotations
 
-import math
 from itertools import accumulate, combinations
 from operator import add
 

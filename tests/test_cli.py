@@ -654,6 +654,25 @@ def test_empty_cache_env_is_unset(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "env_cache").exists()
 
 
+def test_uncached_run_builds_no_job(tmp_path, capsys, monkeypatch):
+    # the job, with its gamma_domain, only makes the cache key; without a
+    # cache directory it is never built
+    calls = []
+    real = cli.gamma_domain
+    monkeypatch.setattr(cli, "gamma_domain", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.delenv("HLDECOMP_CACHE", raising=False)
+    jobs = [["decompose", "--n", "2", "--pi", "1:0,2:3"],
+            ["oracle", "--n", "2", "--pi", "1:0,2:3"],
+            ["oracle", "--n", "2", "--lambda", "1,1", "--xi", "2"]]
+    for argv in jobs:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "multiplicity" in out
+    assert calls == []
+    for argv in jobs:
+        run(capsys, *argv, "--cache", str(tmp_path / "cache"))
+    assert len(calls) == len(jobs)
+
+
 # ------------------------------------------------------------------- README
 
 def test_readme_command_lines_run(capsys):

@@ -16,6 +16,7 @@ from hypothesis import given, strategies as st
 from hldecomp import functional_oracle
 from hldecomp.functional_oracle import (
     _PRIME,
+    _corank,
     _echelon_mod_p,
     _node_multisets,
     _peel,
@@ -486,11 +487,119 @@ def test_peeling_leaves_a_positive_corank_remainder(monkeypatch):
     assert calls == []
 
 
+def _peel_and_survivors(rows, ncols, more=()):
+    """_peel's result and the columns it leaves unforced, read by a last
+    batch that builds no row (never called once every column is
+    forced)."""
+    seen = [[]]
+
+    def record(free):
+        seen.append(list(free))
+        return {}
+
+    return _peel(rows, ncols, [*more, record]), seen[-1]
+
+
+def _restricted(batch):
+    """The batch builder for full rows: each row on the free columns."""
+    return lambda free: {k: {j: row[c] for j, c in enumerate(free) if c in row}
+                         for k, row in enumerate(batch)}
+
+
+@given(st.integers(1, 8).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.lists(st.dictionaries(st.integers(0, k - 1), _ENTRIES, max_size=4),
+             max_size=8),
+    st.lists(st.integers(0, k - 1), unique=True, max_size=k),
+    st.lists(st.tuples(_NONZERO, _NONZERO), min_size=k, max_size=k),
+    st.randoms(use_true_random=False))))
+def test_peeling_in_batches_matches_peeling_at_once(case):
+    # the rows of test_peeling_keeps_exact_corank, cut into random
+    # batches (some empty); every batch after the first is built only on
+    # the columns left free by the batches before it
+    ncols, rows, chain, coeffs, rnd = case
+    if chain:
+        rows = rows + _singleton_chain(chain, coeffs)
+    rnd.shuffle(rows)
+    cuts = sorted(rnd.choices(range(len(rows) + 1), k=rnd.randint(0, 4)))
+    batches = [rows[a:b] for a, b in zip([0, *cuts], [*cuts, len(rows)])]
+    at_once, free = _peel_and_survivors(dict(enumerate(rows)), ncols)
+    batched, free_batched = _peel_and_survivors(
+        dict(enumerate(batches[0])), ncols, [_restricted(b) for b in batches[1:]])
+    assert free_batched == free
+    # the same rows left, at the same positions, on the same columns
+    assert batched == at_once
+    mat = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+    assert _corank(*batched) == exact_corank(dict(enumerate(rows)), ncols) == \
+        ncols - integer_rank(mat)
+
+
+def _all_grades(lam, gammas, depths):
+    for gamma in gammas:
+        for grade in grade_window(lam, gamma, depths):
+            degree = -grade - gamma_height(gamma) + e_gamma(gamma)
+            yield gamma, grade, degree
+
+
+def _pair_mode(word):
+    lam = weight_of(word)
+    return lam, enumerate_dominant_gammas(lam), {p: 1 for p in consecutive_pairs(word)}
+
+
+def _tensor_square(lam):
+    return lam, enumerate_dominant_gammas(lam), {r: 2 for r in positive_roots(len(lam))}
+
+
+@pytest.mark.parametrize("lam, gammas, depths", [
+    (X58_LAM, [X58_GAMMA], X58_XI),
+    _tensor_square((2, 2)),
+    _tensor_square((4, 0)),
+    *(_pair_mode(word) for word in word_grid(4, 3)),
+])
+def test_dim_V_matches_the_one_batch_corank(lam, gammas, depths):
+    # dim_V builds and peels its rows batch by batch, each batch on the
+    # orbits still free; exact_corank takes every row at once
+    for gamma, grade, degree in _all_grades(lam, gammas, depths):
+        bounds, conds = conditions(lam, gamma, depths)
+        orbits = orbit_basis(gamma, bounds, degree)
+        want = exact_corank(constraint_rows(orbits, conds), len(orbits))
+        assert dim_V(lam, gamma, grade, depths) == want, (gamma, grade)
+
+
+def test_grades_forced_early_build_no_join_rows(monkeypatch):
+    lam, gammas, xi = _tensor_square((4, 4))
+    built = []
+
+    def recorded(orbits, conds):
+        built.extend(label[0] for label, _, _ in conds)
+        return constraint_rows(orbits, conds)
+
+    monkeypatch.setattr(functional_oracle, "constraint_rows", recorded)
+    forced_early = without_conditions = 0
+    for gamma, grade, degree in _all_grades(lam, gammas, xi):
+        bounds, conds = conditions(lam, gamma, xi)
+        orbits = orbit_basis(gamma, bounds, degree)
+        early = [c for c in conds if c[0][0] != "join"]
+        forced = bool(orbits) and _peel(constraint_rows(orbits, early), len(orbits))[1] == 0
+        joins = any(c[0][0] == "join" for c in conds)
+        built.clear()
+        dim = dim_V(lam, gamma, grade, xi)
+        # join rows are built exactly when some orbit is still free
+        # after the interval and pole rows
+        assert ("join" in built) == (bool(orbits) and joins and not forced), (gamma, grade)
+        assert bool(built) == bool(orbits and conds)
+        forced_early += forced
+        without_conditions += bool(orbits) and not conds
+        if forced:
+            assert dim == 0
+    assert forced_early == 29
+    assert without_conditions == 3
+
+
 def _tensor_square_grades(lam):
-    xi = {root: 2 for root in positive_roots(len(lam))}
-    for gamma in enumerate_dominant_gammas(lam):
-        for grade in grade_window(lam, gamma, xi):
-            yield lam, gamma, xi, grade
+    lam, gammas, xi = _tensor_square(lam)
+    for gamma, grade, _ in _all_grades(lam, gammas, xi):
+        yield lam, gamma, xi, grade
 
 
 @pytest.mark.parametrize("lam, gamma, xi, grade", [

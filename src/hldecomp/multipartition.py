@@ -115,20 +115,18 @@ def row_counts(mu) -> list[int]:
 
 @lru_cache(maxsize=None)
 def node_terms(lam_i: int, mu_prev, mu, mu_next):
-    """(groups, K term, variable count, top index, top weight) of one
-    node, cached for the life of the process.
+    """(groups, K term, top weight) of one node, cached for the life of
+    the process.
 
-    groups holds (r, m_r, P_r) for the depths r that hold rows of mu;
-    depths past the largest part hold none, and their capacities are at
-    least the one at that part.  The K term is
+    groups holds (r, m_r, P_r) for the depths r that hold rows of mu,
+    depth 1 first; depths past the largest part hold none, and their
+    capacities are at least the one at that part.  The K term is
     sum_j (2 j mu^j - mu_next(mu^j)) - lam_i d(mu), d the number of
-    rows.  The variable count is d, the sum of the m_r.  The last two
-    describe the top length 1 row variable C_{m_1,1}: its index m_1 - 1
-    among the node's variables (the depth 1 group comes first), and its
-    level weight m_1 when its cap P_1 is at least 1, math.inf when it
-    can never be positive, None when mu has no row of length 1 (the
-    index is then 0 and means nothing).  Pass () for a missing
-    neighbour; the partitions must be tuples.
+    rows.  The top weight is the level weight m_1 of the top length 1
+    row variable C_{m_1,1} when its cap P_1 is at least 1, math.inf
+    when it can never be positive, and None when mu has no row of
+    length 1; build_polytope reads it for the level floor.  Pass () for
+    a missing neighbour; the partitions must be tuples.
     """
     caps = capacities(lam_i, mu_prev, mu, mu_next)
     groups = tuple((r, size, cap)
@@ -141,8 +139,8 @@ def node_terms(lam_i: int, mu_prev, mu, mu_next):
               - lam_i * len(mu))
     if groups and groups[0][0] == 1:
         _, m1, p1 = groups[0]
-        return groups, k_term, len(mu), m1 - 1, m1 if p1 >= 1 else math.inf
-    return groups, k_term, len(mu), 0, None
+        return groups, k_term, m1 if p1 >= 1 else math.inf
+    return groups, k_term, None
 
 
 def compute_K(mp, lam) -> int:
@@ -151,9 +149,9 @@ def compute_K(mp, lam) -> int:
     build_polytope sums the same terms as it reads the groups and keeps
     the total as spec.K; this is the stand-alone reading."""
     n = len(lam)
-    parts = ((),) + tuple(map(tuple, mp[:n])) + ((),)
-    if len(parts) != n + 2:
+    if len(mp) != n:
         raise ValueError("multipartition has %d components, expected %d" % (len(mp), n))
+    parts = ((),) + tuple(map(tuple, mp)) + ((),)
     return sum(node_terms(lam_i, prev, mu, nxt)[1]
                for lam_i, prev, mu, nxt in zip(lam, parts, parts[1:], parts[2:]))
 

@@ -12,6 +12,15 @@ The grade of a lattice point with level sum_{d,r,i} d * C_{d,r,i} is
 p = (|gamma| - K(mu)) - level, and the multiplicity polynomial of gamma
 is the sum over multipartitions of the grade histograms.
 
+The level polynomial of one group, m variables of weights 1..m whose
+sum is at most P, is the Gaussian binomial [m + P choose m]_q (Andrews,
+The Theory of Partitions, Thm 3.1), and a pair constraint reads only
+the top variable of each node in its range.  So count_by_grade
+multiplies per-node polynomials along the nodes, each split by whether
+the node's top variable is zero or positive and cached per node groups,
+keeping the products apart by the last node whose top variable is
+positive (a transfer matrix, Stanley, EC1 4.7).
+
 Most of these polytopes hold no lattice point, and build_polytope
 decides that where it emits the pair constraints: an admissible point
 sets some variable of every constraint to at least 1, so its level is
@@ -21,17 +30,13 @@ count_by_grade returns zero from one comparison when the level bound
 lies below it.  The floor is a lower bound, not the least level of a
 point, so it only ever skips polytopes that are empty for that bound.
 build_polytope also sums K(mu) from the node terms it reads, so
-multiplicity needs no second pass over the nodes, and it flattens the
-groups only for a polytope that is read past its floor.  That walk,
-count_levels, first drops every variable that cannot be positive (its
-weight exceeds the level bound, or its group cap is 0) and then runs
-over the variables that are left.
+multiplicity needs no second pass over the nodes.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
-from operator import add
+from functools import lru_cache
+from itertools import combinations
 
 from . import multipartition as mpart
 from .hl_category import consecutive_pairs, weight_of
@@ -125,19 +130,20 @@ class QPolynomial:
 class PolytopeSpec:
     """Counting data for one multipartition.
 
-    groups: ((r, i), size, cap) triples for the depths r of node i that
-    hold rows, in (i, r) order, as node_terms lists them; flat
-    variables enumerate each group as d = 1..size.  A spec from
-    build_polytope keeps each node's node_terms groups as they are and
-    flattens them into groups on the first read, which most specs,
-    empty below their floor, never make.  pair_sets: flat index sets
-    of the emitted pair constraints.  floor: a lower bound on the level
-    of every admissible point, math.inf when there is no such point;
-    count_by_grade returns zero below it without walking.  The default
-    0 claims nothing, so a hand-built spec is always counted.  K: the
-    base grade of the multipartition, summed by build_polytope from the
-    node terms it reads (compute_K gives the same value); None on a
-    hand-built spec, whose K the caller passes to count_by_grade.
+    nodes: node i's groups at nodes[i - 1], as node_terms lists them:
+    (r, size, cap) for the depths r that hold rows, depth 1 first.  A
+    group's variables C_d, d = 1..size, have level weights d and sum to
+    at most cap; the node's top length 1 variable is C_size of its depth
+    1 group.  The groups are tuples, as count_by_grade caches their
+    polynomials.  pairs: the node ranges (a, b) of the pair
+    constraints, each asking that the top length 1 variable of some
+    node a <= t <= b be positive (a node without one cannot satisfy
+    it).  floor: a lower bound on the level of every admissible point,
+    math.inf when there is no such point; count_by_grade returns zero
+    below it without counting.  The default 0 claims nothing, so a
+    hand-built spec is always counted.  K: the base grade of the
+    multipartition, summed by build_polytope from the node terms it
+    reads (compute_K gives the same value).
     A group cap may be negative when the multipartition was not
     pruned; the counters then return zero.  For lam >= 0 this covers
     the depths without rows too: a negative capacity there always
@@ -146,33 +152,13 @@ class PolytopeSpec:
     past the largest part.
     """
 
-    __slots__ = ("_groups", "_nodes", "pair_sets", "floor", "K")
+    __slots__ = ("nodes", "pairs", "floor", "K")
 
-    def __init__(self, groups, pair_sets, floor=0):
-        self._groups = tuple(groups)
-        self._nodes = None
-        self.pair_sets = tuple(map(tuple, pair_sets))
+    def __init__(self, nodes, pairs, floor=0, K=0):
+        self.nodes = tuple(nodes)
+        self.pairs = tuple(pairs)
         self.floor = floor
-        self.K = None
-
-    @classmethod
-    def _of_nodes(cls, nodes, pair_sets, floor, K):
-        # nodes[i - 1] is node i's node_terms groups; pair_sets are tuples
-        spec = cls.__new__(cls)
-        spec._groups = None
-        spec._nodes = nodes
-        spec.pair_sets = pair_sets
-        spec.floor = floor
-        spec.K = K
-        return spec
-
-    @property
-    def groups(self):
-        if self._groups is None:
-            self._groups = tuple(((r, i), size, cap)
-                                 for i, node in enumerate(self._nodes, start=1)
-                                 for r, size, cap in node)
-        return self._groups
+        self.K = K
 
 
 def build_polytope(parts, lam, pairs=()) -> PolytopeSpec:
@@ -180,13 +166,12 @@ def build_polytope(parts, lam, pairs=()) -> PolytopeSpec:
 
     parts: tuple of partitions, component i holding gamma_i boxes.
     pairs: node intervals (a, b) of consecutive word factors, two ints
-    with 1 <= a < b <= n.  The pair constraint for (a, b) reads the top
-    length 1 row variable C_{m_{t,1},1,t} of each node a <= t <= b; it
-    is emitted only when every node in the range has a row of length 1,
+    with 1 <= a < b <= n.  The pair constraint for (a, b) is emitted as
+    that range only when every node in it has a row of length 1,
     otherwise the underlying relation is vacuous and the constraint is
-    dropped.  Each node's groups, K term, variable count and top row
-    come from one entry of the process-wide table mpart.node_terms; the
-    K terms add up to spec.K.
+    dropped.  Each node's groups, K term and top length 1 weight come
+    from one entry of the process-wide table mpart.node_terms; the K
+    terms add up to spec.K.
 
     The spec's floor is the largest, over the emitted constraints, of
     the least weight m_{t,1} of a top variable with cap P_{1,t} >= 1
@@ -199,160 +184,125 @@ def build_polytope(parts, lam, pairs=()) -> PolytopeSpec:
         raise ValueError("multipartition has %d components, expected %d" % (len(parts), n))
     parts = ((),) + tuple(map(tuple, parts)) + ((),)
     terms = map(mpart.node_terms, lam, parts, parts[1:], parts[2:])
-    nodes, k_terms, counts, offsets, weights = zip(*terms) if n else ((),) * 5
-    # flat index of each node's top length 1 row variable
-    top = list(map(add, accumulate(counts, initial=0), offsets))
-    pair_sets = []
+    nodes, k_terms, weights = zip(*terms) if n else ((),) * 3
+    emitted = []
     floor = 0
     for a, b in pairs:
         if not 1 <= a < b <= n:
             raise ValueError("pair %r is not two nodes 1 <= a < b <= %d" % ((a, b), n))
         span = weights[a - 1:b]
         if None not in span:
-            pair_sets.append(tuple(top[a - 1:b]))
+            emitted.append((a, b))
             floor = max(floor, min(span))
-    return PolytopeSpec._of_nodes(nodes, tuple(pair_sets), floor, sum(k_terms))
+    return PolytopeSpec(nodes, emitted, floor, sum(k_terms))
 
 
-def count_levels(sizes, caps, pair_sets, max_level):
-    """Histogram over levels of the admissible lattice points.
+@lru_cache(maxsize=None)
+def _gaussian(m, cap):
+    """Coefficients of the Gaussian binomial [m + cap choose m]_q: the
+    level polynomial of m variables of weights 1..m with sum at most
+    cap.  () (zero) for cap < 0, which also covers an empty group."""
+    if cap < 0:
+        return ()
+    if m == 0:
+        return (1,)
+    # q-Pascal: G(m, c) = G(m - 1, c) + q^m G(m, c - 1)
+    out = list(_gaussian(m - 1, cap)) + [0] * cap
+    for j, c in enumerate(_gaussian(m, cap - 1), start=m):
+        out[j] += c
+    return tuple(out)
 
-    Variables come in groups: group g has sizes[g] variables with level
-    weights 1 .. sizes[g] and group sum capped by caps[g].  Each entry
-    of pair_sets is a collection of flat variable indices of which at
-    least one must be positive.  A point's level is the weighted sum of
-    its entries; only levels <= max_level are admissible.  Returns a
-    list h with h[L] = number of points of level L.
 
-    Before any table is built, the variables that cannot be positive
-    are dropped: those of weight above max_level, and those of a group
-    with cap 0.  A negative cap, on an empty group too, or a constraint
-    with no variable left (an empty one included), gives the zero
-    histogram.  The pair sets are renumbered over the kept variables
-    and the walk visits only those.  Polytopes that are empty below their level floor never
-    reach it from count_by_grade (see build_polytope).
-    Raises ValueError when caps and sizes differ in length, a size is
-    negative, or a pair index is not an integer in 0 .. nvars - 1.
+def _product(polys):
+    # full product of coefficient sequences; () when one is zero
+    out = [1]
+    for p in polys:
+        if not p:
+            return ()
+        out = _convolve_truncated(out, p, len(out) + len(p) - 2)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _node_polys(groups):
+    """Level polynomials of one node's node_terms groups, split by its
+    top length 1 variable C_{m_1} of cap P_1: (top zero, top positive)
+    = (G(m_1 - 1, P_1), q^{m_1} G(m_1, P_1 - 1)) times the Gaussians of
+    the deeper groups.  A node without a top variable (no depth 1
+    group, or an empty one), or whose top variable cannot be positive
+    (P_1 <= 0), has one polynomial and no branch: (whole,).
     """
-    if max_level < 0:
-        raise ValueError("max_level must be nonnegative")
-    if len(caps) != len(sizes):
-        raise ValueError("%d caps for %d groups" % (len(caps), len(sizes)))
-    if any(m < 0 for m in sizes):
-        raise ValueError("negative group size in %r" % (sizes,))
-    nvars = sum(sizes)
-    for varset in pair_sets:
-        for v in varset:
-            if not (isinstance(v, int) and 0 <= v < nvars):
-                raise ValueError("pair index %r outside 0..%d" % (v, nvars - 1))
-    hist = [0] * (max_level + 1)
-
-    # a group's usable variables are its first min(size, max_level),
-    # or none at cap 0
-    weights = []
-    group_of = []
-    index = {}  # flat index -> index among the kept variables
-    start = 0
-    for g, (m, cap) in enumerate(zip(sizes, caps)):
-        if cap < 0:
-            return hist
-        if cap > 0:
-            for d in range(1, min(m, max_level) + 1):
-                index[start + d - 1] = len(weights)
-                weights.append(d)
-                group_of.append(g)
-        start += m
-    nkept = len(weights)
-
-    npairs = len(pair_sets)
-    member = [[] for _ in range(nkept)]   # var -> constraints containing it
-    deadline = [[] for _ in range(nkept)]  # var -> constraints it closes
-    for c, varset in enumerate(pair_sets):
-        kept = sorted({index[v] for v in varset if v in index})
-        if not kept:
-            return hist
-        for v in kept:
-            member[v].append(c)
-        deadline[kept[-1]].append(c)
-
-    sat = [0] * npairs
-    caps_left = list(caps)
-
-    def walk(v, level):
-        if v == nkept:
-            hist[level] += 1
-            return
-        g = group_of[v]
-        w = weights[v]
-        top = min(caps_left[g], (max_level - level) // w)
-        for val in range(top + 1):
-            if val == 1:
-                for c in member[v]:
-                    sat[c] += 1
-            ok = True
-            for c in deadline[v]:
-                if not sat[c]:
-                    ok = False
-                    break
-            if ok:
-                caps_left[g] -= val
-                walk(v + 1, level + val * w)
-                caps_left[g] += val
-        if top >= 1:
-            for c in member[v]:
-                sat[c] -= 1
-
-    walk(0, 0)
-    return hist
+    gaussians = [_gaussian(size, cap) for _, size, cap in groups]
+    r, m1, p1 = groups[0] if groups else (0, 0, 0)
+    if r != 1 or not m1 or p1 < 1:
+        return (_product(gaussians),)
+    rest = gaussians[1:]
+    return (_product([_gaussian(m1 - 1, p1)] + rest),
+            _product([(0,) * m1 + _gaussian(m1, p1 - 1)] + rest))
 
 
-def count_by_grade(spec: PolytopeSpec, height: int, K: int) -> QPolynomial:
+def count_by_grade(spec: PolytopeSpec, height: int) -> QPolynomial:
     """Grade polynomial of one polytope.
 
     height is |gamma|; a point of level L contributes to grade
-    p = (height - K) - L, so the histogram is read off in reverse.  A
-    level bound height - K below spec.floor (negative ones included,
-    as the floor is at least 0) gives zero before any table is built.
+    p = (height - spec.K) - L, so the histogram is read off in reverse.
+    A level bound below spec.floor (negative ones included, as the
+    floor is at least 0) gives zero before any product is taken.
+    Otherwise the node polynomials are multiplied along the nodes,
+    truncated at the level bound, and the products are kept apart by
+    the last node whose top length 1 variable is positive (0 before
+    any): a top zero step keeps that state, a top positive step sets it
+    to the node.  At node b every constraint (a, b) drops the states
+    below a.
     """
-    max_level = height - K
+    max_level = height - spec.K
     if max_level < spec.floor:
         return QPolynomial()
-    groups = spec.groups
-    sizes = [size for _, size, _ in groups]
-    caps = [cap for _, _, cap in groups]
-    hist = count_levels(sizes, caps, spec.pair_sets, max_level)
-    return QPolynomial({max_level - lvl: cnt for lvl, cnt in enumerate(hist) if cnt})
+    close = {}  # node b -> the largest a of a constraint (a, b)
+    for a, b in spec.pairs:
+        close[b] = max(close.get(b, 0), a)
+    # state -> level histogram
+    states = {0: [1] + [0] * max_level}
+    for i, groups in enumerate(spec.nodes, start=1):
+        zero, *positive = _node_polys(groups)
+        # a top zero polynomial 1 (a lone length 1 row, say) leaves every
+        # product as it is
+        nxt = states if zero == (1,) else {
+            s: _convolve_truncated(h, zero, max_level) for s, h in states.items()}
+        if positive:
+            nxt[i] = _convolve_truncated(list(map(sum, zip(*states.values()))),
+                                         positive[0], max_level)
+        lo = close.get(i, 0)
+        states = {s: h for s, h in nxt.items() if s >= lo}
+    hist = map(sum, zip(*states.values()))
+    return QPolynomial({max_level - lvl: c for lvl, c in enumerate(hist) if c})
 
 
-def count_by_grade_ie(spec: PolytopeSpec, height: int, K: int) -> QPolynomial:
+def count_by_grade_ie(spec: PolytopeSpec, height: int) -> QPolynomial:
     """Independent recount of count_by_grade by inclusion-exclusion.
 
-    A pair constraint fails exactly when all its variables vanish, so
-    summing (-1)^|S| over subsets S of constraints with their variable
-    union pinned to zero counts the admissible points.  Each term is a
-    product of per-group level generating polynomials; used to cross
-    check the DFS in count_levels, not for speed.
+    A pair constraint fails exactly when the top length 1 variables of
+    its nodes all vanish, so summing (-1)^|S| over subsets S of
+    constraints with those variables of every node in their ranges
+    pinned to zero counts the admissible points.  Each term is a
+    product of per-group level polynomials from the _group_poly DP, not
+    the Gaussians count_by_grade reads; used as a cross check, not for
+    speed.
     """
-    max_level = height - K
+    max_level = height - spec.K
     if max_level < 0:
         return QPolynomial()
-    owner = []
-    for g, (_, size, _) in enumerate(spec.groups):
-        owner.extend((g, d) for d in range(1, size + 1))
-    npairs = len(spec.pair_sets)
+    groups = [(i, group) for i, node in enumerate(spec.nodes, start=1) for group in node]
     acc = [0] * (max_level + 1)
-    for k in range(npairs + 1):
+    for k in range(len(spec.pairs) + 1):
         sign = -1 if k % 2 else 1
-        for S in combinations(range(npairs), k):
-            banned = [set() for _ in spec.groups]
-            for c in S:
-                for v in spec.pair_sets[c]:
-                    g, d = owner[v]
-                    banned[g].add(d)
+        for S in combinations(spec.pairs, k):
+            banned = {t for a, b in S for t in range(a, b + 1)}
             term = [1] + [0] * max_level
-            for g, (_, size, cap) in enumerate(spec.groups):
+            for i, (r, size, cap) in groups:
+                top = {size} if r == 1 and i in banned else set()
                 term = _convolve_truncated(
-                    term, _group_poly(size, cap, banned[g], max_level), max_level)
+                    term, _group_poly(size, cap, top, max_level), max_level)
                 if not any(term):
                     break
             for lvl, cnt in enumerate(term):
@@ -412,7 +362,7 @@ def multiplicity(word, gamma) -> QPolynomial:
     total = {}
     for parts in mpart.enumerate_multipartitions(gamma, lam):
         spec = build_polytope(parts, lam, pairs)
-        poly = count_by_grade(spec, height, spec.K)
+        poly = count_by_grade(spec, height)
         for p, c in poly.coeffs.items():
             total[p] = total.get(p, 0) + c
     return QPolynomial(total)

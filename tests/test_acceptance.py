@@ -80,7 +80,7 @@ def test_criterion_1_rank8_worked_example():
     nonzero = {}
     for mu in survivors:
         spec = build_polytope(mu, lam, pairs)
-        cnt = count_by_grade(spec, sum(RANK8_GAMMA), compute_K(mu, lam))
+        cnt = count_by_grade(spec, sum(RANK8_GAMMA))
         if cnt:
             nonzero[mu] = cnt
     elapsed = time.perf_counter() - t0
@@ -211,8 +211,7 @@ def test_criterion_7_structural_suite():
             total = QPolynomial()
             for mu in all_multipartitions(gamma):
                 spec = build_polytope(mu, lam, pairs)
-                total = total + count_by_grade(spec, height,
-                                               compute_K(mu, lam))
+                total = total + count_by_grade(spec, height)
             ok = ok and total == multiplicity(word, gamma)
     elapsed = time.perf_counter() - t0
     _verdict("7", ok, "%.2fs" % elapsed)

@@ -107,6 +107,11 @@ def test_compute_K_examples():
     assert compute_K(MU_A, RANK8_LAM) == 13
     assert compute_K(MU_B, RANK8_LAM) == 10
     assert compute_K(((),) * 8, RANK8_LAM) == 0
+    # a component too many or too few is an error, as in build_polytope,
+    # never dropped or padded
+    for mp in (((1,), (1,), (5,)), ((1,),)):
+        with pytest.raises(ValueError):
+            compute_K(mp, (1, 1))
 
 
 def test_unpruned_count_is_product_of_partition_numbers():

@@ -2,9 +2,10 @@
 
 The rank 8 running example is checked shape by shape, multiplicity is
 compared on a word grid with the inclusion-exclusion recount summed over
-the same pruned polytopes, and the DFS in count_levels is checked
-against a brute force reference and, on random tables, against the
-inclusion-exclusion recount.
+the same pruned polytopes, and the per-node product in count_by_grade
+is checked on random node tables against a brute force reference and
+the inclusion-exclusion recount, its Gaussian binomials against the
+group DP of the recount.
 """
 
 import itertools
@@ -21,8 +22,9 @@ from hldecomp.polytope_count import (
     QPolynomial,
     build_polytope,
     count_by_grade,
+    _gaussian,
+    _group_poly,
     count_by_grade_ie,
-    count_levels,
     multiplicity,
 )
 from hldecomp.root_system import enumerate_dominant_gammas
@@ -113,24 +115,22 @@ def test_rank8_shape_a_polytope():
     spec = build_polytope(MU_A, lam, pairs)
     # every adjacency constraint is vacuous: each range hits a node
     # without a length 1 row
-    assert spec.pair_sets == ()
-    positive = [g for g in spec.groups if g[2] > 0]
-    assert positive == [((2, 5), 1, 1)]
-    assert sum(size for _, size, _ in spec.groups) == 11
-    K = compute_K(MU_A, lam)
-    assert K == 13
-    assert count_by_grade(spec, 18, K) == QPolynomial({4: 1, 5: 1})
+    assert spec.pairs == ()
+    positive = [(i, g) for i, node in enumerate(spec.nodes, start=1) for g in node if g[2] > 0]
+    assert positive == [(5, (2, 1, 1))]
+    assert sum(size for node in spec.nodes for _, size, _ in node) == 11
+    assert spec.K == compute_K(MU_A, lam) == 13
+    assert count_by_grade(spec, 18) == QPolynomial({4: 1, 5: 1})
 
 
 def test_rank8_shape_b_polytope():
     lam = weight_of(RANK8_WORD)
     pairs = consecutive_pairs(RANK8_WORD)
     spec = build_polytope(MU_B, lam, pairs)
-    assert spec.pair_sets == ((1, 4), (4, 7), (7, 11), (11, 13, 14))
-    K = compute_K(MU_B, lam)
-    assert K == 10
-    assert count_by_grade(spec, 18, K) == QPolynomial({4: 1})
-    assert count_by_grade_ie(spec, 18, K) == QPolynomial({4: 1})
+    assert spec.pairs == pairs
+    assert spec.K == compute_K(MU_B, lam) == 10
+    assert count_by_grade(spec, 18) == QPolynomial({4: 1})
+    assert count_by_grade_ie(spec, 18) == QPolynomial({4: 1})
 
 
 def test_rank8_multiplicity():
@@ -165,7 +165,7 @@ def _multiplicity_ie(word, gamma):
     total = QPolynomial()
     for parts in enumerate_multipartitions(gamma, lam):
         spec = build_polytope(parts, lam, pairs)
-        total = total + count_by_grade_ie(spec, sum(gamma), compute_K(parts, lam))
+        total = total + count_by_grade_ie(spec, sum(gamma))
     return total
 
 
@@ -189,14 +189,12 @@ def test_each_kept_polytope_matches_inclusion_exclusion():
         outside += len(paired) < len(lam)
         for parts in enumerate_multipartitions(gamma, lam):
             spec = build_polytope(parts, lam, pairs)
-            K = compute_K(parts, lam)
-            # the K build_polytope sums as it reads the node terms, and
-            # the groups it flattens on first read
-            assert spec.K == K, (word, gamma, parts)
-            groups, pair_sets, _ = _polytope_by_definition(parts, lam, pairs)
-            assert (spec.groups, spec.pair_sets) == (groups, pair_sets), (word, gamma, parts)
-            got = count_by_grade(spec, sum(gamma), K)
-            assert got == count_by_grade_ie(spec, sum(gamma), K), (word, gamma, parts)
+            # the K build_polytope sums as it reads the node terms
+            assert spec.K == compute_K(parts, lam), (word, gamma, parts)
+            nodes, emitted, _ = _polytope_by_definition(parts, lam, pairs)
+            assert (spec.nodes, spec.pairs) == (nodes, emitted), (word, gamma, parts)
+            got = count_by_grade(spec, sum(gamma))
+            assert got == count_by_grade_ie(spec, sum(gamma)), (word, gamma, parts)
             empty += not got
             nonempty += bool(got)
     assert empty and nonempty and outside
@@ -206,162 +204,104 @@ def test_strategies_agree_on_rank8_example():
     assert _multiplicity_ie(RANK8_WORD, RANK8_GAMMA) == QPolynomial({4: 2, 5: 1})
 
 
-# -------------------------------------------------------------- count_levels
+# ------------------------------------------------------------ count_by_grade
 
-def _brute_levels(sizes, caps, pair_sets, max_level):
-    # direct enumeration over the variable box, small inputs only
-    weights = []
-    group_of = []
-    for g, m in enumerate(sizes):
-        for d in range(1, m + 1):
-            weights.append(d)
-            group_of.append(g)
+def _points(weights, max_level):
+    # every point of the variable box with level <= max_level, as
+    # (point, level); no cap or pair constraint is applied
+    if not weights:
+        yield (), 0
+        return
+    *rest, w = weights
+    for point, level in _points(rest, max_level):
+        for v in range((max_level - level) // w + 1):
+            yield point + (v,), level + v * w
+
+
+def _brute_levels(nodes, pairs, max_level):
+    # direct enumeration over the variables of a node table, small
+    # inputs only: caps are checked per group, and a pair (a, b) asks
+    # for a positive top length 1 variable (the last one of a nonempty
+    # depth 1 group) on some node a <= t <= b
+    groups = [(i, r, size, cap) for i, node in enumerate(nodes, start=1)
+              for r, size, cap in node]
+    weights = [d for _, _, size, _ in groups for d in range(1, size + 1)]
+    group_of = [g for g, (_, _, size, _) in enumerate(groups) for _ in range(size)]
+    top = {}
+    start = 0
+    for i, r, size, _ in groups:
+        if r == 1 and size:
+            top[i] = start + size - 1
+        start += size
     hist = [0] * (max_level + 1)
-    for point in itertools.product(range(max_level + 1), repeat=len(weights)):
-        level = sum(v * w for v, w in zip(point, weights))
-        if level > max_level:
-            continue
-        used = [0] * len(sizes)
+    for point, level in _points(weights, max_level):
+        used = [0] * len(groups)
         for v, g in zip(point, group_of):
             used[g] += v
-        if any(u > c for u, c in zip(used, caps)):
+        if any(u > cap for u, (_, _, _, cap) in zip(used, groups)):
             continue
-        if any(all(point[v] == 0 for v in s) for s in pair_sets):
+        if any(not any(point[top[t]] for t in range(a, b + 1) if t in top)
+               for a, b in pairs):
             continue
         hist[level] += 1
     return hist
 
 
-def _random_tables(rng, count=200):
+def _random_node_tables(rng, count=1000):
+    # one to three nodes, each with or without a depth 1 group and with
+    # zero to two deeper ones; sizes 0..3 (an empty group too) and caps
+    # -1..3 in half the tables, 0..3 in the rest, so that not most of
+    # them are empty; cap-0 depth 1 groups give floor math.inf.  Node
+    # ranges are drawn at random, overlapping and repeated ones included
     for _ in range(count):
-        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
-        caps = [rng.randint(-1, 4) for _ in sizes]
-        nvars = sum(sizes)
-        pair_sets = []
-        for _ in range(rng.randint(0, 2)):
-            k = rng.randint(1, min(3, nvars))
-            pair_sets.append(sorted(rng.sample(range(nvars), k)))
-        yield sizes, caps, pair_sets, rng.randint(0, 8)
+        n = rng.randint(1, 3)
+        least_cap = rng.choice((-1, 0))
+        nodes = []
+        for _ in range(n):
+            depths = sorted(rng.sample(range(1, 4), rng.randint(0, 2)))
+            if rng.random() < 0.7 and 1 not in depths:
+                depths.insert(0, 1)
+            nodes.append(tuple((r, rng.randint(0, 3), rng.randint(least_cap, 3))
+                               for r in depths))
+        pairs = []
+        for _ in range(rng.randint(0, 3)):
+            a = rng.randint(1, n)
+            pairs.append((a, rng.randint(a, n)))
+        max_level = rng.randint(0, 6)
+        yield tuple(nodes), tuple(pairs), max_level
 
 
-def test_count_levels_matches_brute_force():
-    rng = random.Random(7)
-    for _ in range(120):
-        sizes = [rng.randint(1, 2) for _ in range(rng.randint(1, 2))]
-        caps = [rng.randint(0, 3) for _ in sizes]
-        nvars = sum(sizes)
-        pair_sets = []
-        if rng.random() < 0.6:
-            k = rng.randint(1, min(2, nvars))
-            pair_sets.append(sorted(rng.sample(range(nvars), k)))
-        max_level = rng.randint(0, 4)
-        got = count_levels(sizes, caps, pair_sets, max_level)
-        assert got == _brute_levels(sizes, caps, pair_sets, max_level)
+def test_count_by_grade_on_random_node_tables():
+    # K shifts the level bound, so the same histogram reads at
+    # height max_level + K; the floor read off the table skips only
+    # level bounds that hold no point
+    rng = random.Random(20261019)
+    empty = skipped = 0
+    for nodes, pairs, max_level in _random_node_tables(rng):
+        K = rng.randint(-2, 2)
+        expected = QPolynomial({max_level - lvl: c
+                                for lvl, c in enumerate(_brute_levels(nodes, pairs, max_level))
+                                if c})
+        floor = _floor_by_definition(PolytopeSpec(nodes, pairs))
+        for spec in (PolytopeSpec(nodes, pairs, K=K), PolytopeSpec(nodes, pairs, floor, K)):
+            case = (nodes, pairs, max_level, spec.floor)
+            assert count_by_grade(spec, max_level + K) == expected, case
+            assert count_by_grade_ie(spec, max_level + K) == expected, case
+        empty += not expected
+        skipped += max_level < floor
+    assert empty and skipped
 
 
-def test_count_levels_edge_cases():
-    with pytest.raises(ValueError):
-        count_levels([1], [1], [], -1)
-    # an empty constraint can never be satisfied
-    assert count_levels([2], [2], [[]], 3) == [0, 0, 0, 0]
-    assert count_levels([], [], [[]], 0) == [0]
-    assert count_levels([], [], [], 1) == [1, 0]
-    # negative capacity rejects every assignment, including zero
-    assert count_levels([1], [-1], [], 2) == [0, 0, 0]
-    assert count_levels([1], [2], [], 3) == [1, 1, 1, 0]
-
-
-def test_count_levels_rules_out_constraints_without_usable_variable():
-    # tables on which the no-usable-variable rule fires, or nearly does;
-    # variable indices: group 0 = 0, 1, 2 (weights 1..3), group 1 = 3, 4
-    cases = [
-        # every variable of the constraint heavier than max_level
-        ([3, 2], [2, 2], [[2]], 2),
-        ([3, 2], [2, 2], [[1, 2, 4]], 1),
-        ([3, 2], [2, 2], [[0, 3]], 0),
-        # zero and negative caps
-        ([3, 2], [0, 2], [[0, 1]], 4),
-        ([3, 2], [-1, 3], [[0, 2]], 4),
-        ([3, 2], [2, 0], [[3], [0]], 4),
-        ([3, 2], [2, -2], [[3, 4]], 4),
-        # repeated indices
-        ([3, 2], [2, 2], [[2, 2, 2]], 2),
-        ([3, 2], [2, 2], [[1, 1], [3, 3]], 3),
-        ([3, 2], [0, 2], [[0, 0, 4, 4]], 3),
-        # one usable variable among unusable ones
-        ([3, 2], [0, 1], [[0, 1, 3, 4], [2, 3]], 3),
-        ([3, 2], [2, 0], [[2, 3, 4, 0]], 1),
-        # usable variables in both constraints, yet empty: the rule is
-        # not exact, so the walk must still find no point
-        ([3, 2], [1, 1], [[2, 4], [1, 3]], 2),
-        # a second constraint hopeless while the first is usable
-        ([3, 2], [2, 2], [[0, 3], [2, 4]], 1),
-    ]
-    empty = 0
-    for sizes, caps, pair_sets, max_level in cases:
-        got = count_levels(sizes, caps, pair_sets, max_level)
-        assert got == _brute_levels(sizes, caps, pair_sets, max_level), \
-            (sizes, caps, pair_sets, max_level)
-        empty += not any(got)
-    assert empty == 10
-
-
-def test_count_levels_drops_variables_that_cannot_be_positive():
-    # variable indices: group 0 = 0, 1, 2 (weights 1..3), group 1 = 3, 4,
-    # group 2 = 5 (weight 1)
-    cases = [
-        # weights above max_level, inside and outside a constraint
-        ([3, 2, 1], [3, 2, 2], [[2, 5]], 2),
-        ([3, 2, 1], [3, 2, 2], [[1, 4], [2, 3]], 1),
-        ([3, 2, 1], [3, 2, 2], [], 2),
-        # cap-0 groups, inside and outside a constraint
-        ([3, 2, 1], [0, 2, 1], [[0, 3]], 4),
-        ([3, 2, 1], [2, 0, 1], [[3, 5], [1, 4, 5]], 4),
-        ([3, 2, 1], [0, 0, 0], [], 3),
-        # a negative cap: no point, not even zero, also on an empty group
-        ([3, 2, 1], [2, -1, 2], [], 3),
-        ([3, 2, 1], [2, 2, -3], [[0]], 3),
-        ([2, 0, 1], [2, -1, 1], [[1, 2]], 3),
-        ([0, 2], [-2, 1], [], 2),
-        # every member of a constraint forced to zero, by weight or cap
-        ([3, 2, 1], [2, 0, 1], [[2, 3, 4]], 2),
-        ([3, 2, 1], [2, 2, 0], [[0], [1, 2, 5]], 1),
-    ]
-    for sizes, caps, pair_sets, max_level in cases:
-        got = count_levels(sizes, caps, pair_sets, max_level)
-        assert got == _brute_levels(sizes, caps, pair_sets, max_level), \
-            (sizes, caps, pair_sets, max_level)
-    assert count_levels([3, 2, 1], [2, -1, 2], [], 3) == [0, 0, 0, 0]
-    assert count_levels([0, 2], [-2, 1], [], 2) == [0, 0, 0]
-
-
-def test_count_levels_rejects_tables_it_would_misread():
-    with pytest.raises(ValueError):
-        count_levels([1, 1], [2], [], 2)
-    with pytest.raises(ValueError):
-        count_levels([1], [2, 2], [], 2)
-    # an index from the end would silently read the last variable
-    with pytest.raises(ValueError):
-        count_levels([1, 1], [2, 2], [[-1]], 2)
-    with pytest.raises(ValueError):
-        count_levels([1, 1], [2, 2], [[2]], 2)
-    # checked in every constraint, also after a hopeless one
-    with pytest.raises(ValueError):
-        count_levels([1, 1], [0, 0], [[0], [5]], 2)
-    with pytest.raises(ValueError):
-        count_levels([1, 1], [2, 2], [[0.5]], 2)
-    # a negative size would make the group ends go backwards
-    with pytest.raises(ValueError):
-        count_levels([2, -1, 1], [2, 2, 2], [[0]], 2)
-
-
-def test_count_levels_matches_inclusion_exclusion():
-    rng = random.Random(20260822)
-    for sizes, caps, pair_sets, max_level in _random_tables(rng):
-        groups = [((1, g + 1), size, cap) for g, (size, cap) in enumerate(zip(sizes, caps))]
-        spec = PolytopeSpec(groups, pair_sets)
-        assert count_by_grade(spec, max_level, 0) == count_by_grade_ie(spec, max_level, 0), \
-            (sizes, caps, pair_sets, max_level)
+def test_gaussian_is_the_group_polynomial():
+    # [m + c choose m]_q against the recount's group DP, and at q = 1
+    # the number of multisets of at most c weights from 1..m
+    for m in range(7):
+        for c in range(-1, 7):
+            gauss = _gaussian(m, c)
+            top = max(m * c, 0)
+            assert list(gauss) + [0] * (top + 1 - len(gauss)) == \
+                _group_poly(m, c, set(), top), (m, c)
+            assert sum(gauss) == (math.comb(m + c, m) if c >= 0 else 0), (m, c)
 
 
 # ----------------------------------------------------------- edge behavior
@@ -369,52 +309,55 @@ def test_count_levels_matches_inclusion_exclusion():
 def test_count_by_grade_degenerate_cases():
     spec = build_polytope(((1,), ()), (3, 1), ())
     # height below K gives an empty polynomial
-    assert not count_by_grade(spec, 0, 3)
-    assert not count_by_grade_ie(spec, 0, 3)
-    assert count_by_grade(spec, 1, 0) == QPolynomial({0: 1, 1: 1})
+    shifted = PolytopeSpec(spec.nodes, spec.pairs, K=3)
+    assert not count_by_grade(shifted, 0)
+    assert not count_by_grade_ie(shifted, 0)
+    assert spec.K == -1
+    assert count_by_grade(spec, 0) == QPolynomial({0: 1, 1: 1})
     # a sized group with negative capacity admits no point at all
     bad = build_polytope(((1,), ()), (1, 1), ())
-    assert bad.groups == (((1, 1), 1, -1),)
-    assert not count_by_grade(bad, 18, 0)
-    assert not count_by_grade_ie(bad, 18, 0)
+    assert bad.nodes == (((1, 1, -1),), ())
+    assert not count_by_grade(bad, 18)
+    assert not count_by_grade_ie(bad, 18)
     # so does an empty group with negative capacity, in both counters
-    empty = PolytopeSpec([((1, 1), 0, -1), ((1, 2), 1, 1)], [])
-    assert count_by_grade(empty, 2, 0) == count_by_grade_ie(empty, 2, 0) == QPolynomial()
+    empty = PolytopeSpec((((1, 0, -1),), ((1, 1, 1),)), ())
+    assert count_by_grade(empty, 2) == count_by_grade_ie(empty, 2) == QPolynomial()
+    # a range whose nodes have no top length 1 variable is never met
+    unmet = PolytopeSpec((((2, 1, 2),), ((1, 0, 2),)), ((1, 2),))
+    assert count_by_grade(unmet, 3) == count_by_grade_ie(unmet, 3) == QPolynomial()
+    # no node at all holds the one empty point, and a negative level
+    # bound gives zero, not an error
+    assert count_by_grade(PolytopeSpec((), ()), 1) == QPolynomial({1: 1})
+    assert not count_by_grade(PolytopeSpec((), ()), -1)
 
 
 def _polytope_by_definition(parts, lam, pairs):
-    # groups, pair sets and whether some capacity is negative, written
-    # out from the definitions: one group per depth
-    # 1 <= r <= |mu_i| with a row of length r, its cap from
-    # col(mu, s) = sum(min(p, s)), and one pair set per pair whose nodes
-    # all have a length 1 row
+    # node groups, emitted pairs and whether some capacity is negative,
+    # written out from the definitions: at each node one group (r, size,
+    # cap) per depth 1 <= r <= |mu_i| with a row of length r, its cap
+    # from col(mu, s) = sum(min(p, s)), and each pair whose nodes all
+    # have a length 1 row
     def col(mu, s):
         return sum(min(p, s) for p in mu)
 
     n = len(lam)
-    groups = []
-    start_of = {}
-    flat = 0
+    nodes = []
     negative = False
     for i in range(1, n + 1):
         mu = parts[i - 1]
         prev = parts[i - 2] if i >= 2 else ()
         nxt = parts[i] if i <= n - 1 else ()
+        groups = []
         for r in range(1, sum(mu) + 1):
             size = sum(1 for p in mu if p == r)
             cap = lam[i - 1] - 2 * col(mu, r) + col(prev, r) + col(nxt, r)
             if size:
-                start_of[(r, i)] = flat
-                groups.append(((r, i), size, cap))
-                flat += size
+                groups.append((r, size, cap))
             negative = negative or cap < 0
-    pair_sets = []
-    for a, b in pairs:
-        nodes = range(a, b + 1)
-        if all((1, t) in start_of for t in nodes):
-            pair_sets.append(tuple(start_of[(1, t)] + parts[t - 1].count(1) - 1
-                                   for t in nodes))
-    return tuple(groups), tuple(pair_sets), negative
+        nodes.append(tuple(groups))
+    emitted = tuple((a, b) for a, b in pairs
+                    if all(1 in parts[t - 1] for t in range(a, b + 1)))
+    return tuple(nodes), emitted, negative
 
 
 def _definition_cases():
@@ -429,30 +372,34 @@ def _definition_cases():
 def test_build_polytope_matches_definition():
     for lam, gamma, pairs in _definition_cases():
         for parts in all_multipartitions(gamma):
-            groups, pair_sets, negative = _polytope_by_definition(parts, lam, pairs)
+            nodes, emitted, negative = _polytope_by_definition(parts, lam, pairs)
             spec = build_polytope(parts, lam, pairs)
-            assert (spec.groups, spec.pair_sets) == (groups, pair_sets), (parts, lam)
+            assert (spec.nodes, spec.pairs) == (nodes, emitted), (parts, lam)
             assert spec.K == _K_by_definition(parts, lam), (parts, lam)
             if negative:
                 # a negative capacity, occupied depth or not, empties the
                 # polytope at every level bound
-                assert not count_by_grade(spec, sum(gamma), 0), (parts, lam)
-                assert not count_by_grade_ie(spec, sum(gamma), 0), (parts, lam)
+                level_zero = PolytopeSpec(spec.nodes, spec.pairs)
+                assert not count_by_grade(level_zero, sum(gamma)), (parts, lam)
+                assert not count_by_grade_ie(level_zero, sum(gamma)), (parts, lam)
 
 
 def _floor_by_definition(spec):
-    # the largest, over the pair sets, of the least weight d of a
-    # variable whose group cap is at least 1, read from spec.groups
-    weight_cap = [(d, cap) for _, size, cap in spec.groups for d in range(1, size + 1)]
-    return max((min((weight_cap[v][0] for v in varset if weight_cap[v][1] >= 1),
+    # the largest, over the pairs, of the least weight m_1 of a node's
+    # top length 1 variable whose depth 1 group has cap at least 1, read
+    # from spec.nodes
+    def weights(node):
+        return [size for r, size, cap in node if r == 1 and size and cap >= 1]
+
+    return max((min((w for t in range(a, b + 1) for w in weights(spec.nodes[t - 1])),
                     default=math.inf)
-                for varset in spec.pair_sets), default=0)
+                for a, b in spec.pairs), default=0)
 
 
 def test_build_polytope_floor_matches_definition():
     # the floor bounds the level of every admissible point from below,
     # so no point lies under it, and count_by_grade, which skips the
-    # walk below it, counts every level bound exactly.  The recount at
+    # count below it, counts every level bound exactly.  The recount at
     # level bound |gamma| holds every point up to it: at K = 0 a point
     # of level L has grade |gamma| - L, and the recount at a smaller
     # bound keeps the points of level <= bound
@@ -462,12 +409,13 @@ def test_build_polytope_floor_matches_definition():
         for parts in all_multipartitions(gamma):
             spec = build_polytope(parts, lam, pairs)
             assert spec.floor == _floor_by_definition(spec), (parts, lam)
-            levels = {height - p: c for p, c in count_by_grade_ie(spec, height, 0).coeffs.items()}
+            spec = PolytopeSpec(spec.nodes, spec.pairs, spec.floor)
+            levels = {height - p: c for p, c in count_by_grade_ie(spec, height).coeffs.items()}
             assert min(levels, default=math.inf) >= spec.floor, (parts, lam)
             for bound in range(height + 1):
                 expected = QPolynomial({bound - lvl: c for lvl, c in levels.items()
                                         if lvl <= bound})
-                assert count_by_grade(spec, bound, 0) == expected, (parts, lam, bound)
+                assert count_by_grade(spec, bound) == expected, (parts, lam, bound)
                 skipped += bound < spec.floor
                 counted += bool(expected)
     assert skipped and counted
@@ -502,10 +450,10 @@ def _multiplicity_by_definition(word, gamma):
     pairs = consecutive_pairs(word)
     total = QPolynomial()
     for parts in all_multipartitions(gamma):
-        groups, pair_sets, negative = _polytope_by_definition(parts, lam, pairs)
+        nodes, emitted, negative = _polytope_by_definition(parts, lam, pairs)
         if not negative:
-            total = total + count_by_grade_ie(PolytopeSpec(groups, pair_sets), sum(gamma),
-                                              _K_by_definition(parts, lam))
+            spec = PolytopeSpec(nodes, emitted, K=_K_by_definition(parts, lam))
+            total = total + count_by_grade_ie(spec, sum(gamma))
     return total
 
 
@@ -524,8 +472,8 @@ def test_cached_node_terms_follow_the_weight():
         node_terms.cache_clear()
         for lam in weights[::order]:
             for parts in all_multipartitions(gamma):
-                groups, _, _ = _polytope_by_definition(parts, lam, ())
-                assert build_polytope(parts, lam).groups == groups, (parts, lam)
+                nodes, _, _ = _polytope_by_definition(parts, lam, ())
+                assert build_polytope(parts, lam).nodes == nodes, (parts, lam)
                 assert compute_K(parts, lam) == _K_by_definition(parts, lam), (parts, lam)
         node_terms.cache_clear()
         for word in words[::order]:

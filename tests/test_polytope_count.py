@@ -2,10 +2,10 @@
 
 The rank 8 running example is checked shape by shape, multiplicity is
 compared on a word grid with the inclusion-exclusion recount summed over
-the same pruned polytopes, and the per-node product in count_by_grade
-is checked on random node tables against a brute force reference and
-the inclusion-exclusion recount, its Gaussian binomials against the
-group DP of the recount.
+the same pruned polytopes, and the level histograms of count_by_grade
+and of the inclusion-exclusion recount are checked on random node
+tables against a brute force reference, the Gaussian binomials of
+count_by_grade against the group DP of the recount.
 """
 
 import itertools
@@ -271,25 +271,65 @@ def _random_node_tables(rng, count=1000):
         yield tuple(nodes), tuple(pairs), max_level
 
 
-def test_count_by_grade_on_random_node_tables():
-    # K shifts the level bound, so the same histogram reads at
-    # height max_level + K; the floor read off the table skips only
-    # level bounds that hold no point
-    rng = random.Random(20261019)
-    empty = skipped = 0
+def _level_cases(seed):
+    # random node tables, each with its brute force level histogram read
+    # as grades at height max_level + K (K shifts the level bound), and
+    # the floor the table's cap-0 depth 1 groups give
+    rng = random.Random(seed)
     for nodes, pairs, max_level in _random_node_tables(rng):
         K = rng.randint(-2, 2)
         expected = QPolynomial({max_level - lvl: c
                                 for lvl, c in enumerate(_brute_levels(nodes, pairs, max_level))
                                 if c})
         floor = _floor_by_definition(PolytopeSpec(nodes, pairs))
+        yield nodes, pairs, max_level, K, floor, expected
+
+
+def test_count_levels_matches_brute_force():
+    # the level histogram of count_by_grade, with floor 0 and with the
+    # floor read off the table, which skips only level bounds that hold
+    # no point
+    empty = skipped = 0
+    for nodes, pairs, max_level, K, floor, expected in _level_cases(20261019):
         for spec in (PolytopeSpec(nodes, pairs, K=K), PolytopeSpec(nodes, pairs, floor, K)):
-            case = (nodes, pairs, max_level, spec.floor)
-            assert count_by_grade(spec, max_level + K) == expected, case
-            assert count_by_grade_ie(spec, max_level + K) == expected, case
+            assert count_by_grade(spec, max_level + K) == expected, \
+                (nodes, pairs, max_level, spec.floor)
         empty += not expected
         skipped += max_level < floor
     assert empty and skipped
+
+
+def test_count_levels_matches_inclusion_exclusion():
+    # the inclusion-exclusion recount on the same kind of tables, and
+    # the two counters agree on each
+    empty = 0
+    for nodes, pairs, max_level, K, floor, expected in _level_cases(20261020):
+        for spec in (PolytopeSpec(nodes, pairs, K=K), PolytopeSpec(nodes, pairs, floor, K)):
+            got = count_by_grade_ie(spec, max_level + K)
+            assert got == expected, (nodes, pairs, max_level, spec.floor)
+            assert got == count_by_grade(spec, max_level + K)
+        empty += not expected
+    assert empty
+
+
+def test_count_levels_edge_cases():
+    # a negative level bound gives zero, not an error
+    one = PolytopeSpec((((1, 1, 2),),), ())
+    assert not count_by_grade(one, -1)
+    assert not count_by_grade_ie(one, -1)
+    # one weight 1 variable of cap 2 below level bound 3
+    assert count_by_grade(one, 3) == count_by_grade_ie(one, 3) == QPolynomial({3: 1, 2: 1, 1: 1})
+    # a range whose nodes have no top length 1 variable is never met
+    unmet = PolytopeSpec((((2, 1, 2),), ((1, 0, 2),)), ((1, 2),))
+    assert count_by_grade(unmet, 3) == count_by_grade_ie(unmet, 3) == QPolynomial()
+    bare = PolytopeSpec(((),), ((1, 1),))
+    assert count_by_grade(bare, 0) == count_by_grade_ie(bare, 0) == QPolynomial()
+    # no node at all holds the one empty point
+    assert count_by_grade(PolytopeSpec((), ()), 1) == QPolynomial({1: 1})
+    assert count_by_grade_ie(PolytopeSpec((), ()), 1) == QPolynomial({1: 1})
+    # a negative capacity rejects every point, zero included
+    negative = PolytopeSpec((((1, 1, -1),),), ())
+    assert count_by_grade(negative, 2) == count_by_grade_ie(negative, 2) == QPolynomial()
 
 
 def test_gaussian_is_the_group_polynomial():
@@ -322,13 +362,6 @@ def test_count_by_grade_degenerate_cases():
     # so does an empty group with negative capacity, in both counters
     empty = PolytopeSpec((((1, 0, -1),), ((1, 1, 1),)), ())
     assert count_by_grade(empty, 2) == count_by_grade_ie(empty, 2) == QPolynomial()
-    # a range whose nodes have no top length 1 variable is never met
-    unmet = PolytopeSpec((((2, 1, 2),), ((1, 0, 2),)), ((1, 2),))
-    assert count_by_grade(unmet, 3) == count_by_grade_ie(unmet, 3) == QPolynomial()
-    # no node at all holds the one empty point, and a negative level
-    # bound gives zero, not an error
-    assert count_by_grade(PolytopeSpec((), ()), 1) == QPolynomial({1: 1})
-    assert not count_by_grade(PolytopeSpec((), ()), -1)
 
 
 def _polytope_by_definition(parts, lam, pairs):

@@ -49,11 +49,17 @@ following steps (`exact_corank` for given rows, `dim_V` for a grade):
      only on the orbits still free, and once every orbit is forced no
      further batch is built.  One forced-column list and one
      column-to-row index carry over from batch to batch.
-  1. A sparse echelon over GF(p), p = 2^31 - 1.  The rank mod p is at
-     most the rank over Q, so a full echelon proves the corank is 0.
+  1. A sparse reduced echelon over GF(p), p = 2^31 - 1 (Gauss-Jordan
+     form, the step after peeling in structured elimination): each
+     pivot row has a leading 1 and no entry on another pivot column,
+     so an incoming row is reduced in one pass over its own entries on
+     pivot columns, and a redundant row costs at most one step per
+     entry.  The rank mod p is at most the rank over Q, so a full
+     echelon proves the corank is 0.
   2. Otherwise, with k free columns, the corank over Q is at most k.
-     Back substitution reads one kernel vector mod p off each free
-     column, equal to 1 there and 0 on the other free columns.  Each
+     The reduced echelon gives one kernel vector mod p per free column
+     f without back substitution: 1 on f, 0 on the other free columns
+     and -row[f] on the pivot column of each row that holds f.  Each
      entry is lifted to a fraction by rational reconstruction and the
      vector scaled to integers.  If every remaining row annihilates
      every lifted vector in exact integer arithmetic, those k vectors,
@@ -257,33 +263,58 @@ _BOUND = isqrt(_PRIME // 2)
 
 
 def _echelon_mod_p(rows, ncols) -> dict[int, dict[int, int]]:
-    """Row echelon form of sparse integer rows over GF(_PRIME).
+    """Reduced row echelon form of sparse integer rows over GF(_PRIME).
 
-    Maps each pivot column to its row, scaled so the pivot entry is 1
-    and with no entries left of the pivot.  Stops as soon as the
+    Maps each pivot column to its row, scaled so the pivot entry is 1,
+    with no entries left of the pivot and none on any other pivot
+    column.  An incoming row is reduced in one pass over its entries on
+    pivot columns; since no pivot row has an entry on another pivot
+    column, that pass brings in none, so a redundant row costs at most
+    one step per entry.  A new pivot's column is then cleared from the
+    pivot rows that hold it, found through an index from each column to
+    the rows holding it.  The pivot columns are the leading columns of
+    the row space, whatever the row order.  Stops as soon as the
     echelon is full.
     """
     echelon: dict[int, dict[int, int]] = {}
+    # holders[c]: the pivot columns whose rows have held column c; an
+    # entry cancelled since stays listed and is skipped when c is cleared
+    holders: dict[int, set[int]] = {}
     for row in rows:
         r = {}
         for c, v in row.items():
             v %= _PRIME
             if v:
                 r[c] = v
-        while r:
-            lead = min(r)
-            piv = echelon.get(lead)
-            if piv is None:
-                inv = pow(r[lead], _PRIME - 2, _PRIME)
-                echelon[lead] = {c: (v * inv) % _PRIME for c, v in r.items()}
-                break
+        # no pivot row holds another pivot column, so this list is final
+        for lead in [c for c in r if c in echelon]:
             coef = r[lead]
-            for c, v in piv.items():
+            for c, v in echelon[lead].items():
                 nv = (r.get(c, 0) - coef * v) % _PRIME
                 if nv:
                     r[c] = nv
                 else:
                     r.pop(c, None)
+        if not r:
+            continue
+        lead = min(r)
+        inv = pow(r[lead], _PRIME - 2, _PRIME)
+        new = {c: (v * inv) % _PRIME for c, v in r.items()}
+        for c in new:
+            if c != lead:
+                holders.setdefault(c, set()).add(lead)
+        for held in holders.pop(lead, ()):
+            piv = echelon[held]
+            coef = piv.get(lead)
+            if coef:
+                for c, v in new.items():
+                    nv = (piv.get(c, 0) - coef * v) % _PRIME
+                    if nv:
+                        piv[c] = nv
+                        holders[c].add(held)
+                    else:
+                        piv.pop(c, None)
+        echelon[lead] = new
         if len(echelon) == ncols:
             break
     return echelon
@@ -304,27 +335,23 @@ def _rational_mod_p(a):
 
 
 def _lift_kernel(echelon, ncols):
-    """Integer candidates for a kernel basis, read off an echelon mod _PRIME.
+    """Integer candidates for a kernel basis, read off a reduced echelon
+    mod _PRIME.
 
-    Back substitution gives one kernel vector mod _PRIME per free column,
-    1 on that column and 0 on the other free columns.  Each entry is
-    lifted by rational reconstruction and the vector is scaled to
-    integers, which keeps its zero pattern on the free columns.  Returns
-    None if some entry has no lift.  The vectors are not yet checked.
+    The kernel vector mod _PRIME of free column f is 1 on f, 0 on the
+    other free columns and -row[f] on the pivot column of each row that
+    holds f.  Each entry is lifted by rational reconstruction and the
+    vector is scaled to integers, which keeps its zero pattern on the
+    free columns.  Returns None if some entry has no lift.  The vectors
+    are not yet checked.
     """
-    leads = sorted(echelon, reverse=True)
+    vecs = {free: {free: 1} for free in range(ncols) if free not in echelon}
+    for lead, row in echelon.items():
+        for c, v in row.items():
+            if c != lead:
+                vecs[c][lead] = -v % _PRIME
     kernel = []
-    for free in range(ncols):
-        if free in echelon:
-            continue
-        vec = {free: 1}
-        for lead in leads:
-            if lead > free:
-                # its row meets only columns right of free, all zero here
-                continue
-            s = sum(v * vec[c] for c, v in echelon[lead].items() if c in vec)
-            if s % _PRIME:
-                vec[lead] = -s % _PRIME
+    for vec in vecs.values():
         fracs = {}
         for c, a in vec.items():
             frac = _rational_mod_p(a)

@@ -143,7 +143,9 @@ class PolytopeSpec:
     below it without counting.  The default 0 claims nothing, so a
     hand-built spec is always counted.  K: the base grade of the
     multipartition, summed by build_polytope from the node terms it
-    reads (compute_K gives the same value).
+    reads (compute_K gives the same value).  Raises ValueError on a pair
+    outside 1 <= a <= b <= len(nodes), which the two counters would
+    read differently.
     A group cap may be negative when the multipartition was not
     pruned; the counters then return zero.  For lam >= 0 this covers
     the depths without rows too: a negative capacity there always
@@ -157,6 +159,11 @@ class PolytopeSpec:
     def __init__(self, nodes, pairs, floor=0, K=0):
         self.nodes = tuple(nodes)
         self.pairs = tuple(pairs)
+        n = len(self.nodes)
+        for a, b in self.pairs:
+            if not 1 <= a <= b <= n:
+                raise ValueError("pair %r is not a node range 1 <= a <= b <= %d"
+                                 % ((a, b), n))
         self.floor = floor
         self.K = K
 

@@ -8,6 +8,8 @@ criterion.
 import itertools
 import time
 
+import pytest
+
 from hldecomp.decomposition import graded_decomposition, total_dimension
 from hldecomp.functional_oracle import (
     conditions,
@@ -185,6 +187,20 @@ def test_criterion_6_square_of_the_vector_representation():
     elapsed = time.perf_counter() - t0
     _verdict("6", ok, "entries %s, %.2fs" %
              ({g: p.plain() for g, p in sorted(dec.entries.items())}, elapsed))
+
+
+@pytest.mark.slow
+def test_constant_xi_two_on_rank3_is_a_tensor_square():
+    # criterion 6 at rank 3: 137 grades of up to 16,270 orbits, 25 of
+    # them of positive corank, which the lifted kernel certifies
+    lam = (2, 2, 2)
+    xi = {root: 2 for root in positive_roots(3)}
+    dec = oracle_decomposition(lam=lam, mode="full", xi=xi)
+    for gamma in dec.domain:
+        got = dec.entries.get(gamma, QPolynomial()).at_one()
+        want = tensor_power_multiplicity(3, (1, 1, 1), 2, weight_minus_gamma(lam, gamma))
+        assert got == want, gamma
+    assert total_dimension(dec) == 64 ** 2
 
 
 def test_criterion_7_structural_suite():

@@ -18,6 +18,7 @@ from hldecomp.functional_oracle import (
     _PRIME,
     _corank,
     _echelon_mod_p,
+    _lift_kernel,
     _node_multisets,
     _peel,
     _rows_to_matrix,
@@ -389,6 +390,33 @@ def test_modular_corank_matches_exact_on_small_matrices(mat):
     rows = [{j: v for j, v in enumerate(row) if v} for row in mat]
     exact = 3 - integer_rank([row for row in mat if any(row)])
     assert 3 - len(_echelon_mod_p(rows, 3)) == exact
+
+
+@given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.lists(st.dictionaries(st.integers(0, k - 1), st.integers(-4, 4), max_size=4),
+             max_size=10))))
+def test_echelon_mod_p_is_reduced(case):
+    # entries up to 4 on at most 6 columns keep every minor below p, so
+    # the rank mod p is the rank over Q
+    ncols, rows = case
+    echelon = _echelon_mod_p(rows, ncols)
+    for lead, row in echelon.items():
+        assert row[lead] == 1 and min(row) == lead
+        assert all(0 < v < _PRIME for v in row.values())
+        assert not any(c in echelon for c in row if c != lead)
+    mat = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+    assert len(echelon) == integer_rank(mat)
+    # unit rows complete the echelon, and the row after them is never read
+    rest = iter(rows + [{c: 1} for c in range(ncols)] + [{0: 1}])
+    assert sorted(_echelon_mod_p(rest, ncols)) == list(range(ncols))
+    assert next(rest, None) is not None
+    kernel = _lift_kernel(echelon, ncols)
+    if kernel is not None:
+        assert len(kernel) == ncols - len(echelon)
+        for vec in kernel:
+            for row in rows:
+                assert sum(v * vec.get(c, 0) for c, v in row.items()) % _PRIME == 0
 
 
 def test_modular_corank_certifies_oracle_dimensions():

@@ -364,6 +364,15 @@ def test_count_by_grade_degenerate_cases():
     assert count_by_grade(empty, 2) == count_by_grade_ie(empty, 2) == QPolynomial()
 
 
+@pytest.mark.parametrize("pairs", [((1, 2),), ((0, 1),), ((2, 1),), ((0, 0),)])
+def test_polytope_spec_rejects_pairs_outside_its_nodes(pairs):
+    # the two counters would read such a pair differently: on one node at
+    # height 2, ((1, 2),) counts {2: 1, 1: 1} by count_by_grade (the range
+    # never closes) and {1: 1} by count_by_grade_ie (node 1 is banned)
+    with pytest.raises(ValueError, match="node range"):
+        PolytopeSpec((((1, 1, 1),),), pairs)
+
+
 def _polytope_by_definition(parts, lam, pairs):
     # node groups, emitted pairs and whether some capacity is negative,
     # written out from the definitions: at each node one group (r, size,

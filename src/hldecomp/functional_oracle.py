@@ -77,12 +77,13 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import factorial, isqrt, lcm
 
 from .hl_category import consecutive_pairs, is_normalized, weight_of
 from .polytope_count import QPolynomial
-from .root_system import check_gamma, e_gamma, gamma_domain, gamma_height
+from .root_system import (check_gamma, e_gamma, gamma_domain, gamma_height,
+                          live_paths)
 
 
 def conditions(lam, gamma, depths):
@@ -139,35 +140,29 @@ def orbit_basis(gamma, bounds, degree):
     Each orbit is a tuple with one weakly decreasing exponent tuple per
     node and represents the sum of the distinct monomials in its
     symmetric group orbit.  A node without variables is not in bounds
-    and takes the window (0, 0), whose only tuple is the empty one; a
-    node whose window is empty (lo > hi) leaves no orbit at all.
+    and takes the window (0, 0), whose only tuple is the empty one.
+    `live_paths` walks the running degree sums s_i = d_1 + ... + d_i,
+    each d_i a degree of node i's table: the step into the last node
+    takes only s_n = degree, and only if degree - s_{n-1} is in its
+    table, so a node whose window is empty (lo > hi) leaves no path.
+    Each path gives the product of the nodes' multisets at its degrees.
     """
     n = len(gamma)
     tables = [_node_multisets(r, *bounds.get(i, (0, 0)))
               for i, r in enumerate(gamma, start=1)]
-    if not all(tables):
-        return []
-    sufmin = [0] * (n + 1)
-    sufmax = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        sufmin[i] = sufmin[i + 1] + min(tables[i])
-        sufmax[i] = sufmax[i + 1] + max(tables[i])
+
+    def successors(i, _, s):
+        if i < n - 1:
+            return [s + d for d in tables[i]]
+        if i == n - 1:
+            return [degree] if degree - s in tables[i] else []
+        # past the last node; s differs from degree only when n = 1
+        return [s] if s == degree else []
+
     out = []
-    cur = []
-
-    def rec(i, need):
-        if i == n:
-            out.append(tuple(cur))
-            return
-        for d, msets in tables[i].items():
-            rest = need - d
-            if sufmin[i + 1] <= rest <= sufmax[i + 1]:
-                for ms in msets:
-                    cur.append(ms)
-                    rec(i + 1, rest)
-                    cur.pop()
-
-    rec(0, degree)
+    for sums in live_paths(n, 0, tables[0], successors):
+        out += product(*[table[s - prev]
+                         for table, prev, s in zip(tables, (0,) + sums, sums)])
     out.sort()
     return out
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .root_system import check_rank, pairing, positive_roots
+from .root_system import check_ints, check_rank, pairing, positive_roots
 
 
 class InvalidWord(ValueError):
@@ -26,7 +26,7 @@ class FlatEdgeInJ(ValueError):
 
 
 def check_height_function(kappa) -> tuple[int, ...]:
-    kappa = tuple(int(v) for v in kappa)
+    kappa = check_ints("height function", kappa)
     check_rank(len(kappa))
     for t, (a, b) in enumerate(zip(kappa, kappa[1:]), start=1):
         if abs(a - b) > 1:
@@ -37,10 +37,10 @@ def check_height_function(kappa) -> tuple[int, ...]:
 
 
 def check_interval(J, n: int) -> tuple[int, int]:
-    lo, hi = J
+    lo, hi = check_ints("interval", J)
     if not 1 <= lo <= hi <= n:
         raise ValueError("interval %r out of range for rank %d" % (J, n))
-    return (int(lo), int(hi))
+    return (lo, hi)
 
 
 def marked_vertices(kappa, J):
@@ -75,10 +75,11 @@ def validate_word(factors) -> list[str]:
 
     Empty list means the factor list is a valid word.  Checked: nodes
     strictly increase, consecutive exponent steps are +-(i' - i + 2),
-    and the step signs strictly alternate.
+    and the step signs strictly alternate.  A factor with a non-integer
+    entry is not a violation but bad input, refused by `check_ints`.
     """
     problems = []
-    factors = [(int(i), int(m)) for i, m in factors]
+    factors = [check_ints("word factor", (i, m)) for i, m in factors]
     signs = []
     for idx, ((i1, m1), (i2, m2)) in enumerate(zip(factors, factors[1:]), start=1):
         if i2 <= i1:
@@ -109,7 +110,7 @@ class DrinfeldWord:
 
     def __init__(self, n: int, factors):
         check_rank(n)
-        factors = tuple((int(i), int(m)) for i, m in factors)
+        factors = tuple(check_ints("word factor", (i, m)) for i, m in factors)
         if not factors:
             raise InvalidWord("a word needs at least one factor")
         if any(not 1 <= i <= n for i, _ in factors):
@@ -202,11 +203,11 @@ def xi_from_weight(lam) -> dict[tuple[int, int], int]:
 def normalize_xi(n: int, xi) -> dict[tuple[int, int], int]:
     """Lower each xi_alpha to the minimum over roots containing alpha.
 
-    xi must give a nonnegative pole depth on every positive root of rank
-    n and on nothing else; ValueError names the roots that are missing,
-    out of range or negative.  The result satisfies xi_beta <= xi_alpha
-    whenever the interval of beta contains the interval of alpha, and
-    the map is idempotent.
+    xi must give a nonnegative integer pole depth on every positive root
+    of rank n and on nothing else; ValueError names the roots that are
+    missing, out of range, not integers or negative.  The result
+    satisfies xi_beta <= xi_alpha whenever the interval of beta contains
+    the interval of alpha, and the map is idempotent.
     """
     roots = positive_roots(n)
     missing = [r for r in roots if r not in xi]
@@ -216,6 +217,10 @@ def normalize_xi(n: int, xi) -> dict[tuple[int, int], int]:
     if extra:
         raise ValueError("roots %s out of range for rank %d"
                          % (", ".join("%d-%d" % r for r in extra), n))
+    fractional = [r for r in roots if type(xi[r]) is not int]
+    if fractional:
+        raise ValueError("pole depths must be integers, got %s"
+                         % ", ".join("%d-%d:%r" % (i, j, xi[i, j]) for i, j in fractional))
     negative = [r for r in roots if xi[r] < 0]
     if negative:
         raise ValueError("pole depths must be nonnegative, got %s"

@@ -7,8 +7,10 @@ meaning alpha_i + alpha_{i+1} + ... + alpha_j.
 
 `live_paths` is the one memoised walk over node-local states (i,
 x_{i-1}, x_i) in the package: `enumerate_dominant_gammas` lists the
-gammas with lam - gamma dominant through it, and
-`multipartition.enumerate_multipartitions` the pruned multipartitions.
+gammas with lam - gamma dominant through it,
+`multipartition.enumerate_multipartitions` the pruned multipartitions,
+and `functional_oracle.orbit_basis` the running degree sums of the dual
+orbit basis.
 """
 
 from __future__ import annotations
@@ -18,6 +20,16 @@ def check_rank(n: int) -> int:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("rank must be a positive integer, got %r" % (n,))
     return n
+
+
+def check_ints(what: str, values) -> tuple[int, ...]:
+    """values as a tuple, refused unless every entry is an int (bools
+    are refused too), so a fractional entry is an error, never
+    truncated.  what names the input in the message."""
+    values = tuple(values)
+    if not all(type(v) is int for v in values):
+        raise ValueError("%s must hold integers, got %r" % (what, values))
+    return values
 
 
 def positive_roots(n: int) -> list[tuple[int, int]]:
@@ -42,9 +54,10 @@ def is_dominant(weight) -> bool:
 
 
 def check_weight(n: int, lam) -> tuple[int, ...]:
-    """lam as a tuple, checked to be a dominant weight of rank n."""
+    """lam as a tuple, checked to be a dominant integral weight of rank
+    n."""
     check_rank(n)
-    lam = tuple(lam)
+    lam = check_ints("weight", lam)
     if len(lam) != n:
         raise ValueError("weight has rank %d, expected %d" % (len(lam), n))
     if not is_dominant(lam):
@@ -54,10 +67,12 @@ def check_weight(n: int, lam) -> tuple[int, ...]:
 
 def check_gamma(lam, gamma) -> tuple[int, ...]:
     """gamma as a tuple, checked to be a nonnegative root lattice
-    element of the same rank as lam."""
-    gamma = tuple(gamma)
+    element of the same rank as lam, with integer entries; rank 0 is
+    refused by `check_rank`."""
+    gamma = check_ints("gamma", gamma)
     if len(gamma) != len(lam):
         raise ValueError("gamma has rank %d, expected %d" % (len(gamma), len(lam)))
+    check_rank(len(gamma))
     if any(g < 0 for g in gamma):
         raise ValueError("gamma must be nonnegative, got %r" % (gamma,))
     return gamma

@@ -18,6 +18,14 @@ RANK8_ARGS = ["--n", "8", "--pi", "2:0,3:3,4:0,5:3,7:-1"]
 # count wrote it, so a change to any answer or to the layout shows here
 RANK12_ARGS = ["--n", "12", "--pi", "1:-2,3:2,5:-2,7:2,9:-2,11:2,12:-1"]
 RANK12_JSON_SHA256 = "76aa1685fa97e11d86ff883dc9141477fa55f78cff7eaeb2d9b7179d33b0851a"
+# oracle --format json output of the dual realization as an earlier
+# version wrote it, for a full-mode and a pair-mode job
+ORACLE_JSON_SHA256 = {
+    "--n 2 --lambda 4,4 --xi 2":
+        "f93cb8986789d4ecf5b2698aa00ce9a89bed4755e20972e326fee1b4e1225fd5",
+    "--n 5 --pi 3:0,4:3,5:0":
+        "49a0ae63dd11e87694607eca6a00cbefd30988b50e2f72e223302e84876f569a",
+}
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -207,6 +215,14 @@ def test_oracle_pair_mode_matches_decompose(capsys):
                        "--pi", "1:0,2:3,3:0", "--format", "json")
     assert code == 0
     assert got == want
+
+
+@pytest.mark.parametrize("args", [pytest.param(args, id=args.replace(" ", "_"))
+                                  for args in ORACLE_JSON_SHA256])
+def test_oracle_json_bytes_are_pinned(capsys, args):
+    code, out, _ = run(capsys, "oracle", *args.split(), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_JSON_SHA256[args]
 
 
 @pytest.mark.parametrize("argv", [

@@ -27,13 +27,17 @@ from itertools import product
 import pytest
 
 from hldecomp.decomposition import graded_decomposition
-from hldecomp.hl_category import weight_of
+from hldecomp.functional_oracle import oracle_decomposition
+from hldecomp.hl_category import weight_of, xi_from_weight
 from hldecomp.multipartition import enumerate_multipartitions
 from hldecomp.polytope_count import QPolynomial, build_polytope, count_by_grade
 from hldecomp.root_system import enumerate_dominant_gammas
 from hldecomp.weyl_characters import straighten
 
 from conftest import word_grid
+
+# every weight in {0,1,2}^n with n <= 3
+SMALL_WEIGHTS = [lam for n in (1, 2, 3) for lam in product(range(3), repeat=n)]
 
 
 def _simple_roots(n):
@@ -134,6 +138,15 @@ def _check_level_two(words):
     assert not mismatches, mismatches
 
 
+def _check_level_two_against_the_oracle(weights):
+    # the graded limit's xi tuple, xi_alpha = ceil(lam(h_alpha) / 2), in
+    # the dual realization's full mode
+    mismatches = [lam for lam in weights
+                  if demazure_decomposition(lam, 2)
+                  != oracle_decomposition(lam=lam, xi=xi_from_weight(lam)).entries]
+    assert not mismatches, mismatches
+
+
 def test_demazure_examples():
     # level one: W(w_1) of sl_2 is V(w_1); W(2 w_1) is V(2 w_1) + q V(0),
     # the fusion square of the vector representation
@@ -153,8 +166,16 @@ def test_level_two_matches_the_lattice_on_rank7_grid():
     _check_level_two(word_grid(7, 7))
 
 
+def test_level_two_matches_the_full_mode_oracle():
+    _check_level_two_against_the_oracle([lam for lam in SMALL_WEIGHTS if lam != (2, 2, 2)])
+
+
+@pytest.mark.slow
+def test_level_two_matches_the_full_mode_oracle_at_222():
+    _check_level_two_against_the_oracle([(2, 2, 2)])
+
+
 def test_level_one_matches_the_pair_free_count():
-    weights = [lam for n in (1, 2, 3) for lam in product(range(3), repeat=n)]
-    mismatches = [lam for lam in weights
+    mismatches = [lam for lam in SMALL_WEIGHTS
                   if demazure_decomposition(lam, 1) != _pair_free_count(lam)]
     assert not mismatches, mismatches

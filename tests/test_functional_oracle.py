@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hldecomp import functional_oracle
+from hldecomp.decomposition import graded_decomposition
 from hldecomp.functional_oracle import (
     _PRIME,
     _corank,
@@ -94,13 +95,19 @@ def test_gamma_is_checked_per_grade():
     for gamma, message in (((0, 0, 1), "gamma has rank 3, expected 2"),
                            ((0, 0, 0), "gamma has rank 3, expected 2"),
                            ((1,), "gamma has rank 1, expected 2"),
-                           ((-1, 0), "gamma must be nonnegative")):
+                           ((-1, 0), "gamma must be nonnegative"),
+                           ((0.5, 0), "gamma must hold integers, got (0.5, 0)"),
+                           ((0, True), "gamma must hold integers, got (0, True)")):
         with pytest.raises(ValueError, match=re.escape(message)):
             grade_window((1, 1), gamma, {})
         with pytest.raises(ValueError, match=re.escape(message)):
             grade_window((1, 1), gamma, "full", {})
         with pytest.raises(ValueError, match=re.escape(message)):
             dim_V((1, 1), gamma, 0, {})
+    # rank 0 is no rank at all, though gamma agrees with lam
+    for call in (lambda: dim_V((), (), 0, {}), lambda: grade_window((), (), {})):
+        with pytest.raises(ValueError, match="rank must be a positive integer, got 0"):
+            call()
 
 
 def test_orbit_basis_structure():
@@ -161,6 +168,22 @@ def test_orbit_basis_with_a_node_without_variables():
         assert all(orb[1] == () for orb in got)
         lengths.append(len(got))
     assert lengths[0] == 0 and max(lengths) > 5
+    # every shape of shape_grid(3, 2, 2) and the rank-4 shapes of
+    # shape_grid(4, 2, 1), windows from xi = 1 and xi = 2, at every
+    # degree from one below the degree window to one above it
+    shapes = shape_grid(3, 2, 2) + [(lam, gamma) for lam, gamma in shape_grid(4, 2, 1)
+                                    if len(lam) == 4]
+    cases = 0
+    for lam, gamma in shapes:
+        for v in (1, 2):
+            bounds, _ = conditions(lam, gamma, dict.fromkeys(positive_roots(len(lam)), v))
+            lo = sum(gamma[i - 1] * a for i, (a, _) in bounds.items())
+            hi = sum(gamma[i - 1] * b for i, (_, b) in bounds.items())
+            for degree in range(lo - 1, hi + 2):
+                assert orbit_basis(gamma, bounds, degree) == \
+                    _orbits_by_product(gamma, bounds, degree), (lam, gamma, v, degree)
+                cases += 1
+    assert cases == 11525
 
 
 def test_orbit_basis_empty_window():
@@ -674,14 +697,18 @@ def test_oracle_decomposition_validation():
         oracle_decomposition(mode="pair", word=word, lam=(5, 5))
     with pytest.raises(ValueError):
         oracle_decomposition(mode="pair", word=word, xi=xi7)
-    # gammas of the wrong rank or with a negative coordinate, in both
-    # modes, fail as they do in the lattice count
+    # gammas of the wrong rank, with a negative coordinate or with a
+    # non-integer one, in both modes, fail as they do in the lattice count
     xi1 = {(1, 1): 1, (2, 2): 1, (1, 2): 1}
     for gamma, message in (((0, 0, 0), "gamma has rank 3, expected 2"),
                            ((1,), "gamma has rank 1, expected 2"),
-                           ((-1, 0), "gamma must be nonnegative")):
+                           ((-1, 0), "gamma must be nonnegative"),
+                           ((0.0, 0.0), "gamma must hold integers, got (0.0, 0.0)"),
+                           ((0.5, 0), "gamma must hold integers, got (0.5, 0)")):
         with pytest.raises(ValueError, match=re.escape(message)):
             multiplicity(word, gamma)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            graded_decomposition(word, gammas=[gamma])
         with pytest.raises(ValueError, match=re.escape(message)):
             oracle_decomposition(lam=(1, 1), mode="full", xi=xi1, gammas=[gamma])
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -12,6 +12,7 @@ from hldecomp.hl_category import (
     FlatEdgeInJ,
     InvalidWord,
     check_height_function,
+    check_interval,
     consecutive_pairs,
     is_normalized,
     marked_vertices,
@@ -33,6 +34,28 @@ def test_check_height_function():
         check_height_function([0, 2])
     with pytest.raises(ValueError):
         check_height_function([])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: DrinfeldWord(3, [(1, 0.9), (2, 3.7)]),
+                 "word factor must hold integers, got (1, 0.9)", id="word"),
+    pytest.param(lambda: DrinfeldWord(3, [(True, 0)]),
+                 "word factor must hold integers, got (True, 0)", id="word-bool"),
+    pytest.param(lambda: validate_word([(1, 0), (3, 4.0)]),
+                 "word factor must hold integers, got (3, 4.0)", id="validate_word"),
+    pytest.param(lambda: check_height_function([0.5, 1.9, 2.2]),
+                 "height function must hold integers, got (0.5, 1.9, 2.2)", id="kappa"),
+    pytest.param(lambda: pi_from_interval([0, 1.5, 0], (1, 3)),
+                 "height function must hold integers, got (0, 1.5, 0)", id="pi_from_interval"),
+    pytest.param(lambda: check_interval((1.5, 2), 3),
+                 "interval must hold integers, got (1.5, 2)", id="interval"),
+    pytest.param(lambda: marked_vertices((0, 1, 2), (1, False)),
+                 "interval must hold integers, got (1, False)", id="interval-bool"),
+])
+def test_non_integer_inputs_are_refused(call, message):
+    # int() would truncate each of these into a different valid input
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_marked_vertices_monotone():
@@ -234,6 +257,8 @@ def test_normalize_xi():
      "roots 2-1, 3-3 out of range for rank 2"),
     ({(1, 1): 1, (1, 2): -2, (2, 2): -1},
      "pole depths must be nonnegative, got 1-2:-2, 2-2:-1"),
+    ({(1, 1): 1.5, (1, 2): 1, (2, 2): True},
+     "pole depths must be integers, got 1-1:1.5, 2-2:True"),
 ])
 def test_normalize_xi_names_each_bad_root(xi, message):
     # is_normalized and full-mode oracle_decomposition take the same message

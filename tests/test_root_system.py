@@ -130,6 +130,9 @@ _BAD_WEIGHTS = [
     (2, (7, -5), "weight must be dominant, got (7, -5)"),
     (0, (), "rank must be a positive integer, got 0"),
     (2, (1, 1, 1), "weight has rank 3, expected 2"),
+    # a fractional or boolean entry is refused, not truncated
+    (2, (1.5, 0), "weight must hold integers, got (1.5, 0)"),
+    (2, (True, 0), "weight must hold integers, got (True, 0)"),
 ]
 
 

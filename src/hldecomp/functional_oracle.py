@@ -43,12 +43,14 @@ following steps (`exact_corank` for given rows, `dim_V` for a grade):
      elimination, LaMacchia-Odlyzko 1990).  The corank is that of the
      remaining rows on the remaining columns, and is 0 if every column
      is forced; steps 1-3 run on the remainder.  `dim_V` builds the
-     rows in batches and peels after each: all interval conditions,
-     then all pole conditions, then each join condition alone.  A
-     forced orbit is 0 in every kernel vector, so each batch is built
-     only on the orbits still free, and once every orbit is forced no
-     further batch is built.  One forced-column list and one
-     column-to-row index carry over from batch to batch.
+     rows one condition at a time, in the order `conditions` lists
+     them (interval, pole, join), and peels after each.  A forced
+     orbit is 0 in every kernel vector, so each condition's rows are
+     built only on the orbits still free, and once every orbit is
+     forced no further row is built.  A condition whose least
+     z-exponent, sum k lo_t over its heads (t, k), reaches its bound
+     has no row and is skipped.  One forced-column list and one
+     column-to-row index carry over from condition to condition.
   1. A sparse reduced echelon over GF(p), p = 2^31 - 1 (Gauss-Jordan
      form, the step after peeling in structured elimination): each
      pivot row has a leading 1 and no entry on another pivot column,
@@ -97,29 +99,31 @@ def conditions(lam, gamma, depths):
     conds lists every condition as (label, heads, bound): heads holds the
     (node, k) pairs whose first k variables are set to z, and every
     monomial of the specialized expression with z-exponent below bound
-    must cancel.  In order:
+    must cancel.  In order, which is the order `dim_V` builds them in,
+    so that the join conditions, which build the most rows, run on the
+    fewest free orbits:
 
-      * ("join", i, nb) for each edge with r_i >= 2 and r_nb >= 1, heads
-        (i, 2), (nb, 1); its bound exceeds every z-exponent the windows
-        allow, so all signatures cancel;
-      * ("pole", i, depth) for 2 <= depth <= r_i, head (i, depth), bound
-        -lam_i;
       * ("interval", a, b) for the roots a < b of the map in sorted
         order, heads (t, 1) for a <= t <= b, bound -depths[(a, b)].
         Roots containing a node without variables have no meaningful
-        specialization and are skipped.
+        specialization and are skipped;
+      * ("pole", i, depth) for 2 <= depth <= r_i, head (i, depth), bound
+        -lam_i;
+      * ("join", i, nb) for each edge with r_i >= 2 and r_nb >= 1, heads
+        (i, 2), (nb, 1); its bound exceeds every z-exponent the windows
+        allow, so all signatures cancel.
     """
     r = (0,) + tuple(gamma) + (0,)
     bounds = {i: (-min(li, depths.get((i, i), li)), r[i - 1] + r[i + 1] - 2)
               for i, li in enumerate(lam, start=1) if r[i]}
-    conds = [(("join", i, nb), ((i, 2), (nb, 1)),
-              2 * bounds[i][1] + bounds[nb][1] + 1)
-             for i in bounds if r[i] >= 2 for nb in (i - 1, i + 1) if nb in bounds]
+    conds = [(("interval", a, b), tuple((t, 1) for t in range(a, b + 1)), -v)
+             for (a, b), v in sorted(depths.items())
+             if a < b and all(r[t] >= 1 for t in range(a, b + 1))]
     conds += [(("pole", i, depth), ((i, depth),), -lam[i - 1])
               for i in bounds for depth in range(2, r[i] + 1)]
-    conds += [(("interval", a, b), tuple((t, 1) for t in range(a, b + 1)), -v)
-              for (a, b), v in sorted(depths.items())
-              if a < b and all(r[t] >= 1 for t in range(a, b + 1))]
+    conds += [(("join", i, nb), ((i, 2), (nb, 1)),
+               2 * bounds[i][1] + bounds[nb][1] + 1)
+              for i in bounds if r[i] >= 2 for nb in (i - 1, i + 1) if nb in bounds]
     return bounds, conds
 
 
@@ -217,15 +221,9 @@ def constraint_rows(orbits, conds):
     # each (head, rest) split of an orbit gives its own signature, so an
     # orbit meets each row at most once and its coefficient is assigned
     rows = {}
-    # conditions on the same nodes share the untouched exponents
-    others_by_keep = {}
     for label, heads, bound in conds:
         touched = {t for t, _ in heads}
-        keep = tuple([t for t in range(n) if t + 1 not in touched])
-        others = others_by_keep.get(keep)
-        if others is None:
-            others = others_by_keep[keep] = [tuple([orb[t] for t in keep])
-                                             for orb in orbits]
+        keep = [t for t in range(n) if t + 1 not in touched]
         # the first leading node's cached splits serve as the picks as
         # they are, and the last node's are looped over in place, so only
         # the middle nodes of an interval build lists of partial picks
@@ -242,7 +240,7 @@ def constraint_rows(orbits, conds):
                 picks = [(z + zt, rests + rest, c * ct)
                          for z, rests, c in picks for zt, rest, ct in splits]
             splits = _splits(orb[last - 1], k_last)
-            oth = others[o]
+            oth = tuple([orb[t] for t in keep])
             for z, rests, c in picks:
                 for zt, rest, ct in splits:
                     zt += z
@@ -358,16 +356,16 @@ def _lift_kernel(echelon, ncols):
     return kernel
 
 
-def _peel(rows, ncols, more=()):
+def _peel(ncols, builds):
     """Rows and columns left once singleton rows are peeled.
 
-    A row with one nonzero entry c x_j = 0 forces x_j = 0 over Q, so
-    column j is dropped from every row and the step repeats until no
-    row has exactly one entry left.  more holds functions that build
-    further rows, called in turn once the rows so far are peeled: each
-    gets the list of columns not yet forced, in increasing order, and
-    returns rows keyed as rows are, whose column k stands for the k-th
-    column of that list.  A forced column is zero in every kernel
+    builds holds functions that build rows, called in turn, each once
+    the rows built before it are peeled: each gets the list of columns
+    not yet forced, in increasing order, and returns a dict of rows
+    whose column k stands for the k-th column of that list.  A row with
+    one nonzero entry c x_j = 0 forces x_j = 0 over Q, so column j is
+    dropped from every row and the step repeats until no row has
+    exactly one entry left.  A forced column is zero in every kernel
     vector, so no later row needs an entry on it, and once every column
     is forced no further function is called.  Returns (rows over the
     surviving columns, renumbered in order and keyed by their position
@@ -379,7 +377,7 @@ def _peel(rows, ncols, more=()):
     on_col = [[] for _ in range(ncols)]
     forced = [False] * ncols
     free = list(range(ncols))
-    for build in (lambda _: rows, *more):
+    for build in builds:
         if not free:
             break
         queue = []
@@ -440,7 +438,7 @@ def exact_corank(rows, ncols) -> int:
     the corank is at least k and therefore k.  If a lift or a check
     fails, the corank comes from `integer_rank`.
     """
-    return _corank(*_peel(rows, ncols))
+    return _corank(*_peel(ncols, [lambda _: rows]))
 
 
 def integer_rank(mat) -> int:
@@ -492,7 +490,8 @@ def _rows_to_matrix(rows, norbits):
 def dim_V(lam, gamma, p: int, depths) -> int:
     """Dimension of the space of admissible functions at grade p: the
     corank of the relation rows on the grade's orbits, built and peeled
-    batch by batch (step 0 of the module docstring)."""
+    one condition at a time, skipping the conditions that can have no
+    row (step 0 of the module docstring)."""
     if p < 0:
         raise ValueError("grade must be nonnegative")
     gamma = check_gamma(lam, gamma)
@@ -501,14 +500,11 @@ def dim_V(lam, gamma, p: int, depths) -> int:
     orbits = orbit_basis(gamma, bounds, degree)
     if not orbits:
         return 0
-    # all interval rows, then all pole rows, then each join alone
-    kinds = {"interval": [], "pole": [], "join": []}
-    for cond in conds:
-        kinds[cond[0][0]].append(cond)
-    batches = [kinds["interval"], kinds["pole"], *([c] for c in kinds["join"])]
-    return _corank(*_peel({}, len(orbits), [
-        lambda free, batch=batch: constraint_rows([orbits[o] for o in free], batch)
-        for batch in batches if batch]))
+    # no z-exponent of a condition falls below sum k lo_t over its heads
+    return _corank(*_peel(len(orbits), [
+        lambda free, cond=cond: constraint_rows([orbits[o] for o in free], [cond])
+        for cond in conds
+        if sum(k * bounds[t][0] for t, k in cond[1]) < cond[2]]))
 
 
 def grade_window(lam, gamma, depths, *legacy) -> range:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .root_system import check_ints, check_rank, pairing, positive_roots
+from .root_system import check_ints, check_pair, check_rank, pairing, positive_roots
 
 
 class InvalidWord(ValueError):
@@ -37,7 +37,7 @@ def check_height_function(kappa) -> tuple[int, ...]:
 
 
 def check_interval(J, n: int) -> tuple[int, int]:
-    lo, hi = check_ints("interval", J)
+    lo, hi = check_pair("interval", J)
     if not 1 <= lo <= hi <= n:
         raise ValueError("interval %r out of range for rank %d" % (J, n))
     return (lo, hi)
@@ -75,11 +75,12 @@ def validate_word(factors) -> list[str]:
 
     Empty list means the factor list is a valid word.  Checked: nodes
     strictly increase, consecutive exponent steps are +-(i' - i + 2),
-    and the step signs strictly alternate.  A factor with a non-integer
-    entry is not a violation but bad input, refused by `check_ints`.
+    and the step signs strictly alternate.  A factor that is not a pair
+    of integers is not a violation but bad input, refused by
+    `check_pair`.
     """
     problems = []
-    factors = [check_ints("word factor", (i, m)) for i, m in factors]
+    factors = [check_pair("word factor", f) for f in factors]
     signs = []
     for idx, ((i1, m1), (i2, m2)) in enumerate(zip(factors, factors[1:]), start=1):
         if i2 <= i1:
@@ -110,7 +111,7 @@ class DrinfeldWord:
 
     def __init__(self, n: int, factors):
         check_rank(n)
-        factors = tuple(check_ints("word factor", (i, m)) for i, m in factors)
+        factors = tuple(check_pair("word factor", f) for f in factors)
         if not factors:
             raise InvalidWord("a word needs at least one factor")
         if any(not 1 <= i <= n for i, _ in factors):

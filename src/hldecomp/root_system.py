@@ -32,6 +32,16 @@ def check_ints(what: str, values) -> tuple[int, ...]:
     return values
 
 
+def check_pair(what: str, values) -> tuple[int, int]:
+    """values as a pair of ints, refused as `check_ints` refuses them,
+    and also unless there are exactly two, so that no caller unpacks a
+    tuple of the wrong length."""
+    values = check_ints(what, values)
+    if len(values) != 2:
+        raise ValueError("%s must be a pair, got %r" % (what, values))
+    return values
+
+
 def positive_roots(n: int) -> list[tuple[int, int]]:
     """All positive roots as intervals (i, j), ordered lexicographically."""
     check_rank(n)
@@ -43,7 +53,7 @@ def pairing(lam, root) -> int:
 
     For alpha = alpha_i + ... + alpha_j this is lam_i + ... + lam_j.
     """
-    i, j = root
+    i, j = check_pair("root", root)
     if not 1 <= i <= j <= len(lam):
         raise ValueError("root %r out of range for rank %d" % (root, len(lam)))
     return sum(lam[i - 1 : j])

@@ -212,7 +212,7 @@ def test_crosscheck_on_rank4_and_rank5_grids():
 @pytest.mark.slow
 def test_crosscheck_on_rank6_grid():
     # every rank 6 word with at most 3 factors; the dual side peels its
-    # rows batch by batch, which makes this grid affordable
+    # rows condition by condition, which makes this grid affordable
     words = [w for w in word_grid(6, 3) if w.n == 6]
     assert len(words) == 76
     failed = [(word, mismatches) for word in words

@@ -36,7 +36,7 @@ from hldecomp.functional_oracle import (
 from hldecomp.hl_category import DrinfeldWord, consecutive_pairs, weight_of
 from hldecomp.polytope_count import QPolynomial, multiplicity
 from hldecomp.root_system import (e_gamma, enumerate_dominant_gammas,
-                                  gamma_height, positive_roots)
+                                  gamma_height, pairing, positive_roots)
 
 from conftest import shape_grid, word_grid
 
@@ -69,9 +69,9 @@ def test_conditions_windows():
     # windows allow; the pole bound is -lam_1, the interval bound -v_{1,2}
     assert conditions(X58_LAM, X58_GAMMA, X58_XI) == (
         {1: (-2, -1), 2: (-2, 0)},
-        [(("join", 1, 2), ((1, 2), (2, 1)), -1),
+        [(("interval", 1, 2), ((1, 1), (2, 1)), -2),
          (("pole", 1, 2), ((1, 2),), -7),
-         (("interval", 1, 2), ((1, 1), (2, 1)), -2)])
+         (("join", 1, 2), ((1, 2), (2, 1)), -1)])
     assert conditions((1, 1), (1, 1), {(1, 2): 1})[0] == \
         {1: (-1, -1), 2: (-1, -1)}
     assert conditions((1, 1), (0, 0), {(1, 2): 1}) == ({}, [])
@@ -337,13 +337,13 @@ def test_conditions_on_rank_3():
     depths = {(1, 1): 1, (1, 3): 2, (2, 3): 1}
     assert conditions((2, 1, 2), (2, 2, 1), depths) == (
         {1: (-1, 0), 2: (-1, 1), 3: (-2, 0)},
-        [(("join", 1, 2), ((1, 2), (2, 1)), 2),
-         (("join", 2, 1), ((2, 2), (1, 1)), 3),
-         (("join", 2, 3), ((2, 2), (3, 1)), 3),
+        [(("interval", 1, 3), ((1, 1), (2, 1), (3, 1)), -2),
+         (("interval", 2, 3), ((2, 1), (3, 1)), -1),
          (("pole", 1, 2), ((1, 2),), -2),
          (("pole", 2, 2), ((2, 2),), -1),
-         (("interval", 1, 3), ((1, 1), (2, 1), (3, 1)), -2),
-         (("interval", 2, 3), ((2, 1), (3, 1)), -1)])
+         (("join", 1, 2), ((1, 2), (2, 1)), 2),
+         (("join", 2, 1), ((2, 2), (1, 1)), 3),
+         (("join", 2, 3), ((2, 2), (3, 1)), 3)])
 
 
 def test_conditions_intervals():
@@ -532,13 +532,13 @@ def test_peeling_leaves_a_positive_corank_remainder(monkeypatch):
     # (column 3 is touched by no row): corank 2, proved by the lifted
     # kernel of the remainder padded with a zero on column 0
     rows = {"a": {0: 2}, "b": {0: 5, 1: 1, 2: -1}}
-    assert _peel(rows, 4) == ({1: {0: 1, 1: -1}}, 3)
+    assert _peel(4, [lambda _: rows]) == ({1: {0: 1, 1: -1}}, 3)
     calls = _count_fallbacks(monkeypatch)
     assert exact_corank(rows, 4) == 2
     assert calls == []
 
 
-def _peel_and_survivors(rows, ncols, more=()):
+def _peel_and_survivors(ncols, builds):
     """_peel's result and the columns it leaves unforced, read by a last
     batch that builds no row (never called once every column is
     forced)."""
@@ -548,7 +548,7 @@ def _peel_and_survivors(rows, ncols, more=()):
         seen.append(list(free))
         return {}
 
-    return _peel(rows, ncols, [*more, record]), seen[-1]
+    return _peel(ncols, [*builds, record]), seen[-1]
 
 
 def _restricted(batch):
@@ -574,9 +574,10 @@ def test_peeling_in_batches_matches_peeling_at_once(case):
     rnd.shuffle(rows)
     cuts = sorted(rnd.choices(range(len(rows) + 1), k=rnd.randint(0, 4)))
     batches = [rows[a:b] for a, b in zip([0, *cuts], [*cuts, len(rows)])]
-    at_once, free = _peel_and_survivors(dict(enumerate(rows)), ncols)
+    at_once, free = _peel_and_survivors(ncols, [lambda _: dict(enumerate(rows))])
     batched, free_batched = _peel_and_survivors(
-        dict(enumerate(batches[0])), ncols, [_restricted(b) for b in batches[1:]])
+        ncols, [lambda _: dict(enumerate(batches[0])),
+                *(_restricted(b) for b in batches[1:])])
     assert free_batched == free
     # the same rows left, at the same positions, on the same columns
     assert batched == at_once
@@ -608,8 +609,9 @@ def _tensor_square(lam):
     *(_pair_mode(word) for word in word_grid(4, 3)),
 ])
 def test_dim_V_matches_the_one_batch_corank(lam, gammas, depths):
-    # dim_V builds and peels its rows batch by batch, each batch on the
-    # orbits still free; exact_corank takes every row at once
+    # dim_V builds and peels its rows one condition at a time, each on
+    # the orbits still free, and skips the conditions that can have no
+    # row; exact_corank takes every row of every condition at once
     for gamma, grade, degree in _all_grades(lam, gammas, depths):
         bounds, conds = conditions(lam, gamma, depths)
         orbits = orbit_basis(gamma, bounds, degree)
@@ -617,34 +619,88 @@ def test_dim_V_matches_the_one_batch_corank(lam, gammas, depths):
         assert dim_V(lam, gamma, grade, depths) == want, (gamma, grade)
 
 
+def _least_z(bounds, cond):
+    """The least z-exponent the windows allow under a condition: the sum
+    of k lo_t over its heads (t, k)."""
+    return sum(k * bounds[t][0] for t, k in cond[1])
+
+
 def test_grades_forced_early_build_no_join_rows(monkeypatch):
     lam, gammas, xi = _tensor_square((4, 4))
-    built = []
+    calls = []
 
     def recorded(orbits, conds):
-        built.extend(label[0] for label, _, _ in conds)
+        calls.append(list(conds))
         return constraint_rows(orbits, conds)
 
+    def free_after(orbits, conds):
+        return _peel(len(orbits), [lambda _: constraint_rows(orbits, conds)])[1]
+
     monkeypatch.setattr(functional_oracle, "constraint_rows", recorded)
-    forced_early = without_conditions = 0
+    forced_early = without_conditions = all_skipped = pairs = skipped = 0
+    kinds = set()
     for gamma, grade, degree in _all_grades(lam, gammas, xi):
         bounds, conds = conditions(lam, gamma, xi)
         orbits = orbit_basis(gamma, bounds, degree)
         early = [c for c in conds if c[0][0] != "join"]
-        forced = bool(orbits) and _peel(constraint_rows(orbits, early), len(orbits))[1] == 0
+        forced = bool(orbits) and free_after(orbits, early) == 0
         joins = any(c[0][0] == "join" for c in conds)
-        built.clear()
+        live = [c for c in conds if _least_z(bounds, c) < c[2]]
+        calls.clear()
         dim = dim_V(lam, gamma, grade, xi)
+        # one condition per call, in the order of conditions, never one
+        # whose least z-exponent reaches its bound
+        assert all(len(call) == 1 for call in calls), (gamma, grade)
+        made = [cond for call in calls for cond in call]
+        assert made == live[:len(made)], (gamma, grade)
+        if not orbits:
+            assert made == []
+        elif len(made) < len(live):
+            # the rest is left out only once the last call forced every orbit
+            assert free_after(orbits, made) == 0 < free_after(orbits, made[:-1])
+            assert dim == 0
+        built = [cond[0][0] for cond in made]
         # join rows are built exactly when some orbit is still free
         # after the interval and pole rows
         assert ("join" in built) == (bool(orbits) and joins and not forced), (gamma, grade)
-        assert bool(built) == bool(orbits and conds)
+        # rows are built on a grade with orbits unless the rule skips
+        # every condition it has
+        assert bool(built) == bool(orbits and live)
         forced_early += forced
         without_conditions += bool(orbits) and not conds
+        all_skipped += bool(orbits and conds) and not live
+        if orbits:
+            pairs += len(conds)
+            skipped += len(conds) - len(live)
+            kinds.update(c[0][0::2] for c in conds if c not in live)
         if forced:
             assert dim == 0
     assert forced_early == 29
     assert without_conditions == 3
+    assert all_skipped == 2
+    # 28.5% of the (grade, condition) pairs are skipped, every one a
+    # depth-2 pole: its least z-exponent 2 lo_i = -4 equals -lam_i
+    assert (skipped, pairs) == (160, 561)
+    assert kinds == {("pole", 2)}
+
+
+def test_skipped_conditions_have_no_rows():
+    # every grade of shape_grid(3, 2, 2) with constant xi = 1 and xi = 2
+    # and with the local Weyl xi_alpha = lam(h_alpha): no signature of a
+    # condition whose least z-exponent reaches its bound falls below it
+    skipped = 0
+    for lam, gamma in shape_grid(3, 2, 2):
+        roots = positive_roots(len(lam))
+        for depths in (dict.fromkeys(roots, 1), dict.fromkeys(roots, 2),
+                       {root: pairing(lam, root) for root in roots}):
+            bounds, conds = conditions(lam, gamma, depths)
+            dead = [c for c in conds if _least_z(bounds, c) >= c[2]]
+            for _, _, degree in _all_grades(lam, [gamma], depths):
+                orbits = orbit_basis(gamma, bounds, degree)
+                for cond in dead:
+                    assert constraint_rows(orbits, [cond]) == {}, (lam, gamma, cond)
+                skipped += len(dead) * bool(orbits)
+    assert skipped == 8041
 
 
 def _tensor_square_grades(lam):

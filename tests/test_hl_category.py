@@ -23,7 +23,7 @@ from hldecomp.hl_category import (
     weight_of,
     xi_from_weight,
 )
-from hldecomp.root_system import positive_roots
+from hldecomp.root_system import pairing, positive_roots
 
 from conftest import word_grid
 
@@ -54,6 +54,31 @@ def test_check_height_function():
 ])
 def test_non_integer_inputs_are_refused(call, message):
     # int() would truncate each of these into a different valid input
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: check_interval((1, 2, 3), 3),
+                 "interval must be a pair, got (1, 2, 3)", id="interval"),
+    pytest.param(lambda: check_interval((1,), 3),
+                 "interval must be a pair, got (1,)", id="interval-one"),
+    pytest.param(lambda: DrinfeldWord(3, [(1, 0, 3)]),
+                 "word factor must be a pair, got (1, 0, 3)", id="word"),
+    pytest.param(lambda: DrinfeldWord(3, [(1, 0), (3,)]),
+                 "word factor must be a pair, got (3,)", id="word-one"),
+    pytest.param(lambda: validate_word([(1, 0, 3)]),
+                 "word factor must be a pair, got (1, 0, 3)", id="validate_word"),
+    pytest.param(lambda: validate_word([(1,)]),
+                 "word factor must be a pair, got (1,)", id="validate_word-one"),
+    pytest.param(lambda: pairing((1, 1), (1, 2, 3)),
+                 "root must be a pair, got (1, 2, 3)", id="pairing"),
+    pytest.param(lambda: pairing((1, 1), (1,)),
+                 "root must be a pair, got (1,)", id="pairing-one"),
+])
+def test_pairs_of_the_wrong_length_are_refused(call, message):
+    # unpacked unchecked, these raised "too many (or not enough) values
+    # to unpack", which names no input
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
 

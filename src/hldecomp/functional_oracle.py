@@ -40,17 +40,25 @@ following steps (`exact_corank` for given rows, `dim_V` for a grade):
   0. Peeling: a row with one nonzero entry forces its column to 0 over
      Q, so that column is dropped from every row, repeatedly, until no
      such row is left (the first step of structured Gaussian
-     elimination, LaMacchia-Odlyzko 1990).  The corank is that of the
-     remaining rows on the remaining columns, and is 0 if every column
-     is forced; steps 1-3 run on the remainder.  `dim_V` builds the
-     rows one condition at a time, in the order `conditions` lists
-     them (interval, pole, join), and peels after each.  A forced
-     orbit is 0 in every kernel vector, so each condition's rows are
-     built only on the orbits still free, and once every orbit is
-     forced no further row is built.  A condition whose least
-     z-exponent, sum k lo_t over its heads (t, k), reaches its bound
-     has no row and is skipped.  One forced-column list and one
-     column-to-row index carry over from condition to condition.
+     elimination, LaMacchia-Odlyzko 1990).  The forced set does not
+     depend on the order in which rows are peeled.  The corank is that
+     of the remaining rows on the remaining columns, and is 0 if every
+     column is forced; steps 1-3 run on the remainder.  `dim_V` first
+     peels each node's own pole conditions, once per window and lam_i,
+     on the node's multisets alone (`_pole_table`): their rows on a
+     grade repeat that small system once per choice of the other
+     nodes, so a multiset it forces is 0 in every orbit holding it, and
+     the orbit basis is walked over the surviving multisets only.  A
+     node whose small system peels to no row needs no pole condition
+     on the grade.  The other rows are then built one condition at a
+     time, in the order `conditions` lists them (interval, pole, join),
+     and peeled after each.  A forced orbit is 0 in every kernel
+     vector, so each condition's rows are built only on the orbits
+     still free, and once every orbit is forced no further row is
+     built.  A condition whose least z-exponent, sum k lo_t over its
+     heads (t, k), reaches its bound has no row and is skipped.  One
+     forced-column list and one column-to-row index carry over from
+     condition to condition.
   1. A sparse reduced echelon over GF(p), p = 2^31 - 1 (Gauss-Jordan
      form, the step after peeling in structured elimination): each
      pivot row has a leading 1 and no entry on another pivot column,
@@ -138,22 +146,56 @@ def _node_multisets(r, lo, hi):
     return out
 
 
-def orbit_basis(gamma, bounds, degree):
+@lru_cache(maxsize=None)
+def _pole_table(r, lo, hi, lam_i):
+    """A node's multisets left free by its own pole conditions, as
+    (table, rows_left).
+
+    The pole conditions (i, depth), 2 <= depth <= r with depth lo <
+    -lam_i (any other has no row), touch node i alone: on a grade
+    their rows are the rows they have on the one-node orbits of the
+    window, once for each choice of the other nodes' multisets, and no
+    row mixes two degrees.  So `_peel` of that small system forces the
+    same multisets as peeling the grade's pole rows of node i does, in
+    every orbit that holds them.  table maps each degree to its
+    surviving multisets as a tuple in `_node_multisets` order, leaving
+    out degrees with none; rows_left tells whether any pole row survives the peel,
+    so that a grade still needs node i's pole conditions.  The rows are
+    built by `constraint_rows`, once per window and lam_i.
+    """
+    orbits = [(ms,) for group in _node_multisets(r, lo, hi).values() for ms in group]
+    conds = [(("pole", 1, depth), ((1, depth),), -lam_i)
+             for depth in range(2, r + 1) if depth * lo < -lam_i]
+    left, free = _peel(len(orbits), [lambda _: constraint_rows(orbits, conds)]
+                       if conds else [])
+    table = {}
+    for o in free:
+        (ms,) = orbits[o]
+        table.setdefault(sum(ms), []).append(ms)
+    # every caller shares the cached table, so its groups are frozen
+    return {d: tuple(group) for d, group in table.items()}, bool(left)
+
+
+def orbit_basis(gamma, bounds, degree, tables=None):
     """Families of per-node exponent multisets of the given total degree.
 
     Each orbit is a tuple with one weakly decreasing exponent tuple per
     node and represents the sum of the distinct monomials in its
-    symmetric group orbit.  A node without variables is not in bounds
-    and takes the window (0, 0), whose only tuple is the empty one.
+    symmetric group orbit.  tables holds one map from degree to
+    multisets per node, such as the filtered ones of `_pole_table`; by
+    default every multiset of each node's window is taken
+    (`_node_multisets`).  A node without variables is not in bounds and
+    takes the window (0, 0), whose only tuple is the empty one.
     `live_paths` walks the running degree sums s_i = d_1 + ... + d_i,
     each d_i a degree of node i's table: the step into the last node
     takes only s_n = degree, and only if degree - s_{n-1} is in its
-    table, so a node whose window is empty (lo > hi) leaves no path.
-    Each path gives the product of the nodes' multisets at its degrees.
+    table, so a node whose table is empty leaves no path.  Each path
+    gives the product of the nodes' multisets at its degrees.
     """
     n = len(gamma)
-    tables = [_node_multisets(r, *bounds.get(i, (0, 0)))
-              for i, r in enumerate(gamma, start=1)]
+    if tables is None:
+        tables = [_node_multisets(r, *bounds.get(i, (0, 0)))
+                  for i, r in enumerate(gamma, start=1)]
 
     def successors(i, _, s):
         if i < n - 1:
@@ -369,8 +411,9 @@ def _peel(ncols, builds):
     vector, so no later row needs an entry on it, and once every column
     is forced no further function is called.  Returns (rows over the
     surviving columns, renumbered in order and keyed by their position
-    among all rows built; number of surviving columns).  Every row left
-    has at least two entries, and columns no row touches survive.
+    among all rows built; the surviving columns in increasing order).
+    Every row left has at least two entries, and columns no row touches
+    survive.
     """
     built = []
     live = []
@@ -404,12 +447,13 @@ def _peel(ncols, builds):
     new_col = {c: k for k, c in enumerate(free)}
     left = {r: {new_col[c]: v for c, v in row.items() if not forced[c]}
             for r, row in enumerate(built) if live[r]}
-    return left, len(free)
+    return left, free
 
 
-def _corank(rows, ncols) -> int:
-    """Exact corank over Q of rows that `_peel` has left, by the steps
-    after peeling that `exact_corank` describes."""
+def _corank(rows, free) -> int:
+    """Exact corank over Q of rows that `_peel` has left on the columns
+    free, by the steps after peeling that `exact_corank` describes."""
+    ncols = len(free)
     echelon = _echelon_mod_p(sorted(rows.values(), key=len), ncols)
     if len(echelon) == ncols:
         return 0
@@ -489,7 +533,8 @@ def _rows_to_matrix(rows, norbits):
 
 def dim_V(lam, gamma, p: int, depths) -> int:
     """Dimension of the space of admissible functions at grade p: the
-    corank of the relation rows on the grade's orbits, built and peeled
+    corank of the relation rows on the grade's orbits, which each node's
+    own pole conditions filter first (`_pole_table`), built and peeled
     one condition at a time, skipping the conditions that can have no
     row (step 0 of the module docstring)."""
     if p < 0:
@@ -497,14 +542,18 @@ def dim_V(lam, gamma, p: int, depths) -> int:
     gamma = check_gamma(lam, gamma)
     degree = -p - gamma_height(gamma) + e_gamma(gamma)
     bounds, conds = conditions(lam, gamma, depths)
-    orbits = orbit_basis(gamma, bounds, degree)
+    filters = [_pole_table(r, *bounds.get(i, (0, 0)), lam[i - 1])
+               for i, r in enumerate(gamma, start=1)]
+    orbits = orbit_basis(gamma, bounds, degree, [table for table, _ in filters])
     if not orbits:
         return 0
+    # a node whose filter leaves no pole row needs no pole condition, and
     # no z-exponent of a condition falls below sum k lo_t over its heads
     return _corank(*_peel(len(orbits), [
         lambda free, cond=cond: constraint_rows([orbits[o] for o in free], [cond])
         for cond in conds
-        if sum(k * bounds[t][0] for t, k in cond[1]) < cond[2]]))
+        if (cond[0][0] != "pole" or filters[cond[0][1] - 1][1])
+        and sum(k * bounds[t][0] for t, k in cond[1]) < cond[2]]))
 
 
 def grade_window(lam, gamma, depths, *legacy) -> range:

@@ -25,8 +25,13 @@ def check_rank(n: int) -> int:
 def check_ints(what: str, values) -> tuple[int, ...]:
     """values as a tuple, refused unless every entry is an int (bools
     are refused too), so a fractional entry is an error, never
-    truncated.  what names the input in the message."""
-    values = tuple(values)
+    truncated, and refused if it is not iterable at all.  what names
+    the input in the message."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError("%s must be a sequence of integers, got %r"
+                         % (what, values)) from None
     if not all(type(v) is int for v in values):
         raise ValueError("%s must hold integers, got %r" % (what, values))
     return values

@@ -22,6 +22,7 @@ from hldecomp.functional_oracle import (
     _lift_kernel,
     _node_multisets,
     _peel,
+    _pole_table,
     _rows_to_matrix,
     conditions,
     constraint_rows,
@@ -532,23 +533,25 @@ def test_peeling_leaves_a_positive_corank_remainder(monkeypatch):
     # (column 3 is touched by no row): corank 2, proved by the lifted
     # kernel of the remainder padded with a zero on column 0
     rows = {"a": {0: 2}, "b": {0: 5, 1: 1, 2: -1}}
-    assert _peel(4, [lambda _: rows]) == ({1: {0: 1, 1: -1}}, 3)
+    assert _peel(4, [lambda _: rows]) == ({1: {0: 1, 1: -1}}, [1, 2, 3])
     calls = _count_fallbacks(monkeypatch)
     assert exact_corank(rows, 4) == 2
     assert calls == []
 
 
-def _peel_and_survivors(ncols, builds):
-    """_peel's result and the columns it leaves unforced, read by a last
-    batch that builds no row (never called once every column is
-    forced)."""
+def _checked_peel(ncols, builds):
+    """_peel's result, whose surviving columns are checked against the
+    ones a last batch that builds no row is handed (never called once
+    every column is forced)."""
     seen = [[]]
 
     def record(free):
         seen.append(list(free))
         return {}
 
-    return _peel(ncols, [*builds, record]), seen[-1]
+    out = _peel(ncols, [*builds, record])
+    assert out[1] == seen[-1]
+    return out
 
 
 def _restricted(batch):
@@ -574,12 +577,12 @@ def test_peeling_in_batches_matches_peeling_at_once(case):
     rnd.shuffle(rows)
     cuts = sorted(rnd.choices(range(len(rows) + 1), k=rnd.randint(0, 4)))
     batches = [rows[a:b] for a, b in zip([0, *cuts], [*cuts, len(rows)])]
-    at_once, free = _peel_and_survivors(ncols, [lambda _: dict(enumerate(rows))])
-    batched, free_batched = _peel_and_survivors(
+    at_once = _checked_peel(ncols, [lambda _: dict(enumerate(rows))])
+    batched = _checked_peel(
         ncols, [lambda _: dict(enumerate(batches[0])),
                 *(_restricted(b) for b in batches[1:])])
-    assert free_batched == free
-    # the same rows left, at the same positions, on the same columns
+    # the same rows left, at the same positions, on the same surviving
+    # columns
     assert batched == at_once
     mat = [[row.get(c, 0) for c in range(ncols)] for row in rows]
     assert _corank(*batched) == exact_corank(dict(enumerate(rows)), ncols) == \
@@ -598,20 +601,29 @@ def _pair_mode(word):
     return lam, enumerate_dominant_gammas(lam), {p: 1 for p in consecutive_pairs(word)}
 
 
+def _constant_xi(lam, depth):
+    return lam, enumerate_dominant_gammas(lam), dict.fromkeys(positive_roots(len(lam)), depth)
+
+
 def _tensor_square(lam):
-    return lam, enumerate_dominant_gammas(lam), {r: 2 for r in positive_roots(len(lam))}
+    return _constant_xi(lam, 2)
 
 
 @pytest.mark.parametrize("lam, gammas, depths", [
     (X58_LAM, [X58_GAMMA], X58_XI),
     _tensor_square((2, 2)),
     _tensor_square((4, 0)),
+    # 3 of its 6 node tables keep pole rows, so dim_V builds those
+    # nodes' pole conditions on the filtered orbits
+    _constant_xi((3, 3), 3),
     *(_pair_mode(word) for word in word_grid(4, 3)),
 ])
 def test_dim_V_matches_the_one_batch_corank(lam, gammas, depths):
-    # dim_V builds and peels its rows one condition at a time, each on
-    # the orbits still free, and skips the conditions that can have no
-    # row; exact_corank takes every row of every condition at once
+    # dim_V filters each node's multisets by its own pole conditions,
+    # builds and peels its rows one condition at a time, each on the
+    # orbits still free, and skips the conditions that can have no row;
+    # exact_corank takes every row of every condition at once on the
+    # full basis
     for gamma, grade, degree in _all_grades(lam, gammas, depths):
         bounds, conds = conditions(lam, gamma, depths)
         orbits = orbit_basis(gamma, bounds, degree)
@@ -625,63 +637,153 @@ def _least_z(bounds, cond):
     return sum(k * bounds[t][0] for t, k in cond[1])
 
 
+def _filtered(lam, gamma, bounds):
+    """Each node's `_pole_table`: its filtered multisets and whether any
+    pole row is left."""
+    return [_pole_table(r, *bounds.get(i, (0, 0)), lam[i - 1])
+            for i, r in enumerate(gamma, start=1)]
+
+
 def test_grades_forced_early_build_no_join_rows(monkeypatch):
     lam, gammas, xi = _tensor_square((4, 4))
     calls = []
 
     def recorded(orbits, conds):
-        calls.append(list(conds))
+        calls.append((list(orbits), list(conds)))
         return constraint_rows(orbits, conds)
 
     def free_after(orbits, conds):
         return _peel(len(orbits), [lambda _: constraint_rows(orbits, conds)])[1]
 
     monkeypatch.setattr(functional_oracle, "constraint_rows", recorded)
-    forced_early = without_conditions = all_skipped = pairs = skipped = 0
+    forced_early = without_conditions = all_skipped = emptied = pairs = skipped = 0
+    full = kept_total = live_poles = 0
     kinds = set()
     for gamma, grade, degree in _all_grades(lam, gammas, xi):
         bounds, conds = conditions(lam, gamma, xi)
         orbits = orbit_basis(gamma, bounds, degree)
+        filters = _filtered(lam, gamma, bounds)
+        kept = orbit_basis(gamma, bounds, degree, [table for table, _ in filters])
         early = [c for c in conds if c[0][0] != "join"]
-        forced = bool(orbits) and free_after(orbits, early) == 0
+        forced = bool(orbits) and free_after(orbits, early) == []
         joins = any(c[0][0] == "join" for c in conds)
-        live = [c for c in conds if _least_z(bounds, c) < c[2]]
+        # the conditions dim_V may build: no pole condition of a node
+        # whose filter leaves no row, none whose least z-exponent
+        # reaches its bound
+        live = [c for c in conds if _least_z(bounds, c) < c[2]
+                and (c[0][0] != "pole" or filters[c[0][1] - 1][1])]
         calls.clear()
         dim = dim_V(lam, gamma, grade, xi)
-        # one condition per call, in the order of conditions, never one
-        # whose least z-exponent reaches its bound
-        assert all(len(call) == 1 for call in calls), (gamma, grade)
-        made = [cond for call in calls for cond in call]
+        # one condition per call, in the order of conditions, each on
+        # filtered orbits only (any row of the filters' small systems is
+        # built by the _filtered call above, before calls is cleared)
+        assert all(len(conds_) == 1 for _, conds_ in calls), (gamma, grade)
+        assert all(set(orbs) <= set(kept) for orbs, _ in calls), (gamma, grade)
+        made = [cond for _, conds_ in calls for cond in conds_]
         assert made == live[:len(made)], (gamma, grade)
-        if not orbits:
-            assert made == []
+        if not kept:
+            assert made == [] and dim == 0
         elif len(made) < len(live):
             # the rest is left out only once the last call forced every orbit
-            assert free_after(orbits, made) == 0 < free_after(orbits, made[:-1])
+            assert free_after(kept, made) == [] != free_after(kept, made[:-1])
             assert dim == 0
         built = [cond[0][0] for cond in made]
         # join rows are built exactly when some orbit is still free
         # after the interval and pole rows
         assert ("join" in built) == (bool(orbits) and joins and not forced), (gamma, grade)
-        # rows are built on a grade with orbits unless the rule skips
-        # every condition it has
-        assert bool(built) == bool(orbits and live)
+        # rows are built on a grade with filtered orbits unless every
+        # condition it has is skipped
+        assert bool(built) == bool(kept and live)
         forced_early += forced
         without_conditions += bool(orbits) and not conds
-        all_skipped += bool(orbits and conds) and not live
+        all_skipped += bool(kept and conds) and not live
+        emptied += bool(orbits) and not kept
+        full += len(orbits)
+        kept_total += len(kept)
         if orbits:
             pairs += len(conds)
             skipped += len(conds) - len(live)
+            live_poles += sum(c[0][0] == "pole" for c in live)
             kinds.update(c[0][0::2] for c in conds if c not in live)
         if forced:
             assert dim == 0
     assert forced_early == 29
     assert without_conditions == 3
     assert all_skipped == 2
-    # 28.5% of the (grade, condition) pairs are skipped, every one a
-    # depth-2 pole: its least z-exponent 2 lo_i = -4 equals -lam_i
-    assert (skipped, pairs) == (160, 561)
-    assert kinds == {("pole", 2)}
+    assert emptied == 16
+    # the node filters drop 1,416 of the 5,352 orbits
+    assert (full, kept_total) == (5352, 3936)
+    # 56.3% of the (grade, condition) pairs are skipped, and they are
+    # every pole condition: a depth-2 pole has least z-exponent
+    # 2 lo_i = -4 = -lam_i, and no node's filter leaves a pole row
+    assert (skipped, pairs) == (316, 561)
+    assert kinds == {("pole", 2), ("pole", 3), ("pole", 4)}
+    assert live_poles == 0
+
+
+def test_pole_tables_of_lam_3_3_keep_rows():
+    # the node tables of (3, 3) with xi = 3 that keep pole rows are the
+    # ones test_dim_V_matches_the_one_batch_corank runs through
+    lam, gammas, xi = _constant_xi((3, 3), 3)
+    keys = {(r, *bounds[i], lam[i - 1])
+            for gamma in gammas
+            for bounds in [conditions(lam, gamma, xi)[0]]
+            for i, r in enumerate(gamma, start=1) if i in bounds}
+    assert len(keys) == 6
+    assert sorted(k for k in keys if _pole_table(*k)[1]) == \
+        [(2, -3, -1, 3), (2, -3, 0, 3), (3, -3, 1, 3)]
+
+
+def test_pole_table_depends_on_lam():
+    # one window, three bounds -lam_i: the cache must not serve one for
+    # another.  No pole row is left, and the survivors are the multisets
+    # whose k lowest exponents, the least z-exponent of the depth-k
+    # pole, sum to at least -lam_i for k = 2 and 3
+    every = [ms for group in _node_multisets(3, -2, 0).values() for ms in group]
+    assert len(every) == 10
+    for lam_i, size in ((2, 4), (3, 6), (4, 8)):
+        table, rows_left = _pole_table(3, -2, 0, lam_i)
+        kept = [ms for group in table.values() for ms in group]
+        assert len(kept) == size and not rows_left
+        assert kept == [ms for ms in every
+                        if ms[1] + ms[2] >= -lam_i and sum(ms) >= -lam_i]
+        assert all(sum(ms) == d for d, group in table.items() for ms in group)
+        assert all(table.values())
+
+
+def test_pole_filter_matches_the_grade_pole_peel():
+    # every grade of shape_grid(3, 2, 2) with constant xi = 1 and xi = 2
+    # and with the local Weyl xi_alpha = lam(h_alpha), then of (3, 3)
+    # with xi = 3: the filtered basis is the full basis less the orbits
+    # that peeling the grade's pole rows forces, and a pole row of node
+    # i is left on the grade only if node i's filter leaves one
+    cases = [(lam, gamma, depths)
+             for lam, gamma in shape_grid(3, 2, 2)
+             for roots in [positive_roots(len(lam))]
+             for depths in (dict.fromkeys(roots, 1), dict.fromkeys(roots, 2),
+                            {root: pairing(lam, root) for root in roots})]
+    lam, gammas, xi = _constant_xi((3, 3), 3)
+    cases += [(lam, gamma, xi) for gamma in gammas]
+    grades = dropped = with_rows = 0
+    for lam, gamma, depths in cases:
+        bounds, conds = conditions(lam, gamma, depths)
+        filters = _filtered(lam, gamma, bounds)
+        tables = [table for table, _ in filters]
+        poles = [c for c in conds if c[0][0] == "pole"]
+        for _, _, degree in _all_grades(lam, [gamma], depths):
+            orbits = orbit_basis(gamma, bounds, degree)
+            rows = constraint_rows(orbits, poles)
+            left, free = _peel(len(orbits), [lambda _: rows])
+            kept = orbit_basis(gamma, bounds, degree, tables)
+            assert kept == [orbits[o] for o in free], (lam, gamma, degree)
+            labels = list(rows)
+            assert all(filters[labels[r][0][1] - 1][1] for r in left)
+            grades += 1
+            dropped += len(orbits) - len(kept)
+            with_rows += bool(left)
+    # shape_grid gives 4,570 grades and 8,367 dropped orbits, and no
+    # pole row left (lam_i <= 2); all 24 grades left with one are of (3, 3)
+    assert (grades, dropped, with_rows) == (4631, 9019, 24)
 
 
 def test_skipped_conditions_have_no_rows():

@@ -23,7 +23,7 @@ from hldecomp.hl_category import (
     weight_of,
     xi_from_weight,
 )
-from hldecomp.root_system import pairing, positive_roots
+from hldecomp.root_system import check_gamma, check_weight, pairing, positive_roots
 
 from conftest import word_grid
 
@@ -79,6 +79,23 @@ def test_non_integer_inputs_are_refused(call, message):
 def test_pairs_of_the_wrong_length_are_refused(call, message):
     # unpacked unchecked, these raised "too many (or not enough) values
     # to unpack", which names no input
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: DrinfeldWord(3, [1, 2]),
+                 "word factor must be a sequence of integers, got 1", id="word"),
+    pytest.param(lambda: check_interval(3, 3),
+                 "interval must be a sequence of integers, got 3", id="interval"),
+    pytest.param(lambda: check_weight(2, 5),
+                 "weight must be a sequence of integers, got 5", id="weight"),
+    pytest.param(lambda: check_gamma((1, 1), 3),
+                 "gamma must be a sequence of integers, got 3", id="gamma"),
+])
+def test_non_iterable_inputs_are_refused(call, message):
+    # tuple() of these raised "'int' object is not iterable", which names
+    # no input
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
 

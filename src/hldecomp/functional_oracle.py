@@ -44,7 +44,8 @@ following steps (`exact_corank` for given rows, `dim_V` for a grade):
      depend on the order in which rows are peeled.  The corank is that
      of the remaining rows on the remaining columns, and is 0 if every
      column is forced; steps 1-3 run on the remainder.  `dim_V` first
-     peels each node's own pole conditions, once per window and lam_i,
+     peels each node's own pole conditions, which are those of the
+     one-node problem of its r_i variables, once per window and lam_i,
      on the node's multisets alone (`_pole_table`): their rows on a
      grade repeat that small system once per choice of the other
      nodes, so a multiset it forces is 0 in every orbit holding it, and
@@ -57,8 +58,9 @@ following steps (`exact_corank` for given rows, `dim_V` for a grade):
      still free, and once every orbit is forced no further row is
      built.  A condition whose least z-exponent, sum k lo_t over its
      heads (t, k), reaches its bound has no row and is skipped.  One
-     forced-column list and one column-to-row index carry over from
-     condition to condition.
+     column-to-row index carries over from condition to condition;
+     forcing a column deletes it from the rows that index lists, so
+     each row's entries are the ones still live.
   1. A sparse reduced echelon over GF(p), p = 2^31 - 1 (Gauss-Jordan
      form, the step after peeling in structured elimination): each
      pivot row has a leading 1 and no entry on another pivot column,
@@ -90,7 +92,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import factorial, isqrt, lcm
 
-from .hl_category import consecutive_pairs, is_normalized, weight_of
+from .hl_category import check_depths, consecutive_pairs, is_normalized, weight_of
 from .polytope_count import QPolynomial
 from .root_system import (check_gamma, e_gamma, gamma_domain, gamma_height,
                           live_paths)
@@ -100,9 +102,10 @@ def conditions(lam, gamma, depths):
     """Monomial windows and specialization conditions, as (bounds, conds).
 
     depths maps each positive root (a, b) that carries a condition to
-    its pole depth.  bounds maps each node i carrying a variable to its
-    exponent window (lo_i, hi_i), lo_i = -min(lam_i, depths[(i, i)]), or
-    -lam_i when (i, i) is not in the map.
+    its pole depth, checked by `check_depths`.  bounds maps each node i
+    carrying a variable to its exponent window (lo_i, hi_i), lo_i =
+    -min(lam_i, depths[(i, i)]), or -lam_i when (i, i) is not in the
+    map.
 
     conds lists every condition as (label, heads, bound): heads holds the
     (node, k) pairs whose first k variables are set to z, and every
@@ -116,11 +119,14 @@ def conditions(lam, gamma, depths):
         Roots containing a node without variables have no meaningful
         specialization and are skipped;
       * ("pole", i, depth) for 2 <= depth <= r_i, head (i, depth), bound
-        -lam_i;
+        -lam_i.  With i = 1 these are the whole list of the one-node
+        problem (lam_i,), (r_i,), {(1, 1): -lo_i}, which `_pole_table`
+        builds for each node;
       * ("join", i, nb) for each edge with r_i >= 2 and r_nb >= 1, heads
         (i, 2), (nb, 1); its bound exceeds every z-exponent the windows
         allow, so all signatures cancel.
     """
+    check_depths(len(lam), depths)
     r = (0,) + tuple(gamma) + (0,)
     bounds = {i: (-min(li, depths.get((i, i), li)), r[i - 1] + r[i + 1] - 2)
               for i, li in enumerate(lam, start=1) if r[i]}
@@ -135,39 +141,29 @@ def conditions(lam, gamma, depths):
     return bounds, conds
 
 
-def _node_multisets(r, lo, hi):
-    """Weakly decreasing r-tuples of exponents in [lo, hi], grouped by
-    total degree, each group in decreasing lexicographic order.  An
-    empty window (lo > hi) gives {} when r > 0, and r = 0 gives
-    {0: [()]} for any window."""
-    out = {}
-    for ms in combinations_with_replacement(range(hi, lo - 1, -1), r):
-        out.setdefault(sum(ms), []).append(ms)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _pole_table(r, lo, hi, lam_i):
     """A node's multisets left free by its own pole conditions, as
     (table, rows_left).
 
-    The pole conditions (i, depth), 2 <= depth <= r with depth lo <
-    -lam_i (any other has no row), touch node i alone: on a grade
-    their rows are the rows they have on the one-node orbits of the
-    window, once for each choice of the other nodes' multisets, and no
-    row mixes two degrees.  So `_peel` of that small system forces the
-    same multisets as peeling the grade's pole rows of node i does, in
-    every orbit that holds them.  table maps each degree to its
-    surviving multisets as a tuple in `_node_multisets` order, leaving
-    out degrees with none; rows_left tells whether any pole row survives the peel,
-    so that a grade still needs node i's pole conditions.  The rows are
-    built by `constraint_rows`, once per window and lam_i.
+    A node's pole conditions touch it alone, so they are the conditions
+    of the one-node problem: weight (lam_i,), gamma (r,) and pole depth
+    -lo on its one root, which keeps the window's lo and has no interval
+    or join condition.  A condition with no row builds none.  On a
+    grade their rows are the rows they have on the one-node orbits of
+    the window [lo, hi], once for each choice of the other nodes'
+    multisets, and no row mixes two degrees.  So `_peel` of that small
+    system forces the same multisets as peeling the grade's pole rows of
+    the node does, in every orbit that holds them.  table maps each
+    degree to its surviving multisets as a tuple in decreasing
+    lexicographic order, leaving out degrees with none; rows_left tells
+    whether any pole row survives the peel, so that a grade still needs
+    the node's pole conditions.  The rows are built by
+    `constraint_rows`, once per window and lam_i.
     """
-    orbits = [(ms,) for group in _node_multisets(r, lo, hi).values() for ms in group]
-    conds = [(("pole", 1, depth), ((1, depth),), -lam_i)
-             for depth in range(2, r + 1) if depth * lo < -lam_i]
-    left, free = _peel(len(orbits), [lambda _: constraint_rows(orbits, conds)]
-                       if conds else [])
+    orbits = [(ms,) for ms in combinations_with_replacement(range(hi, lo - 1, -1), r)]
+    conds = conditions((lam_i,), (r,), {(1, 1): -lo})[1]
+    left, free = _peel(len(orbits), [lambda _: constraint_rows(orbits, conds)])
     table = {}
     for o in free:
         (ms,) = orbits[o]
@@ -176,26 +172,21 @@ def _pole_table(r, lo, hi, lam_i):
     return {d: tuple(group) for d, group in table.items()}, bool(left)
 
 
-def orbit_basis(gamma, bounds, degree, tables=None):
+def orbit_basis(tables, degree):
     """Families of per-node exponent multisets of the given total degree.
 
     Each orbit is a tuple with one weakly decreasing exponent tuple per
     node and represents the sum of the distinct monomials in its
     symmetric group orbit.  tables holds one map from degree to
-    multisets per node, such as the filtered ones of `_pole_table`; by
-    default every multiset of each node's window is taken
-    (`_node_multisets`).  A node without variables is not in bounds and
-    takes the window (0, 0), whose only tuple is the empty one.
-    `live_paths` walks the running degree sums s_i = d_1 + ... + d_i,
-    each d_i a degree of node i's table: the step into the last node
-    takes only s_n = degree, and only if degree - s_{n-1} is in its
-    table, so a node whose table is empty leaves no path.  Each path
-    gives the product of the nodes' multisets at its degrees.
+    multisets per node, as `_pole_table` builds them; a node without
+    variables has the one multiset (), of degree 0.  `live_paths` walks
+    the running degree sums s_i = d_1 + ... + d_i, each d_i a degree of
+    node i's table: the step into the last node takes only s_n =
+    degree, and only if degree - s_{n-1} is in its table, so a node
+    whose table is empty leaves no path.  Each path gives the product
+    of the nodes' multisets at its degrees.
     """
-    n = len(gamma)
-    if tables is None:
-        tables = [_node_multisets(r, *bounds.get(i, (0, 0)))
-                  for i, r in enumerate(gamma, start=1)]
+    n = len(tables)
 
     def successors(i, _, s):
         if i < n - 1:
@@ -409,44 +400,44 @@ def _peel(ncols, builds):
     dropped from every row and the step repeats until no row has
     exactly one entry left.  A forced column is zero in every kernel
     vector, so no later row needs an entry on it, and once every column
-    is forced no further function is called.  Returns (rows over the
-    surviving columns, renumbered in order and keyed by their position
-    among all rows built; the surviving columns in increasing order).
-    Every row left has at least two entries, and columns no row touches
-    survive.
+    is forced no further function is called.  Each row is copied as it
+    is read, and forcing a column deletes it from the copies that hold
+    it, so the caller's rows are left as they were.  Returns (rows over
+    the surviving columns, renumbered in order and keyed by their
+    position among all rows built; the surviving columns in increasing
+    order).  Every row left has at least two entries, and columns no row
+    touches survive.
     """
-    built = []
-    live = []
+    rows = []
+    # on_col[c]: the rows built with column c, or None once c is forced
     on_col = [[] for _ in range(ncols)]
-    forced = [False] * ncols
     free = list(range(ncols))
     for build in builds:
         if not free:
             break
         queue = []
         for row in build(free).values():
+            # a copy, pruned in place below, so no caller's row changes
             row = {free[c]: v for c, v in row.items() if v}
-            r = len(built)
-            built.append(row)
-            live.append(len(row))
+            rows.append(row)
             for c in row:
-                on_col[c].append(r)
+                on_col[c].append(row)
             if len(row) == 1:
-                queue.append(r)
+                queue.append(row)
         while queue:
-            r = queue.pop()
-            if live[r] != 1:
+            row = queue.pop()
+            if len(row) != 1:
                 continue
-            col = next(c for c in built[r] if not forced[c])
-            forced[col] = True
+            (col,) = row
             for other in on_col[col]:
-                live[other] -= 1
-                if live[other] == 1:
+                del other[col]
+                if len(other) == 1:
                     queue.append(other)
-        free = [c for c in free if not forced[c]]
+            on_col[col] = None
+        free = [c for c in free if on_col[c] is not None]
     new_col = {c: k for k, c in enumerate(free)}
-    left = {r: {new_col[c]: v for c, v in row.items() if not forced[c]}
-            for r, row in enumerate(built) if live[r]}
+    left = {r: {new_col[c]: v for c, v in row.items()}
+            for r, row in enumerate(rows) if row}
     return left, free
 
 
@@ -469,11 +460,12 @@ def exact_corank(rows, ncols) -> int:
     """Exact corank of integer relation rows over Q.
 
     rows maps condition keys to sparse rows (column -> integer), as
-    `constraint_rows` returns them.  Step 0 peels singleton rows
-    (`_peel`): each forces its column to 0 exactly, so the corank is
-    that of the remaining rows on the remaining columns, and a kernel
-    vector of the remainder, padded with zeros on the forced columns,
-    satisfies the original rows.  On the remainder, a full echelon mod
+    `constraint_rows` returns them; a column outside range(ncols) is
+    refused with ValueError, and the rows are not changed.  Step 0
+    peels singleton rows (`_peel`): each forces its column to 0
+    exactly, so the corank is that of the remaining rows on the
+    remaining columns, and a kernel vector of the remainder, padded
+    with zeros on the forced columns, satisfies the original rows.  On the remainder, a full echelon mod
     p proves the corank is 0; if every column is forced, the empty
     echelon is already full.  Otherwise, with k free columns, the
     corank is at most k; the k lifted kernel vectors are independent
@@ -482,6 +474,11 @@ def exact_corank(rows, ncols) -> int:
     the corank is at least k and therefore k.  If a lift or a check
     fails, the corank comes from `integer_rank`.
     """
+    for key, row in rows.items():
+        for c in row:
+            if type(c) is not int or not 0 <= c < ncols:
+                raise ValueError("row %r has column %r outside range(%d)"
+                                 % (key, c, ncols))
     return _corank(*_peel(ncols, [lambda _: rows]))
 
 
@@ -517,18 +514,10 @@ def integer_rank(mat) -> int:
     return rank
 
 
-def _rows_to_matrix(rows, norbits):
-    seen = set()
-    mat = []
-    for row in rows.values():
-        vec = [0] * norbits
-        for o, c in row.items():
-            vec[o] = c
-        key = tuple(vec)
-        if any(vec) and key not in seen:
-            seen.add(key)
-            mat.append(vec)
-    return mat
+def _rows_to_matrix(rows, ncols):
+    """Dense integer matrix of sparse rows on ncols columns, for
+    `integer_rank`, which drops its zero rows."""
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows.values()]
 
 
 def dim_V(lam, gamma, p: int, depths) -> int:
@@ -537,6 +526,8 @@ def dim_V(lam, gamma, p: int, depths) -> int:
     own pole conditions filter first (`_pole_table`), built and peeled
     one condition at a time, skipping the conditions that can have no
     row (step 0 of the module docstring)."""
+    if type(p) is not int:
+        raise ValueError("grade must be an integer, got %r" % (p,))
     if p < 0:
         raise ValueError("grade must be nonnegative")
     gamma = check_gamma(lam, gamma)
@@ -544,7 +535,7 @@ def dim_V(lam, gamma, p: int, depths) -> int:
     bounds, conds = conditions(lam, gamma, depths)
     filters = [_pole_table(r, *bounds.get(i, (0, 0)), lam[i - 1])
                for i, r in enumerate(gamma, start=1)]
-    orbits = orbit_basis(gamma, bounds, degree, [table for table, _ in filters])
+    orbits = orbit_basis([table for table, _ in filters], degree)
     if not orbits:
         return 0
     # a node whose filter leaves no pole row needs no pole condition, and

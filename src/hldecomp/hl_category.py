@@ -201,12 +201,33 @@ def xi_from_weight(lam) -> dict[tuple[int, int], int]:
     return {root: -(-pairing(lam, root) // 2) for root in positive_roots(n)}
 
 
+def check_depths(n: int, depths) -> None:
+    """Refuse a pole-depth map unless every key is a positive root (i,
+    j) of rank n and every value a nonnegative int (bools are refused);
+    ValueError names the entries at fault."""
+    for root in depths:
+        check_pair("root", root)
+    extra = sorted(r for r in depths if not 1 <= r[0] <= r[1] <= n)
+    if extra:
+        raise ValueError("roots %s out of range for rank %d"
+                         % (", ".join("%d-%d" % r for r in extra), n))
+    fractional = sorted(r for r, v in depths.items() if type(v) is not int)
+    if fractional:
+        raise ValueError("pole depths must be integers, got %s"
+                         % ", ".join("%d-%d:%r" % (i, j, depths[i, j]) for i, j in fractional))
+    negative = sorted(r for r, v in depths.items() if v < 0)
+    if negative:
+        raise ValueError("pole depths must be nonnegative, got %s"
+                         % ", ".join("%d-%d:%d" % (i, j, depths[i, j]) for i, j in negative))
+
+
 def normalize_xi(n: int, xi) -> dict[tuple[int, int], int]:
     """Lower each xi_alpha to the minimum over roots containing alpha.
 
     xi must give a nonnegative integer pole depth on every positive root
     of rank n and on nothing else; ValueError names the roots that are
-    missing, out of range, not integers or negative.  The result
+    missing, and `check_depths` those that are not roots of rank n or
+    carry a depth that is not a nonnegative integer.  The result
     satisfies xi_beta <= xi_alpha whenever the interval of beta contains
     the interval of alpha, and the map is idempotent.
     """
@@ -214,18 +235,7 @@ def normalize_xi(n: int, xi) -> dict[tuple[int, int], int]:
     missing = [r for r in roots if r not in xi]
     if missing:
         raise ValueError("missing roots %s" % ", ".join("%d-%d" % r for r in missing))
-    extra = sorted(set(xi).difference(roots))
-    if extra:
-        raise ValueError("roots %s out of range for rank %d"
-                         % (", ".join("%d-%d" % r for r in extra), n))
-    fractional = [r for r in roots if type(xi[r]) is not int]
-    if fractional:
-        raise ValueError("pole depths must be integers, got %s"
-                         % ", ".join("%d-%d:%r" % (i, j, xi[i, j]) for i, j in fractional))
-    negative = [r for r in roots if xi[r] < 0]
-    if negative:
-        raise ValueError("pole depths must be nonnegative, got %s"
-                         % ", ".join("%d-%d:%d" % (i, j, xi[i, j]) for i, j in negative))
+    check_depths(n, xi)
     out = {}
     for (i, j) in roots:
         out[(i, j)] = min(xi[(a, b)] for (a, b) in roots if a <= i and j <= b)

@@ -199,15 +199,19 @@ def enumerate_dominant_gammas(lam) -> list[tuple[int, ...]]:
 def gamma_domain(lam, gammas=None) -> list[tuple[int, ...]]:
     """The gammas a decomposition of lam covers: every gamma with lam -
     gamma dominant when gammas is None, else the given ones, all checked
-    (`check_gamma`, and lam - gamma dominant) before any is computed.
-    lam is checked by `check_weight` either way."""
+    (`check_gamma`, lam - gamma dominant, and none given twice) before
+    any is computed.  lam is checked by `check_weight` either way."""
     lam = check_weight(len(lam), lam)
     if gammas is None:
         return enumerate_dominant_gammas(lam)
     domain = [check_gamma(lam, gamma) for gamma in gammas]
+    seen = set()
     for gamma in domain:
         if not is_dominant(weight_minus_gamma(lam, gamma)):
             raise ValueError("weight - gamma is not dominant for gamma %r" % (gamma,))
+        if gamma in seen:
+            raise ValueError("gamma %r given twice" % (gamma,))
+        seen.add(gamma)
     return domain
 
 

@@ -55,3 +55,23 @@ def all_multipartitions(gamma):
     """Every multipartition of shape gamma, unpruned, in the order of
     the pruned search: the product of the partitions_of lists."""
     return list(product(*(partitions_of(g) for g in gamma)))
+
+
+def multisets_by_product(r, lo, hi):
+    """Weakly decreasing r-tuples over lo..hi, from the full product:
+    decreasing lexicographic order, grouped by sum in order of first
+    appearance."""
+    tuples = sorted((t for t in product(range(lo, hi + 1), repeat=r)
+                     if list(t) == sorted(t, reverse=True)), reverse=True)
+    out = {}
+    for t in tuples:
+        out.setdefault(sum(t), []).append(t)
+    return out
+
+
+def full_tables(gamma, bounds):
+    """The unfiltered node tables for `orbit_basis`: every multiset of
+    each node's window, and the empty tuple for a node without
+    variables (not in bounds)."""
+    return [multisets_by_product(r, *bounds.get(i, (0, 0)))
+            for i, r in enumerate(gamma, start=1)]

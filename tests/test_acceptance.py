@@ -44,7 +44,7 @@ from hldecomp.root_system import (
 )
 from hldecomp.weyl_characters import tensor_power_multiplicity
 
-from conftest import all_multipartitions, word_grid
+from conftest import all_multipartitions, full_tables, word_grid
 
 RANK8_WORD = DrinfeldWord(8, [(2, 0), (3, 3), (4, 0), (5, 3), (7, -1)])
 RANK8_GAMMA = (1, 3, 4, 4, 3, 2, 1, 0)
@@ -104,7 +104,7 @@ def test_criterion_2_rank2_oracle_example():
     residuals = []
     for grade, func in ((3, F1), (2, F2)):
         degree = -grade - gamma_height(X58_GAMMA) + e_gamma(X58_GAMMA)
-        orbits = orbit_basis(X58_GAMMA, bounds, degree)
+        orbits = orbit_basis(full_tables(X58_GAMMA, bounds), degree)
         vec = [func.get(orb, 0) for orb in orbits]
         rows = constraint_rows(orbits, conds)
         residuals.extend(sum(c * vec[o] for o, c in row.items())

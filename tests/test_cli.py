@@ -19,8 +19,12 @@ RANK8_ARGS = ["--n", "8", "--pi", "2:0,3:3,4:0,5:3,7:-1"]
 RANK12_ARGS = ["--n", "12", "--pi", "1:-2,3:2,5:-2,7:2,9:-2,11:2,12:-1"]
 RANK12_JSON_SHA256 = "76aa1685fa97e11d86ff883dc9141477fa55f78cff7eaeb2d9b7179d33b0851a"
 # oracle --format json output of the dual realization as an earlier
-# version wrote it, for a full-mode and a pair-mode job
+# version wrote it, for two full-mode jobs and a pair-mode job; the rank
+# 1 job is the graded tensor square of V(2), V(4) + q V(2) + q^2 V(0),
+# whose one node's pole conditions are the whole problem
 ORACLE_JSON_SHA256 = {
+    "--n 1 --lambda 4 --xi 2":
+        "132a73e863d6eb83b5c2ac8927c4eaeac20fe7bec2f9e786d3de0ff21abb4076",
     "--n 2 --lambda 4,4 --xi 2":
         "f93cb8986789d4ecf5b2698aa00ce9a89bed4755e20972e326fee1b4e1225fd5",
     "--n 5 --pi 3:0,4:3,5:0":

@@ -20,7 +20,6 @@ from hldecomp.functional_oracle import (
     _corank,
     _echelon_mod_p,
     _lift_kernel,
-    _node_multisets,
     _peel,
     _pole_table,
     _rows_to_matrix,
@@ -39,7 +38,7 @@ from hldecomp.polytope_count import QPolynomial, multiplicity
 from hldecomp.root_system import (e_gamma, enumerate_dominant_gammas,
                                   gamma_height, pairing, positive_roots)
 
-from conftest import shape_grid, word_grid
+from conftest import full_tables, multisets_by_product, shape_grid, word_grid
 
 X58_LAM = (7, 5)
 X58_GAMMA = (2, 1)
@@ -60,7 +59,7 @@ X58_BOUNDS, X58_CONDS = conditions(X58_LAM, X58_GAMMA, X58_XI)
 
 def _orbits_at(grade):
     degree = -grade - gamma_height(X58_GAMMA) + e_gamma(X58_GAMMA)
-    return orbit_basis(X58_GAMMA, X58_BOUNDS, degree)
+    return orbit_basis(full_tables(X58_GAMMA, X58_BOUNDS), degree)
 
 
 # ------------------------------------------------------------------ windows
@@ -123,34 +122,25 @@ def test_orbit_basis_structure():
     assert _orbits_at(0) == []
 
 
-def _multisets_by_product(r, lo, hi):
-    """Weakly decreasing r-tuples over lo..hi, from the full product:
-    decreasing lexicographic order, grouped by sum in order of first
-    appearance."""
-    tuples = sorted((t for t in product(range(lo, hi + 1), repeat=r)
-                     if list(t) == sorted(t, reverse=True)), reverse=True)
-    out = {}
-    for t in tuples:
-        out.setdefault(sum(t), []).append(t)
-    return out
-
-
-def test_node_multisets_match_filtered_product():
+def test_pole_table_without_rows_matches_filtered_product():
+    # with lam_i = -r lo, the least z-exponent depth * lo of every pole
+    # condition reaches its bound r lo, so no multiset is forced; lo <= 0
+    # on every window that conditions makes
     for r in range(4):
-        for lo in range(-3, 2):
+        for lo in range(-3, 1):
             for hi in range(lo - 2, 3):
-                got = _node_multisets(r, lo, hi)
-                want = _multisets_by_product(r, lo, hi)
-                assert got == want and list(got) == list(want), (r, lo, hi)
-    assert _node_multisets(0, 1, -1) == {0: [()]}
-    assert _node_multisets(2, 1, 0) == {}
+                table, rows_left = _pole_table(r, lo, hi, -r * lo)
+                want = multisets_by_product(r, lo, hi)
+                assert table == {d: tuple(group) for d, group in want.items()}
+                assert list(table) == list(want) and not rows_left, (r, lo, hi)
+    assert _pole_table(0, 0, -1, 0) == ({0: ((),)}, False)
+    assert _pole_table(2, 0, -1, 0) == ({}, False)
 
 
 def _orbits_by_product(gamma, bounds, degree):
     """orbit_basis from the product of every node's multisets, sorted."""
-    tables = [_multisets_by_product(r, *bounds[i]) if r else {0: [()]}
-              for i, r in enumerate(gamma, start=1)]
-    flat = [[ms for msets in table.values() for ms in msets] for table in tables]
+    flat = [[ms for msets in table.values() for ms in msets]
+            for table in full_tables(gamma, bounds)]
     return sorted(orb for orb in product(*flat)
                   if sum(sum(ms) for ms in orb) == degree)
 
@@ -160,11 +150,12 @@ def test_orbit_basis_with_a_node_without_variables():
     lam, gamma = (2, 1, 2), (1, 0, 1)
     bounds, _ = conditions(lam, gamma, {})
     assert bounds == {1: (-2, -2), 3: (-2, -2)}
-    assert orbit_basis(gamma, bounds, -4) == [((-2,), (), (-2,))]
+    assert orbit_basis(full_tables(gamma, bounds), -4) == [((-2,), (), (-2,))]
     bounds = {1: (-2, 1), 3: (-1, 2)}
     lengths = []
+    tables = full_tables((2, 0, 3), bounds)
     for degree in range(-10, 8):
-        got = orbit_basis((2, 0, 3), bounds, degree)
+        got = orbit_basis(tables, degree)
         assert got == _orbits_by_product((2, 0, 3), bounds, degree), degree
         assert all(orb[1] == () for orb in got)
         lengths.append(len(got))
@@ -180,8 +171,9 @@ def test_orbit_basis_with_a_node_without_variables():
             bounds, _ = conditions(lam, gamma, dict.fromkeys(positive_roots(len(lam)), v))
             lo = sum(gamma[i - 1] * a for i, (a, _) in bounds.items())
             hi = sum(gamma[i - 1] * b for i, (_, b) in bounds.items())
+            tables = full_tables(gamma, bounds)
             for degree in range(lo - 1, hi + 2):
-                assert orbit_basis(gamma, bounds, degree) == \
+                assert orbit_basis(tables, degree) == \
                     _orbits_by_product(gamma, bounds, degree), (lam, gamma, v, degree)
                 cases += 1
     assert cases == 11525
@@ -192,10 +184,10 @@ def test_orbit_basis_empty_window():
     bounds, _ = conditions((1, 0), (1, 0), {})
     assert bounds == {1: (-1, -2)}
     for degree in range(-4, 4):
-        assert orbit_basis((1, 0), bounds, degree) == []
+        assert orbit_basis(full_tables((1, 0), bounds), degree) == []
     # one empty window empties the basis, whatever the other nodes allow
     for degree in range(-6, 6):
-        assert orbit_basis((2, 1), {1: (-2, 1), 2: (0, -1)}, degree) == []
+        assert orbit_basis(full_tables((2, 1), {1: (-2, 1), 2: (0, -1)}), degree) == []
 
 
 # ------------------------------------------- explicit admissible functions
@@ -298,9 +290,10 @@ def test_constraint_rows_match_permutation_walk():
     grades = 0
     for lam, gamma, depths in _row_cases():
         bounds, conds = conditions(lam, gamma, depths)
+        tables = full_tables(gamma, bounds)
         for grade in grade_window(lam, gamma, depths):
             degree = -grade - gamma_height(gamma) + e_gamma(gamma)
-            orbits = orbit_basis(gamma, bounds, degree)
+            orbits = orbit_basis(tables, degree)
             got = constraint_rows(orbits, conds)
             assert got == _reference_rows(lam, gamma, orbits, depths), \
                 (lam, gamma, depths, grade)
@@ -315,6 +308,29 @@ def test_rank2_graded_dimensions():
         QPolynomial({2: 1, 3: 1})
     with pytest.raises(ValueError):
         dim_V(X58_LAM, X58_GAMMA, -1, X58_XI)
+
+
+@pytest.mark.parametrize("grade", [1.0, True, "1"])
+def test_dim_V_refuses_a_grade_that_is_not_an_int(grade):
+    with pytest.raises(ValueError, match=re.escape(
+            "grade must be an integer, got %r" % (grade,))):
+        dim_V((1, 1), (1, 1), grade, {})
+
+
+def test_depth_map_is_checked_below_oracle_decomposition():
+    # conditions checks the map, so every entry point below
+    # oracle_decomposition refuses a bad one, not only normalize_xi
+    for call, message in (
+            (lambda: oracle_multiplicity((1, 1), (1, 1), {(1, 2): -1}),
+             "pole depths must be nonnegative, got 1-2:-1"),
+            (lambda: grade_window((1, 1), (1, 1), {(1, 2): 1.5}),
+             "pole depths must be integers, got 1-2:1.5"),
+            (lambda: dim_V((1, 1), (1, 1), 1, {(1, 3): 1}),
+             "roots 1-3 out of range for rank 2"),
+            (lambda: conditions((1, 1), (1, 1), {(1,): 1}),
+             "root must be a pair, got (1,)")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 def test_gamma_zero_dimension():
@@ -496,6 +512,30 @@ def test_exact_corank_falls_back_to_bareiss(monkeypatch, row, ncols, want):
     assert len(calls) == (0 if len(row) == 1 else 1)
 
 
+@pytest.mark.parametrize("rows, column", [
+    # would be read as column 1
+    ({0: {-1: 1, 0: 1}}, -1),
+    # would raise a bare IndexError
+    ({0: {0: 1, 5: -1}}, 5),
+    ({0: {0: 1, 1.0: 1}}, 1.0),
+])
+def test_exact_corank_refuses_a_column_out_of_range(rows, column):
+    with pytest.raises(ValueError, match=re.escape(
+            "row 0 has column %r outside range(2)" % (column,))):
+        exact_corank(rows, 2)
+
+
+def test_exact_corank_leaves_its_rows_as_they_were():
+    # _peel deletes each forced column from its own copies of the rows:
+    # here every column is forced, one after another, and "d" keeps an
+    # entry 0
+    rows = {"a": {0: 2}, "b": {0: 5, 1: 1, 2: -1}, "c": {1: 3},
+            "d": {2: 0, 3: 1}, "e": {1: 1, 3: 4}}
+    before = {key: dict(row) for key, row in rows.items()}
+    assert exact_corank(rows, 5) == 1
+    assert rows == before
+
+
 def _singleton_chain(cols, coeffs):
     """Rows {c0: a0}, {c0: a1, c1: b1}, {c1: a2, c2: b2}, ...: peeling
     the first forces each next column in turn."""
@@ -626,7 +666,7 @@ def test_dim_V_matches_the_one_batch_corank(lam, gammas, depths):
     # full basis
     for gamma, grade, degree in _all_grades(lam, gammas, depths):
         bounds, conds = conditions(lam, gamma, depths)
-        orbits = orbit_basis(gamma, bounds, degree)
+        orbits = orbit_basis(full_tables(gamma, bounds), degree)
         want = exact_corank(constraint_rows(orbits, conds), len(orbits))
         assert dim_V(lam, gamma, grade, depths) == want, (gamma, grade)
 
@@ -661,9 +701,9 @@ def test_grades_forced_early_build_no_join_rows(monkeypatch):
     kinds = set()
     for gamma, grade, degree in _all_grades(lam, gammas, xi):
         bounds, conds = conditions(lam, gamma, xi)
-        orbits = orbit_basis(gamma, bounds, degree)
+        orbits = orbit_basis(full_tables(gamma, bounds), degree)
         filters = _filtered(lam, gamma, bounds)
-        kept = orbit_basis(gamma, bounds, degree, [table for table, _ in filters])
+        kept = orbit_basis([table for table, _ in filters], degree)
         early = [c for c in conds if c[0][0] != "join"]
         forced = bool(orbits) and free_after(orbits, early) == []
         joins = any(c[0][0] == "join" for c in conds)
@@ -739,7 +779,7 @@ def test_pole_table_depends_on_lam():
     # another.  No pole row is left, and the survivors are the multisets
     # whose k lowest exponents, the least z-exponent of the depth-k
     # pole, sum to at least -lam_i for k = 2 and 3
-    every = [ms for group in _node_multisets(3, -2, 0).values() for ms in group]
+    every = [ms for group in multisets_by_product(3, -2, 0).values() for ms in group]
     assert len(every) == 10
     for lam_i, size in ((2, 4), (3, 6), (4, 8)):
         table, rows_left = _pole_table(3, -2, 0, lam_i)
@@ -769,12 +809,13 @@ def test_pole_filter_matches_the_grade_pole_peel():
         bounds, conds = conditions(lam, gamma, depths)
         filters = _filtered(lam, gamma, bounds)
         tables = [table for table, _ in filters]
+        every = full_tables(gamma, bounds)
         poles = [c for c in conds if c[0][0] == "pole"]
         for _, _, degree in _all_grades(lam, [gamma], depths):
-            orbits = orbit_basis(gamma, bounds, degree)
+            orbits = orbit_basis(every, degree)
             rows = constraint_rows(orbits, poles)
             left, free = _peel(len(orbits), [lambda _: rows])
-            kept = orbit_basis(gamma, bounds, degree, tables)
+            kept = orbit_basis(tables, degree)
             assert kept == [orbits[o] for o in free], (lam, gamma, degree)
             labels = list(rows)
             assert all(filters[labels[r][0][1] - 1][1] for r in left)
@@ -797,8 +838,9 @@ def test_skipped_conditions_have_no_rows():
                        {root: pairing(lam, root) for root in roots}):
             bounds, conds = conditions(lam, gamma, depths)
             dead = [c for c in conds if _least_z(bounds, c) >= c[2]]
+            tables = full_tables(gamma, bounds)
             for _, _, degree in _all_grades(lam, [gamma], depths):
-                orbits = orbit_basis(gamma, bounds, degree)
+                orbits = orbit_basis(tables, degree)
                 for cond in dead:
                     assert constraint_rows(orbits, [cond]) == {}, (lam, gamma, cond)
                 skipped += len(dead) * bool(orbits)
@@ -819,7 +861,7 @@ def _tensor_square_grades(lam):
 def test_dim_V_matches_bareiss_corank(monkeypatch, lam, gamma, xi, grade):
     bounds, conds = conditions(lam, gamma, xi)
     degree = -grade - gamma_height(gamma) + e_gamma(gamma)
-    orbits = orbit_basis(gamma, bounds, degree)
+    orbits = orbit_basis(full_tables(gamma, bounds), degree)
     rows = constraint_rows(orbits, conds)
     want = len(orbits) - integer_rank(_rows_to_matrix(rows, len(orbits)))
     calls = _count_fallbacks(monkeypatch)
@@ -874,6 +916,19 @@ def test_oracle_decomposition_validation():
     # a weight that is not dominant, though no gamma needs enumerating
     with pytest.raises(ValueError, match="dominant"):
         oracle_decomposition(lam=(-1, 0), mode="full", xi=xi1, gammas=[(0, 0)])
+
+
+def test_repeated_gamma_is_refused():
+    # it would be computed twice and listed twice in the domain
+    word = DrinfeldWord(2, [(1, 0), (2, 3)])
+    xi1 = {(1, 1): 1, (2, 2): 1, (1, 2): 1}
+    for call in (lambda: graded_decomposition(word, gammas=[(1, 1), (1, 1)]),
+                 lambda: oracle_decomposition(mode="pair", word=word,
+                                              gammas=[(0, 0), (1, 1), [1, 1]]),
+                 lambda: oracle_decomposition(lam=(1, 1), mode="full", xi=xi1,
+                                              gammas=[(1, 1), (1, 1)])):
+        with pytest.raises(ValueError, match=re.escape("gamma (1, 1) given twice")):
+            call()
 
 
 def test_oracle_decomposition_pair_mode():

@@ -11,6 +11,7 @@ from hldecomp.hl_category import (
     DrinfeldWord,
     FlatEdgeInJ,
     InvalidWord,
+    check_depths,
     check_height_function,
     check_interval,
     consecutive_pairs,
@@ -310,3 +311,32 @@ def test_normalize_xi_names_each_bad_root(xi, message):
         is_normalized(2, xi)
     with pytest.raises(ValueError, match=re.escape(message)):
         oracle_decomposition(lam=(2, 2), mode="full", xi=xi)
+
+
+@pytest.mark.parametrize("key, message", [
+    ((1,), "root must be a pair, got (1,)"),
+    ((1, 2, 3), "root must be a pair, got (1, 2, 3)"),
+    ("a", "root must hold integers, got ('a',)"),
+])
+def test_normalize_xi_refuses_a_key_that_is_not_a_pair(key, message):
+    # next to the three roots of rank 2, the key is named in a
+    # ValueError, not lost in a TypeError from formatting it as a root
+    xi = {(1, 1): 1, (1, 2): 1, (2, 2): 1, key: 1}
+    for call in (lambda: check_depths(2, xi), lambda: normalize_xi(2, xi),
+                 lambda: oracle_decomposition(lam=(2, 2), mode="full", xi=xi)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
+def test_check_depths():
+    # a partial map is fine: pair mode gives depths on some roots only
+    check_depths(2, {})
+    check_depths(3, {(1, 3): 0, (2, 2): 4})
+    for depths, message in (
+            ({(0, 1): 1}, "roots 0-1 out of range for rank 2"),
+            ({(2, 3): 1, (2, 1): 1}, "roots 2-1, 2-3 out of range for rank 2"),
+            ({(1, 2): 1.0}, "pole depths must be integers, got 1-2:1.0"),
+            ({(1, 2): False}, "pole depths must be integers, got 1-2:False"),
+            ({(1, 2): -1, (1, 1): 2}, "pole depths must be nonnegative, got 1-2:-1")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_depths(2, depths)

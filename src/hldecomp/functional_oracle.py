@@ -57,10 +57,15 @@ following steps (`exact_corank` for given rows, `dim_V` for a grade):
      vector, so each condition's rows are built only on the orbits
      still free, and once every orbit is forced no further row is
      built.  A condition whose least z-exponent, sum k lo_t over its
-     heads (t, k), reaches its bound has no row and is skipped.  One
-     column-to-row index carries over from condition to condition;
-     forcing a column deletes it from the rows that index lists, so
-     each row's entries are the ones still live.
+     heads (t, k), reaches its bound has no row and is skipped.  A
+     row's columns are orbit ids from the moment it is built to the
+     last step: each condition's rows are built on the map from the
+     free ids to their orbits, and the peel prunes them in place, with
+     no copy and no renumbering.  One column-to-row index carries over
+     from condition to condition; forcing a column deletes it from the
+     rows that index lists, so each row's entries are the ones still
+     live.  The surviving ids stay in increasing order, so steps 1-3
+     read them as they are.
   1. A sparse reduced echelon over GF(p), p = 2^31 - 1 (Gauss-Jordan
      form, the step after peeling in structured elimination): each
      pivot row has a leading 1 and no entry on another pivot column,
@@ -94,18 +99,18 @@ from math import factorial, isqrt, lcm
 
 from .hl_category import check_depths, consecutive_pairs, is_normalized, weight_of
 from .polytope_count import QPolynomial
-from .root_system import (check_gamma, e_gamma, gamma_domain, gamma_height,
-                          live_paths)
+from .root_system import (check_gamma, check_weight, e_gamma, gamma_domain,
+                          gamma_height, live_paths)
 
 
 def conditions(lam, gamma, depths):
     """Monomial windows and specialization conditions, as (bounds, conds).
 
-    depths maps each positive root (a, b) that carries a condition to
-    its pole depth, checked by `check_depths`.  bounds maps each node i
-    carrying a variable to its exponent window (lo_i, hi_i), lo_i =
-    -min(lam_i, depths[(i, i)]), or -lam_i when (i, i) is not in the
-    map.
+    lam is checked by `check_weight`, and depths, which maps each
+    positive root (a, b) that carries a condition to its pole depth, by
+    `check_depths`.  bounds maps each node i carrying a variable to its
+    exponent window (lo_i, hi_i), lo_i = -min(lam_i, depths[(i, i)]), or
+    -lam_i when (i, i) is not in the map.
 
     conds lists every condition as (label, heads, bound): heads holds the
     (node, k) pairs whose first k variables are set to z, and every
@@ -126,6 +131,7 @@ def conditions(lam, gamma, depths):
         (i, 2), (nb, 1); its bound exceeds every z-exponent the windows
         allow, so all signatures cancel.
     """
+    lam = check_weight(len(lam), lam)
     check_depths(len(lam), depths)
     r = (0,) + tuple(gamma) + (0,)
     bounds = {i: (-min(li, depths.get((i, i), li)), r[i - 1] + r[i + 1] - 2)
@@ -161,7 +167,8 @@ def _pole_table(r, lo, hi, lam_i):
     the node's pole conditions.  The rows are built by
     `constraint_rows`, once per window and lam_i.
     """
-    orbits = [(ms,) for ms in combinations_with_replacement(range(hi, lo - 1, -1), r)]
+    # product of one iterable wraps each multiset as a one-node orbit (ms,)
+    orbits = dict(enumerate(product(combinations_with_replacement(range(hi, lo - 1, -1), r))))
     conds = conditions((lam_i,), (r,), {(1, 1): -lo})[1]
     left, free = _peel(len(orbits), [lambda _: constraint_rows(orbits, conds)])
     table = {}
@@ -246,11 +253,13 @@ def constraint_rows(orbits, conds):
     split is visited once and adds the number of permutations that give
     it, multiplied across the head nodes of the condition.
 
-    conds: the (label, heads, bound) conditions, as `conditions` returns
-    them.  Returns rows as dicts mapping orbit index to integer
-    coefficient, keyed by (label, signature).
+    orbits maps each orbit id to its orbit, and conds holds the (label,
+    heads, bound) conditions, as `conditions` returns them.  Returns
+    rows as dicts mapping orbit id to a nonzero integer coefficient,
+    keyed by (label, signature); any map of orbits serves, so the rows
+    on the free orbits of a grade carry those orbits' own ids.
     """
-    n = len(orbits[0]) if orbits else 0
+    n = len(next(iter(orbits.values()), ()))
     # each (head, rest) split of an orbit gives its own signature, so an
     # orbit meets each row at most once and its coefficient is assigned
     rows = {}
@@ -264,7 +273,7 @@ def constraint_rows(orbits, conds):
         # building about a third slower on a rank-5 word)
         *lead, (last, k_last) = heads
         first, middle = lead[:1], lead[1:]
-        for o, orb in enumerate(orbits):
+        for o, orb in orbits.items():
             picks = _SEED
             for t, k in first:
                 picks = _splits(orb[t - 1], k)
@@ -360,9 +369,9 @@ def _rational_mod_p(a):
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _lift_kernel(echelon, ncols):
+def _lift_kernel(echelon, free):
     """Integer candidates for a kernel basis, read off a reduced echelon
-    mod _PRIME.
+    mod _PRIME of rows on the column ids free.
 
     The kernel vector mod _PRIME of free column f is 1 on f, 0 on the
     other free columns and -row[f] on the pivot column of each row that
@@ -371,7 +380,7 @@ def _lift_kernel(echelon, ncols):
     free columns.  Returns None if some entry has no lift.  The vectors
     are not yet checked.
     """
-    vecs = {free: {free: 1} for free in range(ncols) if free not in echelon}
+    vecs = {f: {f: 1} for f in free if f not in echelon}
     for lead, row in echelon.items():
         for c, v in row.items():
             if c != lead:
@@ -394,19 +403,18 @@ def _peel(ncols, builds):
 
     builds holds functions that build rows, called in turn, each once
     the rows built before it are peeled: each gets the list of columns
-    not yet forced, in increasing order, and returns a dict of rows
-    whose column k stands for the k-th column of that list.  A row with
-    one nonzero entry c x_j = 0 forces x_j = 0 over Q, so column j is
-    dropped from every row and the step repeats until no row has
-    exactly one entry left.  A forced column is zero in every kernel
-    vector, so no later row needs an entry on it, and once every column
-    is forced no further function is called.  Each row is copied as it
-    is read, and forcing a column deletes it from the copies that hold
-    it, so the caller's rows are left as they were.  Returns (rows over
-    the surviving columns, renumbered in order and keyed by their
-    position among all rows built; the surviving columns in increasing
-    order).  Every row left has at least two entries, and columns no row
-    touches survive.
+    in range(ncols) not yet forced, in increasing order, and returns a
+    dict of rows on those columns, with no zero entry.  A row with one
+    entry c x_j = 0 forces x_j = 0 over Q, so column j is dropped from
+    every row and the step repeats until no row has exactly one entry
+    left.  A forced column is zero in every kernel vector, so no later
+    row needs an entry on it, and once every column is forced no
+    further function is called.  The rows are pruned in place: forcing
+    a column deletes it from the rows that hold it, so a caller whose
+    rows must stay as they were hands over copies.  Returns (the rows
+    left, keyed by their position among all rows built, on the columns
+    they had; the surviving columns in increasing order).  Every row
+    left has at least two entries, and columns no row touches survive.
     """
     rows = []
     # on_col[c]: the rows built with column c, or None once c is forced
@@ -415,15 +423,12 @@ def _peel(ncols, builds):
     for build in builds:
         if not free:
             break
-        queue = []
-        for row in build(free).values():
-            # a copy, pruned in place below, so no caller's row changes
-            row = {free[c]: v for c, v in row.items() if v}
-            rows.append(row)
+        # every new row is queued, and the loop below peels the singletons
+        queue = list(build(free).values())
+        rows += queue
+        for row in queue:
             for c in row:
                 on_col[c].append(row)
-            if len(row) == 1:
-                queue.append(row)
         while queue:
             row = queue.pop()
             if len(row) != 1:
@@ -435,25 +440,23 @@ def _peel(ncols, builds):
                     queue.append(other)
             on_col[col] = None
         free = [c for c in free if on_col[c] is not None]
-    new_col = {c: k for k, c in enumerate(free)}
-    left = {r: {new_col[c]: v for c, v in row.items()}
-            for r, row in enumerate(rows) if row}
-    return left, free
+    return {r: row for r, row in enumerate(rows) if row}, free
 
 
 def _corank(rows, free) -> int:
-    """Exact corank over Q of rows that `_peel` has left on the columns
-    free, by the steps after peeling that `exact_corank` describes."""
+    """Exact corank over Q of rows that `_peel` has left on the column
+    ids free, by the steps after peeling that `exact_corank` describes;
+    the echelon is full at len(free) pivots."""
     ncols = len(free)
     echelon = _echelon_mod_p(sorted(rows.values(), key=len), ncols)
     if len(echelon) == ncols:
         return 0
-    kernel = _lift_kernel(echelon, ncols)
+    kernel = _lift_kernel(echelon, free)
     if kernel is not None and all(
             sum(c * vec.get(o, 0) for o, c in row.items()) == 0
             for row in rows.values() for vec in kernel):
         return len(kernel)
-    return ncols - integer_rank(_rows_to_matrix(rows, ncols))
+    return ncols - integer_rank(_rows_to_matrix(rows, free))
 
 
 def exact_corank(rows, ncols) -> int:
@@ -461,25 +464,28 @@ def exact_corank(rows, ncols) -> int:
 
     rows maps condition keys to sparse rows (column -> integer), as
     `constraint_rows` returns them; a column outside range(ncols) is
-    refused with ValueError, and the rows are not changed.  Step 0
-    peels singleton rows (`_peel`): each forces its column to 0
-    exactly, so the corank is that of the remaining rows on the
-    remaining columns, and a kernel vector of the remainder, padded
-    with zeros on the forced columns, satisfies the original rows.  On the remainder, a full echelon mod
-    p proves the corank is 0; if every column is forced, the empty
-    echelon is already full.  Otherwise, with k free columns, the
-    corank is at most k; the k lifted kernel vectors are independent
-    (each is nonzero on its own free column and zero on the other free
-    columns), so once every row annihilates every one of them exactly,
-    the corank is at least k and therefore k.  If a lift or a check
+    refused with ValueError.  The rows are the caller's, so `_peel` gets
+    a copy of each without its zero entries, and the rows are not
+    changed.  Step 0 peels singleton rows (`_peel`): each forces its
+    column to 0 exactly, so the corank is that of the remaining rows on
+    the remaining columns, and a kernel vector of the remainder, padded
+    with zeros on the forced columns, satisfies the original rows.  On
+    the remainder, a full echelon mod p proves the corank is 0; if every
+    column is forced, the empty echelon is already full.  Otherwise,
+    with k free columns, the corank is at most k; the k lifted kernel
+    vectors are independent (each is nonzero on its own free column and
+    zero on the other free columns), so once every row annihilates every
+    one of them exactly, the corank is at least k and therefore k.  If a lift or a check
     fails, the corank comes from `integer_rank`.
     """
+    copies = {}
     for key, row in rows.items():
         for c in row:
             if type(c) is not int or not 0 <= c < ncols:
                 raise ValueError("row %r has column %r outside range(%d)"
                                  % (key, c, ncols))
-    return _corank(*_peel(ncols, [lambda _: rows]))
+        copies[key] = {c: v for c, v in row.items() if v}
+    return _corank(*_peel(ncols, [lambda _: copies]))
 
 
 def integer_rank(mat) -> int:
@@ -514,18 +520,20 @@ def integer_rank(mat) -> int:
     return rank
 
 
-def _rows_to_matrix(rows, ncols):
-    """Dense integer matrix of sparse rows on ncols columns, for
-    `integer_rank`, which drops its zero rows."""
-    return [[row.get(c, 0) for c in range(ncols)] for row in rows.values()]
+def _rows_to_matrix(rows, free):
+    """Dense integer matrix of sparse rows on the column ids free, in
+    that order, for `integer_rank`, which drops its zero rows."""
+    return [[row.get(c, 0) for c in free] for row in rows.values()]
 
 
 def dim_V(lam, gamma, p: int, depths) -> int:
     """Dimension of the space of admissible functions at grade p: the
     corank of the relation rows on the grade's orbits, which each node's
-    own pole conditions filter first (`_pole_table`), built and peeled
-    one condition at a time, skipping the conditions that can have no
-    row (step 0 of the module docstring)."""
+    own pole conditions filter first (`_pole_table`), built on orbit ids
+    and peeled in place one condition at a time, skipping the
+    conditions that can have no row (step 0 of the module docstring).
+    A grade without orbits peels to no row and no column, of corank
+    0."""
     if type(p) is not int:
         raise ValueError("grade must be an integer, got %r" % (p,))
     if p < 0:
@@ -536,12 +544,10 @@ def dim_V(lam, gamma, p: int, depths) -> int:
     filters = [_pole_table(r, *bounds.get(i, (0, 0)), lam[i - 1])
                for i, r in enumerate(gamma, start=1)]
     orbits = orbit_basis([table for table, _ in filters], degree)
-    if not orbits:
-        return 0
     # a node whose filter leaves no pole row needs no pole condition, and
     # no z-exponent of a condition falls below sum k lo_t over its heads
     return _corank(*_peel(len(orbits), [
-        lambda free, cond=cond: constraint_rows([orbits[o] for o in free], [cond])
+        lambda free, cond=cond: constraint_rows({o: orbits[o] for o in free}, [cond])
         for cond in conds
         if (cond[0][0] != "pole" or filters[cond[0][1] - 1][1])
         and sum(k * bounds[t][0] for t, k in cond[1]) < cond[2]]))

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .root_system import check_ints, check_pair, check_rank, pairing, positive_roots
+from .root_system import (check_ints, check_pair, check_rank, check_weight, pairing,
+                          positive_roots)
 
 
 class InvalidWord(ValueError):
@@ -196,9 +197,10 @@ def pi_to_height_interval(word: DrinfeldWord):
 
 
 def xi_from_weight(lam) -> dict[tuple[int, int], int]:
-    """The xi-tuple of a graded limit: xi_alpha = ceil(lam(h_alpha) / 2)."""
-    n = len(lam)
-    return {root: -(-pairing(lam, root) // 2) for root in positive_roots(n)}
+    """The xi-tuple of a graded limit: xi_alpha = ceil(lam(h_alpha) / 2),
+    for lam checked by `check_weight`."""
+    lam = check_weight(len(lam), lam)
+    return {root: -(-pairing(lam, root) // 2) for root in positive_roots(len(lam))}
 
 
 def check_depths(n: int, depths) -> None:

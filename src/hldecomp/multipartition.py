@@ -187,8 +187,6 @@ def enumerate_multipartitions(gamma, lam):
     """
     lam = tuple(lam)
     gamma = check_gamma(lam, gamma)
-    if not lam:
-        return []
     g_next = gamma[1:] + (0,)
     return live_paths(len(lam), (), partitions_of(gamma[0]),
                       lambda i, prev, mu: _nexts(lam[i - 1], prev, mu, g_next[i - 1]))

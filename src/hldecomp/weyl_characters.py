@@ -103,11 +103,12 @@ def tensor_decompose(n: int, mu, nu) -> dict[tuple[int, ...], int]:
 
 
 def tensor_power_multiplicity(n: int, mu, power: int, nu) -> int:
-    """Multiplicity of V(nu) inside V(mu) tensored with itself power times."""
+    """Multiplicity of V(nu) inside V(mu) tensored with itself power
+    times; power must be an int of at least 1 (a bool is refused)."""
     mu = check_weight(n, mu)
     nu = check_weight(n, nu)
-    if power < 1:
-        raise ValueError("power must be at least 1")
+    if type(power) is not int or power < 1:
+        raise ValueError("power must be a positive integer, got %r" % (power,))
     acc = {mu: 1}
     for _ in range(power - 1):
         nxt = {}

@@ -106,7 +106,7 @@ def test_criterion_2_rank2_oracle_example():
         degree = -grade - gamma_height(X58_GAMMA) + e_gamma(X58_GAMMA)
         orbits = orbit_basis(full_tables(X58_GAMMA, bounds), degree)
         vec = [func.get(orb, 0) for orb in orbits]
-        rows = constraint_rows(orbits, conds)
+        rows = constraint_rows(dict(enumerate(orbits)), conds)
         residuals.extend(sum(c * vec[o] for o, c in row.items())
                          for row in rows.values())
     elapsed = time.perf_counter() - t0

@@ -27,6 +27,9 @@ ORACLE_JSON_SHA256 = {
         "132a73e863d6eb83b5c2ac8927c4eaeac20fe7bec2f9e786d3de0ff21abb4076",
     "--n 2 --lambda 4,4 --xi 2":
         "f93cb8986789d4ecf5b2698aa00ce9a89bed4755e20972e326fee1b4e1225fd5",
+    # builds pole rows on the grade, on the orbits its pole filter keeps
+    "--n 2 --lambda 3,3 --xi 3":
+        "d60c8512d7ee8d00d469efeeb651b5f87a680a7254777a1f9f2d997f9feea12f",
     "--n 5 --pi 3:0,4:3,5:0":
         "49a0ae63dd11e87694607eca6a00cbefd30988b50e2f72e223302e84876f569a",
 }

@@ -196,7 +196,7 @@ def test_known_functions_satisfy_all_constraints():
     for grade, func in ((3, F1), (2, F2)):
         orbits = _orbits_at(grade)
         assert set(func) <= set(orbits)
-        rows = constraint_rows(orbits, X58_CONDS)
+        rows = constraint_rows(dict(enumerate(orbits)), X58_CONDS)
         assert rows
         vec = [func.get(orb, 0) for orb in orbits]
         for key, row in rows.items():
@@ -206,7 +206,7 @@ def test_known_functions_satisfy_all_constraints():
 
 def test_constraint_rows_reference_valid_orbits():
     orbits = _orbits_at(3)
-    rows = constraint_rows(orbits, X58_CONDS)
+    rows = constraint_rows(dict(enumerate(orbits)), X58_CONDS)
     for row in rows.values():
         assert all(0 <= o < len(orbits) for o in row)
 
@@ -294,7 +294,7 @@ def test_constraint_rows_match_permutation_walk():
         for grade in grade_window(lam, gamma, depths):
             degree = -grade - gamma_height(gamma) + e_gamma(gamma)
             orbits = orbit_basis(tables, degree)
-            got = constraint_rows(orbits, conds)
+            got = constraint_rows(dict(enumerate(orbits)), conds)
             assert got == _reference_rows(lam, gamma, orbits, depths), \
                 (lam, gamma, depths, grade)
             grades += 1
@@ -451,7 +451,7 @@ def test_echelon_mod_p_is_reduced(case):
     rest = iter(rows + [{c: 1} for c in range(ncols)] + [{0: 1}])
     assert sorted(_echelon_mod_p(rest, ncols)) == list(range(ncols))
     assert next(rest, None) is not None
-    kernel = _lift_kernel(echelon, ncols)
+    kernel = _lift_kernel(echelon, range(ncols))
     if kernel is not None:
         assert len(kernel) == ncols - len(echelon)
         for vec in kernel:
@@ -462,10 +462,10 @@ def test_echelon_mod_p_is_reduced(case):
 def test_modular_corank_certifies_oracle_dimensions():
     for grade in (2, 3):
         orbits = _orbits_at(grade)
-        rows = constraint_rows(orbits, X58_CONDS)
+        rows = constraint_rows(dict(enumerate(orbits)), X58_CONDS)
         echelon = _echelon_mod_p(sorted(rows.values(), key=len), len(orbits))
         mod = len(orbits) - len(echelon)
-        exact = len(orbits) - integer_rank(_rows_to_matrix(rows, len(orbits)))
+        exact = len(orbits) - integer_rank(_rows_to_matrix(rows, range(len(orbits))))
         assert mod == exact == 1
 
 
@@ -497,19 +497,23 @@ def _count_fallbacks(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("row, ncols, want", [
+@pytest.mark.parametrize("rows, ncols, want, fallbacks", [
     # one entry, which vanishes mod p: peeling forces the column exactly,
     # before any modular step, so nothing falls back
-    ({0: _PRIME}, 1, 0),
+    ({"row": {0: _PRIME}}, 1, 0, 0),
     # kernel vector (100003, 1): its lift mod p is a wrong small fraction
-    ({0: 1, 1: -100003}, 2, 1),
+    ({"row": {0: 1, 1: -100003}}, 2, 1, 1),
     # two entries, both vanishing mod p: the modular rank drops to 0
-    ({0: _PRIME, 1: 2 * _PRIME}, 2, 1),
+    ({"row": {0: _PRIME, 1: 2 * _PRIME}}, 2, 1, 1),
+    # peeling forces columns 0 and 1, and the row left, x_3 = 100003 x_4,
+    # has no lift either: the fallback's matrix must read the surviving
+    # ids 2, 3, 4, not the first three columns
+    ({"a": {0: 1}, "b": {1: 2}, "c": {0: 1, 1: 1, 3: 1, 4: -100003}}, 5, 2, 1),
 ])
-def test_exact_corank_falls_back_to_bareiss(monkeypatch, row, ncols, want):
+def test_exact_corank_falls_back_to_bareiss(monkeypatch, rows, ncols, want, fallbacks):
     calls = _count_fallbacks(monkeypatch)
-    assert exact_corank({"row": row}, ncols) == want
-    assert len(calls) == (0 if len(row) == 1 else 1)
+    assert exact_corank(rows, ncols) == want
+    assert len(calls) == fallbacks
 
 
 @pytest.mark.parametrize("rows, column", [
@@ -526,9 +530,9 @@ def test_exact_corank_refuses_a_column_out_of_range(rows, column):
 
 
 def test_exact_corank_leaves_its_rows_as_they_were():
-    # _peel deletes each forced column from its own copies of the rows:
-    # here every column is forced, one after another, and "d" keeps an
-    # entry 0
+    # exact_corank hands _peel copies of the rows without their zero
+    # entries, and _peel prunes those: here every column is forced, one
+    # after another, and "d" keeps an entry 0
     rows = {"a": {0: 2}, "b": {0: 5, 1: 1, 2: -1}, "c": {1: 3},
             "d": {2: 0, 3: 1}, "e": {1: 1, 3: 4}}
     before = {key: dict(row) for key, row in rows.items()}
@@ -573,7 +577,10 @@ def test_peeling_leaves_a_positive_corank_remainder(monkeypatch):
     # (column 3 is touched by no row): corank 2, proved by the lifted
     # kernel of the remainder padded with a zero on column 0
     rows = {"a": {0: 2}, "b": {0: 5, 1: 1, 2: -1}}
-    assert _peel(4, [lambda _: rows]) == ({1: {0: 1, 1: -1}}, [1, 2, 3])
+    # _peel prunes the rows it is handed, so it gets copies; the row
+    # left keeps its orbit ids
+    copies = {key: dict(row) for key, row in rows.items()}
+    assert _peel(4, [lambda _: copies]) == ({1: {1: 1, 2: -1}}, [1, 2, 3])
     calls = _count_fallbacks(monkeypatch)
     assert exact_corank(rows, 4) == 2
     assert calls == []
@@ -595,8 +602,9 @@ def _checked_peel(ncols, builds):
 
 
 def _restricted(batch):
-    """The batch builder for full rows: each row on the free columns."""
-    return lambda free: {k: {j: row[c] for j, c in enumerate(free) if c in row}
+    """The batch builder for full rows: each row on the free columns,
+    without its zero entries, as a copy that `_peel` may prune."""
+    return lambda free: {k: {c: v for c, v in row.items() if v and c in free}
                          for k, row in enumerate(batch)}
 
 
@@ -617,10 +625,8 @@ def test_peeling_in_batches_matches_peeling_at_once(case):
     rnd.shuffle(rows)
     cuts = sorted(rnd.choices(range(len(rows) + 1), k=rnd.randint(0, 4)))
     batches = [rows[a:b] for a, b in zip([0, *cuts], [*cuts, len(rows)])]
-    at_once = _checked_peel(ncols, [lambda _: dict(enumerate(rows))])
-    batched = _checked_peel(
-        ncols, [lambda _: dict(enumerate(batches[0])),
-                *(_restricted(b) for b in batches[1:])])
+    at_once = _checked_peel(ncols, [_restricted(rows)])
+    batched = _checked_peel(ncols, [_restricted(b) for b in batches])
     # the same rows left, at the same positions, on the same surviving
     # columns
     assert batched == at_once
@@ -667,7 +673,7 @@ def test_dim_V_matches_the_one_batch_corank(lam, gammas, depths):
     for gamma, grade, degree in _all_grades(lam, gammas, depths):
         bounds, conds = conditions(lam, gamma, depths)
         orbits = orbit_basis(full_tables(gamma, bounds), degree)
-        want = exact_corank(constraint_rows(orbits, conds), len(orbits))
+        want = exact_corank(constraint_rows(dict(enumerate(orbits)), conds), len(orbits))
         assert dim_V(lam, gamma, grade, depths) == want, (gamma, grade)
 
 
@@ -689,11 +695,11 @@ def test_grades_forced_early_build_no_join_rows(monkeypatch):
     calls = []
 
     def recorded(orbits, conds):
-        calls.append((list(orbits), list(conds)))
+        calls.append((list(orbits.values()), list(conds)))
         return constraint_rows(orbits, conds)
 
     def free_after(orbits, conds):
-        return _peel(len(orbits), [lambda _: constraint_rows(orbits, conds)])[1]
+        return _peel(len(orbits), [lambda _: constraint_rows(dict(enumerate(orbits)), conds)])[1]
 
     monkeypatch.setattr(functional_oracle, "constraint_rows", recorded)
     forced_early = without_conditions = all_skipped = emptied = pairs = skipped = 0
@@ -813,7 +819,7 @@ def test_pole_filter_matches_the_grade_pole_peel():
         poles = [c for c in conds if c[0][0] == "pole"]
         for _, _, degree in _all_grades(lam, [gamma], depths):
             orbits = orbit_basis(every, degree)
-            rows = constraint_rows(orbits, poles)
+            rows = constraint_rows(dict(enumerate(orbits)), poles)
             left, free = _peel(len(orbits), [lambda _: rows])
             kept = orbit_basis(tables, degree)
             assert kept == [orbits[o] for o in free], (lam, gamma, degree)
@@ -842,7 +848,7 @@ def test_skipped_conditions_have_no_rows():
             for _, _, degree in _all_grades(lam, [gamma], depths):
                 orbits = orbit_basis(tables, degree)
                 for cond in dead:
-                    assert constraint_rows(orbits, [cond]) == {}, (lam, gamma, cond)
+                    assert constraint_rows(dict(enumerate(orbits)), [cond]) == {}, (lam, gamma, cond)
                 skipped += len(dead) * bool(orbits)
     assert skipped == 8041
 
@@ -862,8 +868,8 @@ def test_dim_V_matches_bareiss_corank(monkeypatch, lam, gamma, xi, grade):
     bounds, conds = conditions(lam, gamma, xi)
     degree = -grade - gamma_height(gamma) + e_gamma(gamma)
     orbits = orbit_basis(full_tables(gamma, bounds), degree)
-    rows = constraint_rows(orbits, conds)
-    want = len(orbits) - integer_rank(_rows_to_matrix(rows, len(orbits)))
+    rows = constraint_rows(dict(enumerate(orbits)), conds)
+    want = len(orbits) - integer_rank(_rows_to_matrix(rows, range(len(orbits))))
     calls = _count_fallbacks(monkeypatch)
     assert dim_V(lam, gamma, grade, xi) == want
     # these kernels lift, so the certificate alone proves every corank

@@ -244,6 +244,9 @@ def test_input_validation():
         enumerate_multipartitions((1, 1), (1,))
     with pytest.raises(ValueError):
         enumerate_multipartitions((-1,), (1,))
+    # rank 0 is refused by check_gamma, before any search
+    with pytest.raises(ValueError, match="rank must be a positive integer, got 0"):
+        enumerate_multipartitions((), ())
 
 
 def test_gamma_zero_is_the_empty_multipartition():

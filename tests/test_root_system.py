@@ -8,8 +8,9 @@ from math import comb, prod
 import pytest
 from hypothesis import given, strategies as st
 
-from hldecomp.functional_oracle import oracle_decomposition
-from hldecomp.hl_category import weight_of
+from hldecomp.functional_oracle import (conditions, dim_V, grade_window,
+                                        oracle_decomposition, oracle_multiplicity)
+from hldecomp.hl_category import weight_of, xi_from_weight
 from hldecomp.root_system import (
     check_rank,
     check_weight,
@@ -125,9 +126,18 @@ _WEIGHT_RULES = {
     # a given gamma whose own check passes, so only the weight can be at fault
     "gamma_domain": lambda n, lam: gamma_domain(lam, [(0,) * len(lam)]),
     "oracle_decomposition": _full_oracle,
+    # the dual entry points check lam in `conditions`, before a pole
+    # table is built from it (one once refused (-2,) for a pole depth
+    # nobody gave, or answered an empty window or a zero polynomial)
+    "conditions": lambda n, lam: conditions(lam, (1,) * len(lam), {}),
+    "dim_V": lambda n, lam: dim_V(lam, (1,) * len(lam), 0, {}),
+    "grade_window": lambda n, lam: grade_window(lam, (1,) * len(lam), {}),
+    "oracle_multiplicity": lambda n, lam: oracle_multiplicity(lam, (1,) * len(lam), {}),
+    "xi_from_weight": lambda n, lam: xi_from_weight(lam),
 }
 _BAD_WEIGHTS = [
     (2, (7, -5), "weight must be dominant, got (7, -5)"),
+    (1, (-2,), "weight must be dominant, got (-2,)"),
     (0, (), "rank must be a positive integer, got 0"),
     (2, (1, 1, 1), "weight has rank 3, expected 2"),
     # a fractional or boolean entry is refused, not truncated

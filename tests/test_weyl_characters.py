@@ -1,6 +1,7 @@
 """Tests for character tables and tensor product decomposition."""
 
 import itertools
+import re
 
 import pytest
 
@@ -151,8 +152,12 @@ def test_tensor_power_multiplicity():
     assert tensor_power_multiplicity(2, (1, 0), 3, (3, 0)) == 1
     assert tensor_power_multiplicity(2, (1, 0), 3, (1, 1)) == 2
     assert tensor_power_multiplicity(2, (1, 0), 3, (0, 0)) == 1
-    with pytest.raises(ValueError):
-        tensor_power_multiplicity(2, (1, 0), 0, (0, 0))
+    # a power that is not an int of at least 1 is refused by name: 1.5
+    # would reach range() and True would be read as 1
+    for power in (0, 1.5, True):
+        with pytest.raises(ValueError, match=re.escape(
+                "power must be a positive integer, got %r" % (power,))):
+            tensor_power_multiplicity(2, (1, 0), power, (1, 0))
     # both weights go through check_weight
     for nu in ((5,), (0, 1, 7), (-1, 2)):
         with pytest.raises(ValueError):

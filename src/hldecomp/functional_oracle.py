@@ -99,8 +99,8 @@ from math import factorial, isqrt, lcm
 
 from .hl_category import check_depths, consecutive_pairs, is_normalized, weight_of
 from .polytope_count import QPolynomial
-from .root_system import (check_gamma, check_weight, e_gamma, gamma_domain,
-                          gamma_height, live_paths)
+from .root_system import (check_gamma, check_ints, check_weight, e_gamma,
+                          gamma_domain, gamma_height, live_paths)
 
 
 def conditions(lam, gamma, depths):
@@ -131,7 +131,8 @@ def conditions(lam, gamma, depths):
         (i, 2), (nb, 1); its bound exceeds every z-exponent the windows
         allow, so all signatures cancel.
     """
-    lam = check_weight(len(lam), lam)
+    lam = check_ints("weight", lam)
+    check_weight(len(lam), lam)
     check_depths(len(lam), depths)
     r = (0,) + tuple(gamma) + (0,)
     bounds = {i: (-min(li, depths.get((i, i), li)), r[i - 1] + r[i + 1] - 2)
@@ -538,6 +539,7 @@ def dim_V(lam, gamma, p: int, depths) -> int:
         raise ValueError("grade must be an integer, got %r" % (p,))
     if p < 0:
         raise ValueError("grade must be nonnegative")
+    lam = check_ints("weight", lam)
     gamma = check_gamma(lam, gamma)
     degree = -p - gamma_height(gamma) + e_gamma(gamma)
     bounds, conds = conditions(lam, gamma, depths)
@@ -564,6 +566,7 @@ def grade_window(lam, gamma, depths, *legacy) -> range:
     """
     if isinstance(depths, str):
         depths = legacy[0] if legacy else {}
+    lam = check_ints("weight", lam)
     gamma = check_gamma(lam, gamma)
     bounds, _ = conditions(lam, gamma, depths)
     lo_total = 0

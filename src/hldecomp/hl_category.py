@@ -199,7 +199,8 @@ def pi_to_height_interval(word: DrinfeldWord):
 def xi_from_weight(lam) -> dict[tuple[int, int], int]:
     """The xi-tuple of a graded limit: xi_alpha = ceil(lam(h_alpha) / 2),
     for lam checked by `check_weight`."""
-    lam = check_weight(len(lam), lam)
+    lam = check_ints("weight", lam)
+    check_weight(len(lam), lam)
     return {root: -(-pairing(lam, root) // 2) for root in positive_roots(len(lam))}
 
 

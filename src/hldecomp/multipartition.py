@@ -18,20 +18,35 @@ only grow, so no smaller capacity and no row lies beyond it.
 Every capacity at node i reads only (lam_i, mu_{i-1}, mu_i, mu_{i+1}),
 so the pruned search is a walk over node-local states: a call to
 `root_system.live_paths`, the walk that also lists the dominant gammas.
-The successor table _nexts(lam_i, mu_{i-1}, mu_i, gamma_{i+1}), cached
-for the life of the process, lists the choices of mu_{i+1} that keep
-every capacity at node i nonnegative.  P_s >= 0 is a lower bound
-need_s on mu_{i+1}(s) read off mu_{i-1} and mu_i alone (`_needs`), so
-each entry computes one threshold vector and compares every
-candidate's column counts with it; `capacities` subtracts the same
-vector from mu_{i+1}'s counts.  Within one search, the walk's dead-end
-memo keeps the successors of each state that have a pruned
+_nexts(lam_i, mu_{i-1}, mu_i, gamma_{i+1}) lists the choices of
+mu_{i+1} that keep every capacity at node i nonnegative.  P_s >= 0 is a
+lower bound need_s on mu_{i+1}(s) read off mu_{i-1} and mu_i alone
+(`_needs`), so each call computes one threshold vector and compares
+every candidate's column counts with it; `capacities` subtracts the
+same vector from mu_{i+1}'s counts.
+
+The search also drops the multipartitions whose polytope a pair
+constraint (a, b) rules out.  Node t has a dead top when mu_t has a row
+of length 1 and P_{1,t} = lam_t - 2 l(mu_t) + l(mu_{t-1}) + l(mu_{t+1})
+is 0, l counting parts: its top length 1 variable can never be
+positive.  polytope_count.build_polytope emits (a, b) only when every
+node of a..b has a row of length 1, so the constraint can never be met
+exactly when every node of a..b has a dead top, and a node without a
+row of length 1 makes every pair through it vacuous.  The walk's states
+are (mu_i, run), run holding the open pairs whose nodes before node i
+all had a dead top.  Choosing mu_{i+1} decides node i: with a dead top
+the choice is dropped when a pair of run ends at i, and otherwise run
+gains the pairs that open at i; with any other top run empties.  The
+successor table _successors, cached for the life of the process, is
+keyed by every input it reads: (lam_i, mu_{i-1}, (mu_i, run),
+gamma_{i+1}) and the pairs that open and end at node i, so its entries
+never go stale across weights or pair sets.  Within one search, the
+walk's dead-end memo keeps the successors of each state that have a
 completion, so no prefix without one is entered.
 The polytope groups and K are lists and sums of node terms over the
-same four inputs, read from the one process-wide table node_terms;
-polytope_count.build_polytope reads both from one entry per node.
-Both tables are keyed by every input they read, so their entries
-never go stale across weights.
+same four inputs, read from the one process-wide table node_terms,
+which is keyed by all four; polytope_count.build_polytope reads both
+from one entry per node.
 """
 
 from __future__ import annotations
@@ -40,7 +55,7 @@ import math
 from functools import lru_cache
 from operator import ge
 
-from .root_system import check_gamma, live_paths
+from .root_system import check_gamma, check_node_pairs, live_paths
 
 
 @lru_cache(maxsize=None)
@@ -156,7 +171,6 @@ def compute_K(mp, lam) -> int:
                for lam_i, prev, mu, nxt in zip(lam, parts, parts[1:], parts[2:]))
 
 
-@lru_cache(maxsize=None)
 def _nexts(lam_i: int, mu_prev, mu, g_next: int) -> tuple[tuple[int, ...], ...]:
     """The partitions of g_next, in partitions_of order, that as mu_next
     keep every capacity at the node of mu nonnegative.
@@ -168,7 +182,7 @@ def _nexts(lam_i: int, mu_prev, mu, g_next: int) -> tuple[tuple[int, ...], ...]:
     candidates at once.  This is the only place where the sign of a
     capacity decides a result; `capacities` reads the same thresholds
     for node_terms.  With g_next = 0 it is ((),) or (): whether the last
-    node passes.
+    node passes.  Not cached: `_successors` keeps its results.
     """
     need = _needs(lam_i, mu_prev, mu)
     if max(need[g_next + 1:], default=0) > g_next:
@@ -176,17 +190,52 @@ def _nexts(lam_i: int, mu_prev, mu, g_next: int) -> tuple[tuple[int, ...], ...]:
     return tuple(nxt for nxt in partitions_of(g_next) if all(map(ge, col_counts(nxt), need)))
 
 
-def enumerate_multipartitions(gamma, lam):
-    """The multipartitions mu with |mu_i| = gamma_i whose capacities
-    P_{s,i}, 1 <= s <= gamma_i, are all nonnegative.
+@lru_cache(maxsize=None)
+def _successors(lam_i: int, mu_prev, state, g_next: int, opens, ends):
+    """The states (mu_next, run) that follow state = (mu, run) at the
+    node of mu, in _nexts order; opens and ends are the pairs that open
+    and end at this node.  Cached for the life of the process.
 
+    mu_next decides the node: its top is dead when mu has a row of
+    length 1 and P_1 = 0, that is when mu_next has 2 l(mu) - lam_i -
+    l(mu_prev) parts.  A dead top drops mu_next when a pair of run ends
+    here, and otherwise adds opens to run (none of run ends here then);
+    any other top empties run, as it meets or voids every open pair.
+    """
+    mu, run = state
+    dead_len = 2 * len(mu) - lam_i - len(mu_prev) if mu and mu[-1] == 1 else -1
+    closes = any(pair in run for pair in ends)
+    return tuple((nxt, run + opens if len(nxt) == dead_len else ())
+                 for nxt in _nexts(lam_i, mu_prev, mu, g_next)
+                 if not (closes and len(nxt) == dead_len))
+
+
+def enumerate_multipartitions(gamma, lam, pairs=()):
+    """The multipartitions mu with |mu_i| = gamma_i whose capacities
+    P_{s,i}, 1 <= s <= gamma_i, are all nonnegative, and whose polytope
+    no pair constraint rules out.
+
+    pairs: node ranges (a, b), 1 <= a < b <= n, as build_polytope takes
+    them, checked by `check_node_pairs`; any set of ranges, overlapping
+    ones included.  A multipartition is dropped when every node of some
+    pair has a dead top (module docstring), exactly when build_polytope
+    gives it the floor math.inf.  With no pairs that drops nothing.
     They come in lexicographic partitions_of order.  The capacities at
     node i involve only mu_{i-1}, mu_i, mu_{i+1}, so `live_paths` walks
-    them with successors _nexts(lam_i, mu_{i-1}, mu_i, gamma_{i+1}),
-    where gamma_{n+1} = 0 makes the last node a check.
+    the states (mu_i, run) with successors
+    _successors(lam_i, mu_{i-1}, (mu_i, run), gamma_{i+1}, ...), where
+    gamma_{n+1} = 0 makes the last node a check; run is stripped from
+    the listed paths.
     """
     lam = tuple(lam)
     gamma = check_gamma(lam, gamma)
+    pairs = check_node_pairs(len(lam), pairs)
     g_next = gamma[1:] + (0,)
-    return live_paths(len(lam), (), partitions_of(gamma[0]),
-                      lambda i, prev, mu: _nexts(lam[i - 1], prev, mu, g_next[i - 1]))
+    nodes = range(1, len(lam) + 1)
+    opens = [tuple(p for p in pairs if p[0] == i) for i in nodes]
+    ends = [tuple(p for p in pairs if p[1] == i) for i in nodes]
+    paths = live_paths(
+        len(lam), ((), ()), [(mu, ()) for mu in partitions_of(gamma[0])],
+        lambda i, prev, cur: _successors(lam[i - 1], prev[0], cur, g_next[i - 1],
+                                         opens[i - 1], ends[i - 1]))
+    return [tuple(mu for mu, _ in path) for path in paths]

@@ -21,16 +21,22 @@ the node's top variable is zero or positive and cached per node groups,
 keeping the products apart by the last node whose top variable is
 positive (a transfer matrix, Stanley, EC1 4.7).
 
-Most of these polytopes hold no lattice point, and build_polytope
-decides that where it emits the pair constraints: an admissible point
+Most multipartitions that survive the capacity pruning carry a
+polytope with no lattice point, for one node-local reason: every node
+of some pair constraint has a top length 1 variable of cap 0.
+multiplicity hands the word's pairs to enumerate_multipartitions, whose
+search drops exactly those multipartitions, so only polytopes that can
+hold a point are built and counted.  build_polytope still records a
+level floor where it emits the pair constraints: an admissible point
 sets some variable of every constraint to at least 1, so its level is
 at least the least weight of a variable with cap >= 1 in each
-constraint.  The largest of these is the polytope's level floor, and
-count_by_grade returns zero from one comparison when the level bound
-lies below it.  The floor is a lower bound, not the least level of a
-point, so it only ever skips polytopes that are empty for that bound.
-build_polytope also sums K(mu) from the node terms it reads, so
-multiplicity needs no second pass over the nodes.
+constraint.  The largest of these is the polytope's floor (math.inf
+for the polytopes the search drops), and count_by_grade returns zero
+from one comparison when the level bound lies below it.  The floor is
+a lower bound, not the least level of a point, so it only ever skips
+polytopes that are empty for that bound.  build_polytope also sums
+K(mu) from the node terms it reads, so multiplicity needs no second
+pass over the nodes.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from itertools import combinations
 
 from . import multipartition as mpart
 from .hl_category import consecutive_pairs, weight_of
-from .root_system import check_gamma
+from .root_system import check_gamma, check_node_pairs
 
 
 class QPolynomial:
@@ -184,7 +190,7 @@ def build_polytope(parts, lam, pairs=()) -> PolytopeSpec:
     the least weight m_{t,1} of a top variable with cap P_{1,t} >= 1
     (math.inf when a constraint has none), and 0 with no constraint.
     Raises ValueError on a multipartition with the wrong number of
-    components or a pair outside 1 <= a < b <= n.
+    components, and on a pair that `check_node_pairs` refuses.
     """
     n = len(lam)
     if len(parts) != n:
@@ -194,9 +200,7 @@ def build_polytope(parts, lam, pairs=()) -> PolytopeSpec:
     nodes, k_terms, weights = zip(*terms) if n else ((),) * 3
     emitted = []
     floor = 0
-    for a, b in pairs:
-        if not 1 <= a < b <= n:
-            raise ValueError("pair %r is not two nodes 1 <= a < b <= %d" % ((a, b), n))
+    for a, b in check_node_pairs(n, pairs):
         span = weights[a - 1:b]
         if None not in span:
             emitted.append((a, b))
@@ -358,16 +362,19 @@ def _convolve_truncated(a, b, max_level):
 def multiplicity(word, gamma) -> QPolynomial:
     """Graded multiplicity polynomial of V(wt(word) - gamma).
 
-    Sums the grade histograms of the polytopes of all multipartitions of
-    shape gamma that survive the capacity pruning, each shifted by the
-    K that build_polytope keeps on its spec.
+    Sums the grade histograms of the polytopes of the multipartitions
+    of shape gamma that enumerate_multipartitions lists with the word's
+    consecutive pairs, each shifted by the K that build_polytope keeps
+    on its spec.  Besides those with a negative capacity, the search
+    drops those whose polytope a pair constraint rules out (floor
+    math.inf), whose histograms would be zero.
     """
     lam = weight_of(word)
     gamma = check_gamma(lam, gamma)
     pairs = consecutive_pairs(word)
     height = sum(gamma)
     total = {}
-    for parts in mpart.enumerate_multipartitions(gamma, lam):
+    for parts in mpart.enumerate_multipartitions(gamma, lam, pairs):
         spec = build_polytope(parts, lam, pairs)
         poly = count_by_grade(spec, height)
         for p, c in poly.coeffs.items():

@@ -47,6 +47,23 @@ def check_pair(what: str, values) -> tuple[int, int]:
     return values
 
 
+def check_node_pairs(n: int, pairs) -> tuple[tuple[int, int], ...]:
+    """pairs as a tuple of node pairs (a, b), each refused by
+    `check_pair` or unless 1 <= a < b <= n: a reversed pair, a node 0
+    and a node past n are misread pairs, and a pair spans two distinct
+    nodes."""
+    try:
+        pairs = tuple(pairs)
+    except TypeError:
+        raise ValueError("pairs must be a sequence of node pairs, got %r"
+                         % (pairs,)) from None
+    pairs = tuple(check_pair("pair", pair) for pair in pairs)
+    for a, b in pairs:
+        if not 1 <= a < b <= n:
+            raise ValueError("pair %r is not two nodes 1 <= a < b <= %d" % ((a, b), n))
+    return pairs
+
+
 def positive_roots(n: int) -> list[tuple[int, int]]:
     """All positive roots as intervals (i, j), ordered lexicographically."""
     check_rank(n)
@@ -187,7 +204,8 @@ def enumerate_dominant_gammas(lam) -> list[tuple[int, ...]]:
     0) up to the `dominant_gamma_bounds` entry of gamma_{i+1}, where
     gamma_{n+1} = 0 makes the last node a check.
     """
-    lam = check_weight(len(lam), lam)
+    lam = check_ints("weight", lam)
+    check_weight(len(lam), lam)
     bounds = dominant_gamma_bounds(lam) + (0,)  # gamma_{n+1} = 0
     found = live_paths(
         len(lam), 0, range(bounds[0] + 1),
@@ -201,7 +219,8 @@ def gamma_domain(lam, gammas=None) -> list[tuple[int, ...]]:
     gamma dominant when gammas is None, else the given ones, all checked
     (`check_gamma`, lam - gamma dominant, and none given twice) before
     any is computed.  lam is checked by `check_weight` either way."""
-    lam = check_weight(len(lam), lam)
+    lam = check_ints("weight", lam)
+    check_weight(len(lam), lam)
     if gammas is None:
         return enumerate_dominant_gammas(lam)
     domain = [check_gamma(lam, gamma) for gamma in gammas]

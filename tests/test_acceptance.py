@@ -79,6 +79,9 @@ def test_criterion_1_rank8_worked_example():
     pairs = consecutive_pairs(RANK8_WORD)
     poly = multiplicity(RANK8_WORD, RANK8_GAMMA)
     survivors = set(enumerate_multipartitions(RANK8_GAMMA, lam))
+    # with the word's pairs the search keeps only the two polytopes
+    # that hold points
+    kept = set(enumerate_multipartitions(RANK8_GAMMA, lam, pairs))
     nonzero = {}
     for mu in survivors:
         spec = build_polytope(mu, lam, pairs)
@@ -89,6 +92,7 @@ def test_criterion_1_rank8_worked_example():
     ok = (poly == QPolynomial({4: 2, 5: 1})
           and survivors == RANK8_SURVIVORS
           and set(nonzero) == {MU_A, MU_B}
+          and kept == {MU_A, MU_B}
           and compute_K(MU_A, lam) == 13
           and compute_K(MU_B, lam) == 10
           and elapsed < 5.0)

@@ -18,6 +18,11 @@ RANK8_ARGS = ["--n", "8", "--pi", "2:0,3:3,4:0,5:3,7:-1"]
 # count wrote it, so a change to any answer or to the layout shows here
 RANK12_ARGS = ["--n", "12", "--pi", "1:-2,3:2,5:-2,7:2,9:-2,11:2,12:-1"]
 RANK12_JSON_SHA256 = "76aa1685fa97e11d86ff883dc9141477fa55f78cff7eaeb2d9b7179d33b0851a"
+# a rank 14 word with alternating exponents on the odd nodes, pinned the
+# same way; most of its capacity survivors have a pair that no point can
+# meet, which the search drops
+RANK14_ARGS = ["--n", "14", "--pi", "1:0,3:4,5:0,7:4,9:0,11:4,13:0,14:3"]
+RANK14_JSON_SHA256 = "e2064b306ed4d87bcf51ffefc17c25fb9595169a53d7ce894135b8b8dc609727"
 # oracle --format json output of the dual realization as an earlier
 # version wrote it, for two full-mode jobs and a pair-mode job; the rank
 # 1 job is the graded tensor square of V(2), V(4) + q V(2) + q^2 V(0),
@@ -71,6 +76,13 @@ def test_decompose_json_bytes_of_the_rank12_word(capsys):
     assert code == 0
     assert len(json.loads(out)["entries"]) == 400
     assert hashlib.sha256(out.encode()).hexdigest() == RANK12_JSON_SHA256
+
+
+@pytest.mark.slow
+def test_decompose_json_bytes_of_the_rank14_word(capsys):
+    code, out, _ = run(capsys, "decompose", *RANK14_ARGS, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RANK14_JSON_SHA256
 
 
 def test_decompose_kappa_equals_pi(capsys):

@@ -5,12 +5,16 @@ test suite: lam carries fundamental weights on nodes 2,3,4,5,7 and
 gamma = (1,3,4,4,3,2,1,0).
 """
 
+import math
+import random
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
-from hldecomp.hl_category import weight_of
+from hldecomp.hl_category import consecutive_pairs, weight_of
 from hldecomp.multipartition import (
-    _nexts,
+    _successors,
     capacities,
     col_counts,
     compute_K,
@@ -18,14 +22,16 @@ from hldecomp.multipartition import (
     partitions_of,
     row_counts,
 )
+from hldecomp.polytope_count import build_polytope
 from hldecomp.root_system import enumerate_dominant_gammas
 
-from conftest import all_multipartitions, shape_grid, words_on_nodes
+from conftest import all_multipartitions, shape_grid, word_grid, words_on_nodes
 
 RANK8_LAM = (0, 1, 1, 1, 1, 0, 1, 0)
 RANK8_GAMMA = (1, 3, 4, 4, 3, 2, 1, 0)
 MU_A = ((1,), (2, 1), (2, 2), (2, 2), (2, 1), (2,), (1,), ())
 MU_B = ((1,), (2, 1), (2, 1, 1), (2, 1, 1), (1, 1, 1), (1, 1), (1,), ())
+RANK8_PAIRS = ((2, 3), (3, 4), (4, 5), (5, 7))
 
 partitions = st.lists(st.integers(1, 6), max_size=6).map(
     lambda xs: tuple(sorted(xs, reverse=True)))
@@ -132,6 +138,9 @@ def test_rank8_pruned_survivors():
     assert MU_A in got
     assert MU_B in got
     assert sorted(compute_K(mp, RANK8_LAM) for mp in got) == [8, 10, 10, 11, 12, 13]
+    # with the word's pairs only the two polytopes that hold points stay
+    assert enumerate_multipartitions(RANK8_GAMMA, RANK8_LAM, RANK8_PAIRS) == \
+        [mp for mp in got if mp in (MU_A, MU_B)]
 
 
 def _caps_ok_by_definition(mp, lam, occupied_only):
@@ -223,9 +232,22 @@ def test_state_search_matches_reference_search():
             _reference_search(gamma, lam), (lam, gamma)
 
 
+def _unmeetable_by_definition(mp, lam, pairs):
+    # some pair (a, b) whose nodes all have a row of length 1 and
+    # P_1 = lam_t - 2 l(mu_t) + l(mu_{t-1}) + l(mu_{t+1}) = 0
+    parts = ((),) + tuple(mp) + ((),)
+
+    def dead(t):
+        return (1 in parts[t]
+                and lam[t - 1] - 2 * len(parts[t]) + len(parts[t - 1]) + len(parts[t + 1]) == 0)
+
+    return any(all(dead(t) for t in range(a, b + 1)) for a, b in pairs)
+
+
 def test_cached_successors_follow_the_weight():
     # the successor table is process-wide; a weight that differs at one
-    # node must not read another weight's entries, in either order
+    # node must not read another weight's entries, and neither must a
+    # pair set on the same weight, in either order
     gamma = (2, 3, 3, 2)
     weights = [(1, 1, 1, 1), (1, 2, 1, 1)]
     by_definition = {
@@ -234,9 +256,64 @@ def test_cached_successors_follow_the_weight():
         for lam in weights}
     assert [len(by_definition[lam]) for lam in weights] == [2, 4]
     for order in (weights, weights[::-1]):
-        _nexts.cache_clear()
+        _successors.cache_clear()
         for lam in order:
             assert enumerate_multipartitions(gamma, lam) == by_definition[lam], lam
+    lam = weights[0]
+    pair_sets = [(), ((1, 2),), ((2, 3),)]
+    with_pairs = {pairs: [mp for mp in by_definition[lam]
+                          if not _unmeetable_by_definition(mp, lam, pairs)]
+                  for pairs in pair_sets}
+    assert [len(with_pairs[pairs]) for pairs in pair_sets] == [2, 1, 0]
+    for order in (pair_sets, pair_sets[::-1]):
+        _successors.cache_clear()
+        for pairs in order:
+            assert enumerate_multipartitions(gamma, lam, pairs) == with_pairs[pairs], pairs
+
+
+def _floor_filtered(gamma, lam, pairs):
+    # the capacity search, less the polytopes build_polytope finds empty
+    # through floor math.inf
+    return [mp for mp in enumerate_multipartitions(gamma, lam)
+            if build_polytope(mp, lam, pairs).floor != math.inf]
+
+
+def test_pair_search_matches_the_floor_on_word_grid():
+    # every gamma of every word up to rank 6: the search with the word's
+    # pairs lists exactly the capacity survivors whose floor is finite,
+    # in order, and drops some of them
+    dropped = 0
+    for word in word_grid(6, 6):
+        lam = weight_of(word)
+        pairs = consecutive_pairs(word)
+        for gamma in enumerate_dominant_gammas(lam):
+            got = enumerate_multipartitions(gamma, lam, pairs)
+            assert got == _floor_filtered(gamma, lam, pairs), (word, gamma)
+            dropped += len(enumerate_multipartitions(gamma, lam)) - len(got)
+    assert dropped > 0
+
+
+def test_pair_search_matches_the_floor_on_random_intervals():
+    # any set of node intervals, overlapping and nested ones included,
+    # not only a word's chain of consecutive pairs
+    rng = random.Random(20261021)
+    dropped = overlapping = 0
+    for lam, gamma in shape_grid(4, 2, 2):
+        n = len(lam)
+        if n < 2:
+            continue
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            a = rng.randint(1, n - 1)
+            pairs.append((a, rng.randint(a + 1, n)))
+        overlapping += any(a2 < b1 and a1 < b2 for (a1, b1), (a2, b2)
+                           in zip(sorted(pairs), sorted(pairs)[1:]))
+        got = enumerate_multipartitions(gamma, lam, pairs)
+        assert got == _floor_filtered(gamma, lam, pairs), (lam, gamma, pairs)
+        assert got == [mp for mp in enumerate_multipartitions(gamma, lam)
+                       if not _unmeetable_by_definition(mp, lam, pairs)], (lam, gamma, pairs)
+        dropped += len(enumerate_multipartitions(gamma, lam)) - len(got)
+    assert dropped > 0 and overlapping > 0
 
 
 def test_input_validation():
@@ -247,6 +324,30 @@ def test_input_validation():
     # rank 0 is refused by check_gamma, before any search
     with pytest.raises(ValueError, match="rank must be a positive integer, got 0"):
         enumerate_multipartitions((), ())
+
+
+@pytest.mark.parametrize("pairs, message", [
+    # a boolean or fractional node is refused, not read as 1, and so is a
+    # pair that is not a sequence or not of length two
+    ([(True, 2)], "pair must hold integers, got (True, 2)"),
+    ([(1.0, 2)], "pair must hold integers, got (1.0, 2)"),
+    ([1], "pair must be a sequence of integers, got 1"),
+    ([(1, 2, 3)], "pair must be a pair, got (1, 2, 3)"),
+    (1, "pairs must be a sequence of node pairs, got 1"),
+    # a reversed pair, a node 0 and a node past n are misread pairs, not
+    # vacuous ones, and a pair spans two distinct nodes
+    ([(2, 1)], "pair (2, 1) is not two nodes 1 <= a < b <= 2"),
+    ([(0, 1)], "pair (0, 1) is not two nodes 1 <= a < b <= 2"),
+    ([(1, 5)], "pair (1, 5) is not two nodes 1 <= a < b <= 2"),
+    ([(1, 1)], "pair (1, 1) is not two nodes 1 <= a < b <= 2"),
+])
+@pytest.mark.parametrize("take_pairs", [
+    pytest.param(lambda pairs: enumerate_multipartitions((1, 1), (1, 1), pairs), id="search"),
+    pytest.param(lambda pairs: build_polytope(((1,), (1,)), (1, 1), pairs), id="polytope"),
+])
+def test_malformed_pairs_are_refused_by_name(take_pairs, pairs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        take_pairs(pairs)
 
 
 def test_gamma_zero_is_the_empty_multipartition():

@@ -157,6 +157,22 @@ def test_each_bad_weight_gets_the_message_of_check_weight(name, n, lam, message)
         _WEIGHT_RULES[name](n, lam)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: xi_from_weight(5), id="xi_from_weight"),
+    pytest.param(lambda: enumerate_dominant_gammas(5), id="enumerate_dominant_gammas"),
+    pytest.param(lambda: gamma_domain(5, None), id="gamma_domain"),
+    pytest.param(lambda: dim_V(5, (1,), 0, {}), id="dim_V"),
+    pytest.param(lambda: grade_window(5, (1,), {}), id="grade_window"),
+    pytest.param(lambda: oracle_multiplicity(5, (1,), {}), id="oracle_multiplicity"),
+])
+def test_a_weight_that_is_no_sequence_is_refused_by_name(call):
+    # these read the rank off the weight, which must be refused before
+    # its length is taken (each raised a TypeError that named no input)
+    message = "weight must be a sequence of integers, got 5"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 def test_check_weight_returns_a_tuple():
     assert check_weight(3, [1, 0, 2]) == (1, 0, 2)
 

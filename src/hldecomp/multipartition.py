@@ -18,12 +18,13 @@ only grow, so no smaller capacity and no row lies beyond it.
 Every capacity at node i reads only (lam_i, mu_{i-1}, mu_i, mu_{i+1}),
 so the pruned search is a walk over node-local states: a call to
 `root_system.live_paths`, the walk that also lists the dominant gammas.
-_nexts(lam_i, mu_{i-1}, mu_i, gamma_{i+1}) lists the choices of
-mu_{i+1} that keep every capacity at node i nonnegative.  P_s >= 0 is a
-lower bound need_s on mu_{i+1}(s) read off mu_{i-1} and mu_i alone
-(`_needs`), so each call computes one threshold vector and compares
-every candidate's column counts with it; `capacities` subtracts the
-same vector from mu_{i+1}'s counts.
+_successors(lam_i, mu_{i-1}, (mu_i, run), gamma_{i+1}, ...) lists the
+choices of mu_{i+1} that keep every capacity at node i nonnegative.
+P_s >= 0 is a lower bound need_s on mu_{i+1}(s) read off mu_{i-1} and
+mu_i alone (`_needs`, the one place that writes P_s), so each call
+computes one threshold vector and compares every candidate's column
+counts with it; `capacities` subtracts the same vector from mu_{i+1}'s
+counts.
 
 The search also drops the multipartitions whose polytope a pair
 constraint (a, b) rules out.  Node t has a dead top when mu_t has a row
@@ -45,17 +46,16 @@ walk's dead-end memo keeps the successors of each state that have a
 completion, so no prefix without one is entered.
 The polytope groups and K are lists and sums of node terms over the
 same four inputs, read from the one process-wide table node_terms,
-which is keyed by all four; polytope_count.build_polytope reads both
-from one entry per node.
+which is keyed by all four; node_entries lists one entry per node, and
+polytope_count.build_polytope and compute_K read both from it.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from operator import ge
 
-from .root_system import check_gamma, check_node_pairs, live_paths
+from .root_system import check_gamma, check_ints, check_node_pairs, check_weight, live_paths
 
 
 @lru_cache(maxsize=None)
@@ -130,18 +130,14 @@ def row_counts(mu) -> list[int]:
 
 @lru_cache(maxsize=None)
 def node_terms(lam_i: int, mu_prev, mu, mu_next):
-    """(groups, K term, top weight) of one node, cached for the life of
-    the process.
+    """(groups, K term) of one node, cached for the life of the process.
 
     groups holds (r, m_r, P_r) for the depths r that hold rows of mu,
     depth 1 first; depths past the largest part hold none, and their
     capacities are at least the one at that part.  The K term is
     sum_j (2 j mu^j - mu_next(mu^j)) - lam_i d(mu), d the number of
-    rows.  The top weight is the level weight m_1 of the top length 1
-    row variable C_{m_1,1} when its cap P_1 is at least 1, math.inf
-    when it can never be positive, and None when mu has no row of
-    length 1; build_polytope reads it for the level floor.  Pass () for
-    a missing neighbour; the partitions must be tuples.
+    rows.  Pass () for a missing neighbour; the partitions must be
+    tuples.
     """
     caps = capacities(lam_i, mu_prev, mu, mu_next)
     groups = tuple((r, size, cap)
@@ -152,10 +148,20 @@ def node_terms(lam_i: int, mu_prev, mu, mu_next):
     k_term = (sum(2 * j * part - nxt[part if part < top else top]
                   for j, part in enumerate(mu, start=1))
               - lam_i * len(mu))
-    if groups and groups[0][0] == 1:
-        _, m1, p1 = groups[0]
-        return groups, k_term, m1 if p1 >= 1 else math.inf
-    return groups, k_term, None
+    return groups, k_term
+
+
+def node_entries(mp, lam):
+    """The node_terms entries of the nodes of the multipartition mp, in
+    node order.  Raises ValueError on a weight that `check_weight`
+    refuses and on a multipartition with the wrong number of
+    components."""
+    lam = check_ints("weight", lam)
+    check_weight(len(lam), lam)
+    if len(mp) != len(lam):
+        raise ValueError("multipartition has %d components, expected %d" % (len(mp), len(lam)))
+    parts = ((),) + tuple(map(tuple, mp)) + ((),)
+    return list(map(node_terms, lam, parts, parts[1:], parts[2:]))
 
 
 def compute_K(mp, lam) -> int:
@@ -163,51 +169,41 @@ def compute_K(mp, lam) -> int:
 
     build_polytope sums the same terms as it reads the groups and keeps
     the total as spec.K; this is the stand-alone reading."""
-    n = len(lam)
-    if len(mp) != n:
-        raise ValueError("multipartition has %d components, expected %d" % (len(mp), n))
-    parts = ((),) + tuple(map(tuple, mp)) + ((),)
-    return sum(node_terms(lam_i, prev, mu, nxt)[1]
-               for lam_i, prev, mu, nxt in zip(lam, parts, parts[1:], parts[2:]))
-
-
-def _nexts(lam_i: int, mu_prev, mu, g_next: int) -> tuple[tuple[int, ...], ...]:
-    """The partitions of g_next, in partitions_of order, that as mu_next
-    keep every capacity at the node of mu nonnegative.
-
-    P_s >= 0 asks mu_next(s) >= need_s, so each call reads the threshold
-    vector of `_needs` once and keeps the candidates whose column counts
-    reach it at every s.  Every candidate has mu_next(s) = g_next for
-    s >= g_next, so the thresholds past g_next pass or fail all
-    candidates at once.  This is the only place where the sign of a
-    capacity decides a result; `capacities` reads the same thresholds
-    for node_terms.  With g_next = 0 it is ((),) or (): whether the last
-    node passes.  Not cached: `_successors` keeps its results.
-    """
-    need = _needs(lam_i, mu_prev, mu)
-    if max(need[g_next + 1:], default=0) > g_next:
-        return ()
-    return tuple(nxt for nxt in partitions_of(g_next) if all(map(ge, col_counts(nxt), need)))
+    return sum(k_term for _, k_term in node_entries(mp, lam))
 
 
 @lru_cache(maxsize=None)
 def _successors(lam_i: int, mu_prev, state, g_next: int, opens, ends):
     """The states (mu_next, run) that follow state = (mu, run) at the
-    node of mu, in _nexts order; opens and ends are the pairs that open
-    and end at this node.  Cached for the life of the process.
+    node of mu; opens and ends are the pairs that open and end at this
+    node.  Cached for the life of the process.
 
-    mu_next decides the node: its top is dead when mu has a row of
-    length 1 and P_1 = 0, that is when mu_next has 2 l(mu) - lam_i -
-    l(mu_prev) parts.  A dead top drops mu_next when a pair of run ends
-    here, and otherwise adds opens to run (none of run ends here then);
-    any other top empties run, as it meets or voids every open pair.
+    mu_next runs over the partitions of g_next in partitions_of order
+    that keep every capacity at the node nonnegative.  P_s >= 0 asks
+    mu_next(s) >= need_s, so each call reads the threshold vector of
+    `_needs` once and keeps the candidates whose column counts reach it
+    at every s.  Every candidate has mu_next(s) = g_next for s >=
+    g_next, so the thresholds past g_next pass or fail all candidates
+    at once.  This is the only place where the sign of a capacity
+    decides a result; `capacities` reads the same thresholds for
+    node_terms.  With g_next = 0 the last node passes or fails.
+
+    mu_next also decides the node: its top is dead when mu has a row of
+    length 1 and P_1 = 0, that is when mu_next has need_1 parts.  A
+    dead top drops mu_next when a pair of run ends here, and otherwise
+    adds opens to run (none of run ends here then); any other top
+    empties run, as it meets or voids every open pair.
     """
     mu, run = state
-    dead_len = 2 * len(mu) - lam_i - len(mu_prev) if mu and mu[-1] == 1 else -1
+    need = _needs(lam_i, mu_prev, mu)
+    if max(need[g_next + 1:], default=0) > g_next:
+        return ()
+    dead_len = need[1] if 1 in mu else -1
     closes = any(pair in run for pair in ends)
     return tuple((nxt, run + opens if len(nxt) == dead_len else ())
-                 for nxt in _nexts(lam_i, mu_prev, mu, g_next)
-                 if not (closes and len(nxt) == dead_len))
+                 for nxt in partitions_of(g_next)
+                 if all(map(ge, col_counts(nxt), need))
+                 and not (closes and len(nxt) == dead_len))
 
 
 def enumerate_multipartitions(gamma, lam, pairs=()):
@@ -218,16 +214,19 @@ def enumerate_multipartitions(gamma, lam, pairs=()):
     pairs: node ranges (a, b), 1 <= a < b <= n, as build_polytope takes
     them, checked by `check_node_pairs`; any set of ranges, overlapping
     ones included.  A multipartition is dropped when every node of some
-    pair has a dead top (module docstring), exactly when build_polytope
-    gives it the floor math.inf.  With no pairs that drops nothing.
-    They come in lexicographic partitions_of order.  The capacities at
-    node i involve only mu_{i-1}, mu_i, mu_{i+1}, so `live_paths` walks
-    the states (mu_i, run) with successors
-    _successors(lam_i, mu_{i-1}, (mu_i, run), gamma_{i+1}, ...), where
+    pair has a dead top (module docstring): no node of the pair can then
+    have the positive top length 1 variable its constraint asks for, so
+    the polytope holds no point.  With no pairs that drops nothing.
+    They come in lexicographic partitions_of order; lam is checked by
+    `check_weight`.  The capacities at node i involve only mu_{i-1},
+    mu_i, mu_{i+1}, so `live_paths` walks the states (mu_i, run) with
+    successors _successors(lam_i, mu_{i-1}, (mu_i, run), gamma_{i+1},
+    ...), where
     gamma_{n+1} = 0 makes the last node a check; run is stripped from
     the listed paths.
     """
-    lam = tuple(lam)
+    lam = check_ints("weight", lam)
+    check_weight(len(lam), lam)
     gamma = check_gamma(lam, gamma)
     pairs = check_node_pairs(len(lam), pairs)
     g_next = gamma[1:] + (0,)

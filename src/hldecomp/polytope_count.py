@@ -26,17 +26,9 @@ polytope with no lattice point, for one node-local reason: every node
 of some pair constraint has a top length 1 variable of cap 0.
 multiplicity hands the word's pairs to enumerate_multipartitions, whose
 search drops exactly those multipartitions, so only polytopes that can
-hold a point are built and counted.  build_polytope still records a
-level floor where it emits the pair constraints: an admissible point
-sets some variable of every constraint to at least 1, so its level is
-at least the least weight of a variable with cap >= 1 in each
-constraint.  The largest of these is the polytope's floor (math.inf
-for the polytopes the search drops), and count_by_grade returns zero
-from one comparison when the level bound lies below it.  The floor is
-a lower bound, not the least level of a point, so it only ever skips
-polytopes that are empty for that bound.  build_polytope also sums
-K(mu) from the node terms it reads, so multiplicity needs no second
-pass over the nodes.
+hold a point are built and counted; no empty polytope is left for a
+separate test to skip.  build_polytope also sums K(mu) from the node
+terms it reads, so multiplicity needs no second pass over the nodes.
 """
 
 from __future__ import annotations
@@ -144,14 +136,10 @@ class PolytopeSpec:
     polynomials.  pairs: the node ranges (a, b) of the pair
     constraints, each asking that the top length 1 variable of some
     node a <= t <= b be positive (a node without one cannot satisfy
-    it).  floor: a lower bound on the level of every admissible point,
-    math.inf when there is no such point; count_by_grade returns zero
-    below it without counting.  The default 0 claims nothing, so a
-    hand-built spec is always counted.  K: the base grade of the
-    multipartition, summed by build_polytope from the node terms it
-    reads (compute_K gives the same value).  Raises ValueError on a pair
-    outside 1 <= a <= b <= len(nodes), which the two counters would
-    read differently.
+    it).  K: the base grade of the multipartition, summed by
+    build_polytope from the node terms it reads (compute_K gives the
+    same value).  Raises ValueError on a pair outside 1 <= a <= b <=
+    len(nodes), which the two counters would read differently.
     A group cap may be negative when the multipartition was not
     pruned; the counters then return zero.  For lam >= 0 this covers
     the depths without rows too: a negative capacity there always
@@ -160,9 +148,9 @@ class PolytopeSpec:
     past the largest part.
     """
 
-    __slots__ = ("nodes", "pairs", "floor", "K")
+    __slots__ = ("nodes", "pairs", "K")
 
-    def __init__(self, nodes, pairs, floor=0, K=0):
+    def __init__(self, nodes, pairs, K=0):
         self.nodes = tuple(nodes)
         self.pairs = tuple(pairs)
         n = len(self.nodes)
@@ -170,7 +158,6 @@ class PolytopeSpec:
             if not 1 <= a <= b <= n:
                 raise ValueError("pair %r is not a node range 1 <= a <= b <= %d"
                                  % ((a, b), n))
-        self.floor = floor
         self.K = K
 
 
@@ -182,30 +169,18 @@ def build_polytope(parts, lam, pairs=()) -> PolytopeSpec:
     with 1 <= a < b <= n.  The pair constraint for (a, b) is emitted as
     that range only when every node in it has a row of length 1,
     otherwise the underlying relation is vacuous and the constraint is
-    dropped.  Each node's groups, K term and top length 1 weight come
-    from one entry of the process-wide table mpart.node_terms; the K
-    terms add up to spec.K.
+    dropped.  Each node's groups and K term come from one entry of the
+    process-wide table mpart.node_terms, read through mpart.node_entries;
+    the K terms add up to spec.K.
 
-    The spec's floor is the largest, over the emitted constraints, of
-    the least weight m_{t,1} of a top variable with cap P_{1,t} >= 1
-    (math.inf when a constraint has none), and 0 with no constraint.
-    Raises ValueError on a multipartition with the wrong number of
-    components, and on a pair that `check_node_pairs` refuses.
+    Raises ValueError on a weight or a number of components that
+    mpart.node_entries refuses, and on a pair that `check_node_pairs`
+    refuses.
     """
-    n = len(lam)
-    if len(parts) != n:
-        raise ValueError("multipartition has %d components, expected %d" % (len(parts), n))
-    parts = ((),) + tuple(map(tuple, parts)) + ((),)
-    terms = map(mpart.node_terms, lam, parts, parts[1:], parts[2:])
-    nodes, k_terms, weights = zip(*terms) if n else ((),) * 3
-    emitted = []
-    floor = 0
-    for a, b in check_node_pairs(n, pairs):
-        span = weights[a - 1:b]
-        if None not in span:
-            emitted.append((a, b))
-            floor = max(floor, min(span))
-    return PolytopeSpec(nodes, emitted, floor, sum(k_terms))
+    nodes, k_terms = zip(*mpart.node_entries(parts, lam))
+    emitted = [(a, b) for a, b in check_node_pairs(len(nodes), pairs)
+               if all(node and node[0][0] == 1 for node in nodes[a - 1:b])]
+    return PolytopeSpec(nodes, emitted, sum(k_terms))
 
 
 @lru_cache(maxsize=None)
@@ -257,17 +232,15 @@ def count_by_grade(spec: PolytopeSpec, height: int) -> QPolynomial:
 
     height is |gamma|; a point of level L contributes to grade
     p = (height - spec.K) - L, so the histogram is read off in reverse.
-    A level bound below spec.floor (negative ones included, as the
-    floor is at least 0) gives zero before any product is taken.
-    Otherwise the node polynomials are multiplied along the nodes,
-    truncated at the level bound, and the products are kept apart by
-    the last node whose top length 1 variable is positive (0 before
-    any): a top zero step keeps that state, a top positive step sets it
-    to the node.  At node b every constraint (a, b) drops the states
-    below a.
+    A negative level bound gives zero.  Otherwise the node polynomials
+    are multiplied along the nodes, truncated at the level bound, and
+    the products are kept apart by the last node whose top length 1
+    variable is positive (0 before any): a top zero step keeps that
+    state, a top positive step sets it to the node.  At node b every
+    constraint (a, b) drops the states below a.
     """
     max_level = height - spec.K
-    if max_level < spec.floor:
+    if max_level < 0:
         return QPolynomial()
     close = {}  # node b -> the largest a of a constraint (a, b)
     for a, b in spec.pairs:
@@ -366,8 +339,8 @@ def multiplicity(word, gamma) -> QPolynomial:
     of shape gamma that enumerate_multipartitions lists with the word's
     consecutive pairs, each shifted by the K that build_polytope keeps
     on its spec.  Besides those with a negative capacity, the search
-    drops those whose polytope a pair constraint rules out (floor
-    math.inf), whose histograms would be zero.
+    drops those whose polytope a pair constraint rules out, whose
+    histograms would be zero.
     """
     lam = weight_of(word)
     gamma = check_gamma(lam, gamma)

@@ -23,6 +23,10 @@ RANK12_JSON_SHA256 = "76aa1685fa97e11d86ff883dc9141477fa55f78cff7eaeb2d9b7179d33
 # meet, which the search drops
 RANK14_ARGS = ["--n", "14", "--pi", "1:0,3:4,5:0,7:4,9:0,11:4,13:0,14:3"]
 RANK14_JSON_SHA256 = "e2064b306ed4d87bcf51ffefc17c25fb9595169a53d7ce894135b8b8dc609727"
+# a rank 10 word whose first two factors sit on adjacent nodes, so its
+# pair (1, 2) spans two nodes and no gap, pinned the same way
+RANK10_ARGS = ["--n", "10", "--pi", "1:0,2:3,4:-1,6:3,8:-1,10:3"]
+RANK10_JSON_SHA256 = "d6c688f0c40fc18fe126747fb221802a1a24f125f26f0c3c6a7aa7762a8ada1a"
 # oracle --format json output of the dual realization as an earlier
 # version wrote it, for two full-mode jobs and a pair-mode job; the rank
 # 1 job is the graded tensor square of V(2), V(4) + q V(2) + q^2 V(0),
@@ -76,6 +80,12 @@ def test_decompose_json_bytes_of_the_rank12_word(capsys):
     assert code == 0
     assert len(json.loads(out)["entries"]) == 400
     assert hashlib.sha256(out.encode()).hexdigest() == RANK12_JSON_SHA256
+
+
+def test_decompose_json_bytes_of_the_rank10_word(capsys):
+    code, out, _ = run(capsys, "decompose", *RANK10_ARGS, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RANK10_JSON_SHA256
 
 
 @pytest.mark.slow

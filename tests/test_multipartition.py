@@ -5,7 +5,6 @@ test suite: lam carries fundamental weights on nodes 2,3,4,5,7 and
 gamma = (1,3,4,4,3,2,1,0).
 """
 
-import math
 import random
 import re
 
@@ -22,7 +21,7 @@ from hldecomp.multipartition import (
     partitions_of,
     row_counts,
 )
-from hldecomp.polytope_count import build_polytope
+from hldecomp.polytope_count import build_polytope, count_by_grade, count_by_grade_ie
 from hldecomp.root_system import enumerate_dominant_gammas
 
 from conftest import all_multipartitions, shape_grid, word_grid, words_on_nodes
@@ -271,29 +270,45 @@ def test_cached_successors_follow_the_weight():
             assert enumerate_multipartitions(gamma, lam, pairs) == with_pairs[pairs], pairs
 
 
-def _floor_filtered(gamma, lam, pairs):
-    # the capacity search, less the polytopes build_polytope finds empty
-    # through floor math.inf
-    return [mp for mp in enumerate_multipartitions(gamma, lam)
-            if build_polytope(mp, lam, pairs).floor != math.inf]
-
-
-def test_pair_search_matches_the_floor_on_word_grid():
+def test_pair_search_matches_the_definition_on_word_grid():
     # every gamma of every word up to rank 6: the search with the word's
-    # pairs lists exactly the capacity survivors whose floor is finite,
-    # in order, and drops some of them
+    # pairs lists exactly the capacity survivors with no unmeetable
+    # pair, in order, and drops some of them
     dropped = 0
     for word in word_grid(6, 6):
         lam = weight_of(word)
         pairs = consecutive_pairs(word)
         for gamma in enumerate_dominant_gammas(lam):
             got = enumerate_multipartitions(gamma, lam, pairs)
-            assert got == _floor_filtered(gamma, lam, pairs), (word, gamma)
+            assert got == [mp for mp in enumerate_multipartitions(gamma, lam)
+                           if not _unmeetable_by_definition(mp, lam, pairs)], (word, gamma)
             dropped += len(enumerate_multipartitions(gamma, lam)) - len(got)
     assert dropped > 0
 
 
-def test_pair_search_matches_the_floor_on_random_intervals():
+def test_pair_search_keeps_exactly_the_nonempty_polytopes():
+    # the fact that leaves no empty polytope to count: on every gamma of
+    # every word up to rank 6, each multipartition the search keeps has
+    # a point at level bound |gamma|, and each capacity survivor it
+    # drops has none by the inclusion-exclusion recount
+    kept = dropped = 0
+    for word in word_grid(6, 6):
+        lam = weight_of(word)
+        pairs = consecutive_pairs(word)
+        for gamma in enumerate_dominant_gammas(lam):
+            got = enumerate_multipartitions(gamma, lam, pairs)
+            for mp in enumerate_multipartitions(gamma, lam):
+                spec = build_polytope(mp, lam, pairs)
+                if mp in got:
+                    assert count_by_grade(spec, sum(gamma)), (word, gamma, mp)
+                    kept += 1
+                else:
+                    assert not count_by_grade_ie(spec, sum(gamma)), (word, gamma, mp)
+                    dropped += 1
+    assert kept and dropped
+
+
+def test_pair_search_matches_the_definition_on_random_intervals():
     # any set of node intervals, overlapping and nested ones included,
     # not only a word's chain of consecutive pairs
     rng = random.Random(20261021)
@@ -309,7 +324,6 @@ def test_pair_search_matches_the_floor_on_random_intervals():
         overlapping += any(a2 < b1 and a1 < b2 for (a1, b1), (a2, b2)
                            in zip(sorted(pairs), sorted(pairs)[1:]))
         got = enumerate_multipartitions(gamma, lam, pairs)
-        assert got == _floor_filtered(gamma, lam, pairs), (lam, gamma, pairs)
         assert got == [mp for mp in enumerate_multipartitions(gamma, lam)
                        if not _unmeetable_by_definition(mp, lam, pairs)], (lam, gamma, pairs)
         dropped += len(enumerate_multipartitions(gamma, lam)) - len(got)
@@ -321,7 +335,7 @@ def test_input_validation():
         enumerate_multipartitions((1, 1), (1,))
     with pytest.raises(ValueError):
         enumerate_multipartitions((-1,), (1,))
-    # rank 0 is refused by check_gamma, before any search
+    # rank 0 is refused by check_weight, before any search
     with pytest.raises(ValueError, match="rank must be a positive integer, got 0"):
         enumerate_multipartitions((), ())
 

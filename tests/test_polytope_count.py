@@ -251,8 +251,9 @@ def _random_node_tables(rng, count=1000):
     # one to three nodes, each with or without a depth 1 group and with
     # zero to two deeper ones; sizes 0..3 (an empty group too) and caps
     # -1..3 in half the tables, 0..3 in the rest, so that not most of
-    # them are empty; cap-0 depth 1 groups give floor math.inf.  Node
-    # ranges are drawn at random, overlapping and repeated ones included
+    # them are empty; cap-0 depth 1 groups leave some ranges unmeetable.
+    # Node ranges are drawn at random, overlapping and repeated ones
+    # included
     for _ in range(count):
         n = rng.randint(1, 3)
         least_cap = rng.choice((-1, 0))
@@ -273,41 +274,35 @@ def _random_node_tables(rng, count=1000):
 
 def _level_cases(seed):
     # random node tables, each with its brute force level histogram read
-    # as grades at height max_level + K (K shifts the level bound), and
-    # the floor the table's cap-0 depth 1 groups give
+    # as grades at height max_level + K (K shifts the level bound)
     rng = random.Random(seed)
     for nodes, pairs, max_level in _random_node_tables(rng):
         K = rng.randint(-2, 2)
         expected = QPolynomial({max_level - lvl: c
                                 for lvl, c in enumerate(_brute_levels(nodes, pairs, max_level))
                                 if c})
-        floor = _floor_by_definition(PolytopeSpec(nodes, pairs))
-        yield nodes, pairs, max_level, K, floor, expected
+        yield nodes, pairs, max_level, K, expected
 
 
 def test_count_levels_matches_brute_force():
-    # the level histogram of count_by_grade, with floor 0 and with the
-    # floor read off the table, which skips only level bounds that hold
-    # no point
-    empty = skipped = 0
-    for nodes, pairs, max_level, K, floor, expected in _level_cases(20261019):
-        for spec in (PolytopeSpec(nodes, pairs, K=K), PolytopeSpec(nodes, pairs, floor, K)):
-            assert count_by_grade(spec, max_level + K) == expected, \
-                (nodes, pairs, max_level, spec.floor)
+    # the level histogram of count_by_grade
+    empty = 0
+    for nodes, pairs, max_level, K, expected in _level_cases(20261019):
+        spec = PolytopeSpec(nodes, pairs, K)
+        assert count_by_grade(spec, max_level + K) == expected, (nodes, pairs, max_level)
         empty += not expected
-        skipped += max_level < floor
-    assert empty and skipped
+    assert empty
 
 
 def test_count_levels_matches_inclusion_exclusion():
     # the inclusion-exclusion recount on the same kind of tables, and
     # the two counters agree on each
     empty = 0
-    for nodes, pairs, max_level, K, floor, expected in _level_cases(20261020):
-        for spec in (PolytopeSpec(nodes, pairs, K=K), PolytopeSpec(nodes, pairs, floor, K)):
-            got = count_by_grade_ie(spec, max_level + K)
-            assert got == expected, (nodes, pairs, max_level, spec.floor)
-            assert got == count_by_grade(spec, max_level + K)
+    for nodes, pairs, max_level, K, expected in _level_cases(20261020):
+        spec = PolytopeSpec(nodes, pairs, K)
+        got = count_by_grade_ie(spec, max_level + K)
+        assert got == expected, (nodes, pairs, max_level)
+        assert got == count_by_grade(spec, max_level + K)
         empty += not expected
     assert empty
 
@@ -426,41 +421,26 @@ def test_build_polytope_matches_definition():
                 assert not count_by_grade_ie(level_zero, sum(gamma)), (parts, lam)
 
 
-def _floor_by_definition(spec):
-    # the largest, over the pairs, of the least weight m_1 of a node's
-    # top length 1 variable whose depth 1 group has cap at least 1, read
-    # from spec.nodes
-    def weights(node):
-        return [size for r, size, cap in node if r == 1 and size and cap >= 1]
-
-    return max((min((w for t in range(a, b + 1) for w in weights(spec.nodes[t - 1])),
-                    default=math.inf)
-                for a, b in spec.pairs), default=0)
-
-
-def test_build_polytope_floor_matches_definition():
-    # the floor bounds the level of every admissible point from below,
-    # so no point lies under it, and count_by_grade, which skips the
-    # count below it, counts every level bound exactly.  The recount at
-    # level bound |gamma| holds every point up to it: at K = 0 a point
-    # of level L has grade |gamma| - L, and the recount at a smaller
-    # bound keeps the points of level <= bound
-    skipped = counted = 0
+def test_count_by_grade_matches_the_recount_at_every_level_bound():
+    # count_by_grade against the inclusion-exclusion recount on every
+    # multipartition of the definition cases, at every level bound from
+    # 0 to |gamma|.  The recount at level bound |gamma| holds every
+    # point up to it: at K = 0 a point of level L has grade |gamma| - L,
+    # and the recount at a smaller bound keeps the points of level <=
+    # bound
+    counted = 0
     for lam, gamma, pairs in _definition_cases():
         height = sum(gamma)
         for parts in all_multipartitions(gamma):
             spec = build_polytope(parts, lam, pairs)
-            assert spec.floor == _floor_by_definition(spec), (parts, lam)
-            spec = PolytopeSpec(spec.nodes, spec.pairs, spec.floor)
+            spec = PolytopeSpec(spec.nodes, spec.pairs)
             levels = {height - p: c for p, c in count_by_grade_ie(spec, height).coeffs.items()}
-            assert min(levels, default=math.inf) >= spec.floor, (parts, lam)
             for bound in range(height + 1):
                 expected = QPolynomial({bound - lvl: c for lvl, c in levels.items()
                                         if lvl <= bound})
                 assert count_by_grade(spec, bound) == expected, (parts, lam, bound)
-                skipped += bound < spec.floor
                 counted += bool(expected)
-    assert skipped and counted
+    assert counted
 
 
 def test_build_polytope_validation():

@@ -11,6 +11,8 @@ from hypothesis import given, strategies as st
 from hldecomp.functional_oracle import (conditions, dim_V, grade_window,
                                         oracle_decomposition, oracle_multiplicity)
 from hldecomp.hl_category import weight_of, xi_from_weight
+from hldecomp.multipartition import compute_K, enumerate_multipartitions
+from hldecomp.polytope_count import build_polytope
 from hldecomp.root_system import (
     check_rank,
     check_weight,
@@ -134,6 +136,12 @@ _WEIGHT_RULES = {
     "grade_window": lambda n, lam: grade_window(lam, (1,) * len(lam), {}),
     "oracle_multiplicity": lambda n, lam: oracle_multiplicity(lam, (1,) * len(lam), {}),
     "xi_from_weight": lambda n, lam: xi_from_weight(lam),
+    # the lattice entry points, on one box per node (one refused nothing:
+    # compute_K(((1,),), (1.5,)) returned 0.5, the search with that
+    # weight listed nothing and build_polytope built a spec)
+    "enumerate_multipartitions": lambda n, lam: enumerate_multipartitions((1,) * len(lam), lam),
+    "build_polytope": lambda n, lam: build_polytope(((1,),) * len(lam), lam),
+    "compute_K": lambda n, lam: compute_K(((1,),) * len(lam), lam),
 }
 _BAD_WEIGHTS = [
     (2, (7, -5), "weight must be dominant, got (7, -5)"),
@@ -143,6 +151,7 @@ _BAD_WEIGHTS = [
     # a fractional or boolean entry is refused, not truncated
     (2, (1.5, 0), "weight must hold integers, got (1.5, 0)"),
     (2, (True, 0), "weight must hold integers, got (True, 0)"),
+    (1, (1.5,), "weight must hold integers, got (1.5,)"),
 ]
 
 
@@ -164,6 +173,9 @@ def test_each_bad_weight_gets_the_message_of_check_weight(name, n, lam, message)
     pytest.param(lambda: dim_V(5, (1,), 0, {}), id="dim_V"),
     pytest.param(lambda: grade_window(5, (1,), {}), id="grade_window"),
     pytest.param(lambda: oracle_multiplicity(5, (1,), {}), id="oracle_multiplicity"),
+    pytest.param(lambda: enumerate_multipartitions((1,), 5), id="enumerate_multipartitions"),
+    pytest.param(lambda: build_polytope(((1,),), 5), id="build_polytope"),
+    pytest.param(lambda: compute_K(((1,),), 5), id="compute_K"),
 ])
 def test_a_weight_that_is_no_sequence_is_refused_by_name(call):
     # these read the rank off the weight, which must be refused before

@@ -99,7 +99,7 @@ from math import factorial, isqrt, lcm
 
 from .hl_category import check_depths, consecutive_pairs, is_normalized, weight_of
 from .polytope_count import QPolynomial
-from .root_system import (check_gamma, check_ints, check_weight, e_gamma,
+from .root_system import (check_gamma, check_ints, check_weight_of_its_rank, e_gamma,
                           gamma_domain, gamma_height, live_paths)
 
 
@@ -131,8 +131,7 @@ def conditions(lam, gamma, depths):
         (i, 2), (nb, 1); its bound exceeds every z-exponent the windows
         allow, so all signatures cancel.
     """
-    lam = check_ints("weight", lam)
-    check_weight(len(lam), lam)
+    lam = check_weight_of_its_rank(lam)
     check_depths(len(lam), depths)
     r = (0,) + tuple(gamma) + (0,)
     bounds = {i: (-min(li, depths.get((i, i), li)), r[i - 1] + r[i + 1] - 2)

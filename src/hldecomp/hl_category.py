@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .root_system import (check_ints, check_pair, check_rank, check_weight, pairing,
-                          positive_roots)
+from .root_system import (check_ints, check_pair, check_rank, check_weight_of_its_rank,
+                          pairing, positive_roots)
 
 
 class InvalidWord(ValueError):
@@ -199,8 +199,7 @@ def pi_to_height_interval(word: DrinfeldWord):
 def xi_from_weight(lam) -> dict[tuple[int, int], int]:
     """The xi-tuple of a graded limit: xi_alpha = ceil(lam(h_alpha) / 2),
     for lam checked by `check_weight`."""
-    lam = check_ints("weight", lam)
-    check_weight(len(lam), lam)
+    lam = check_weight_of_its_rank(lam)
     return {root: -(-pairing(lam, root) // 2) for root in positive_roots(len(lam))}
 
 

@@ -16,10 +16,11 @@ part t of mu: past t, mu(s) stays put while the neighbours' counts can
 only grow, so no smaller capacity and no row lies beyond it.
 
 Every capacity at node i reads only (lam_i, mu_{i-1}, mu_i, mu_{i+1}),
-so the pruned search is a walk over node-local states: a call to
-`root_system.live_paths`, the walk that also lists the dominant gammas.
-_successors(lam_i, mu_{i-1}, (mu_i, run), gamma_{i+1}, ...) lists the
-choices of mu_{i+1} that keep every capacity at node i nonnegative.
+so the pruned search is a walk over node-local states, read by
+`root_system.read_live_paths`, the reader that also lists the dominant
+gammas.  _successors(lam_i, mu_{i-1}, (mu_i, run), gamma_{i+1}, ...)
+lists the choices of mu_{i+1} that keep every capacity at node i
+nonnegative.
 P_s >= 0 is a lower bound need_s on mu_{i+1}(s) read off mu_{i-1} and
 mu_i alone (`_needs`, the one place that writes P_s), so each call
 computes one threshold vector and compares every candidate's column
@@ -34,16 +35,26 @@ positive.  polytope_count.build_polytope emits (a, b) only when every
 node of a..b has a row of length 1, so the constraint can never be met
 exactly when every node of a..b has a dead top, and a node without a
 row of length 1 makes every pair through it vacuous.  The walk's states
-are (mu_i, run), run holding the open pairs whose nodes before node i
-all had a dead top.  Choosing mu_{i+1} decides node i: with a dead top
-the choice is dropped when a pair of run ends at i, and otherwise run
-gains the pairs that open at i; with any other top run empties.  The
-successor table _successors, cached for the life of the process, is
-keyed by every input it reads: (lam_i, mu_{i-1}, (mu_i, run),
-gamma_{i+1}) and the pairs that open and end at node i, so its entries
-never go stale across weights or pair sets.  Within one search, the
-walk's dead-end memo keeps the successors of each state that have a
-completion, so no prefix without one is entered.
+are (i, mu_{i-1}, (mu_i, run)), run holding the open pairs whose nodes
+before node i all had a dead top.  Choosing mu_{i+1} decides node i:
+with a dead top the choice is dropped when a pair of run ends at i, and
+otherwise run gains the pairs that open at i; with any other top run
+empties.
+
+One search table per weight and pair set, `_search_table`, serves every
+gamma of the weight (a transfer matrix, Stanley, EC1 4.7).  It is
+cached for the life of the process and keyed by both, the only inputs
+it reads besides the states, so its entries never go stale across
+weights or pair sets.  For a state and a next size g it keeps the
+_successors of size g that complete to a multipartition of some gamma
+with lam - gamma dominant, and per state whether it completes at all.
+The sizes a state can take next are those of the dominant gamma walk,
+`root_system.dominant_gamma_steps`, after (|mu_{i-1}|, |mu_i|): the
+dominance of lam - gamma is node-local like the capacities, and
+nonnegative capacities imply it.  So a gamma's search follows the
+successors of size gamma_{i+1} and loses no path.  The table is filled
+lazily, so one gamma fills only the states its own walk asks for.
+
 The polytope groups and K are lists and sums of node terms over the
 same four inputs, read from the one process-wide table node_terms,
 which is keyed by all four; node_entries lists one entry per node, and
@@ -55,7 +66,8 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import ge
 
-from .root_system import check_gamma, check_ints, check_node_pairs, check_weight, live_paths
+from .root_system import (check_gamma, check_node_pairs, check_weight_of_its_rank,
+                          dominant_gamma_steps, read_live_paths)
 
 
 @lru_cache(maxsize=None)
@@ -156,8 +168,7 @@ def node_entries(mp, lam):
     node order.  Raises ValueError on a weight that `check_weight`
     refuses and on a multipartition with the wrong number of
     components."""
-    lam = check_ints("weight", lam)
-    check_weight(len(lam), lam)
+    lam = check_weight_of_its_rank(lam)
     if len(mp) != len(lam):
         raise ValueError("multipartition has %d components, expected %d" % (len(mp), len(lam)))
     parts = ((),) + tuple(map(tuple, mp)) + ((),)
@@ -172,11 +183,10 @@ def compute_K(mp, lam) -> int:
     return sum(k_term for _, k_term in node_entries(mp, lam))
 
 
-@lru_cache(maxsize=None)
 def _successors(lam_i: int, mu_prev, state, g_next: int, opens, ends):
     """The states (mu_next, run) that follow state = (mu, run) at the
     node of mu; opens and ends are the pairs that open and end at this
-    node.  Cached for the life of the process.
+    node.
 
     mu_next runs over the partitions of g_next in partitions_of order
     that keep every capacity at the node nonnegative.  P_s >= 0 asks
@@ -206,6 +216,49 @@ def _successors(lam_i: int, mu_prev, state, g_next: int, opens, ends):
                  and not (closes and len(nxt) == dead_len))
 
 
+@lru_cache(maxsize=None)
+def _search_table(lam, pairs):
+    """The search table of the weight lam and the pair set pairs, both
+    checked, filled lazily and cached for the life of the process.
+
+    Returns nexts(i, mu_prev, state, g): the `_successors` of size g of
+    state = (mu_i, run) after mu_prev that complete to a multipartition
+    of some gamma with lam - gamma dominant.  A state completes when
+    nexts is nonempty for some size g that the walk of
+    `dominant_gamma_steps` takes after (|mu_prev|, |mu_i|), tried in
+    that order until one is; at node n that is the last-node check at
+    g = 0.  Both are kept per state, so every gamma of lam reads one
+    table.  A multipartition of a gamma with lam - gamma dominant
+    completes at each of its states, so no path of that gamma is lost.
+    """
+    n = len(lam)
+    sizes = dominant_gamma_steps(lam)
+    opens = [tuple(p for p in pairs if p[0] == i) for i in range(1, n + 1)]
+    ends = [tuple(p for p in pairs if p[1] == i) for i in range(1, n + 1)]
+    table = {}  # (i, mu_{i-1}, (mu_i, run), g) -> successors of size g that complete
+    done = {}  # (i, mu_{i-1}, (mu_i, run)) -> whether the state completes
+
+    def completes(i, mu_prev, state):
+        key = (i, mu_prev, state)
+        out = done.get(key)
+        if out is None:
+            out = done[key] = any(nexts(i, mu_prev, state, g)
+                                  for g in sizes(i, sum(mu_prev), sum(state[0])))
+        return out
+
+    def nexts(i, mu_prev, state, g):
+        key = (i, mu_prev, state, g)
+        out = table.get(key)
+        if out is None:
+            succ = _successors(lam[i - 1], mu_prev, state, g, opens[i - 1], ends[i - 1])
+            if i < n:
+                succ = [nxt for nxt in succ if completes(i + 1, state[0], nxt)]
+            out = table[key] = tuple(succ)
+        return out
+
+    return nexts
+
+
 def enumerate_multipartitions(gamma, lam, pairs=()):
     """The multipartitions mu with |mu_i| = gamma_i whose capacities
     P_{s,i}, 1 <= s <= gamma_i, are all nonnegative, and whose polytope
@@ -219,22 +272,21 @@ def enumerate_multipartitions(gamma, lam, pairs=()):
     the polytope holds no point.  With no pairs that drops nothing.
     They come in lexicographic partitions_of order; lam is checked by
     `check_weight`.  The capacities at node i involve only mu_{i-1},
-    mu_i, mu_{i+1}, so `live_paths` walks the states (mu_i, run) with
-    successors _successors(lam_i, mu_{i-1}, (mu_i, run), gamma_{i+1},
-    ...), where
-    gamma_{n+1} = 0 makes the last node a check; run is stripped from
-    the listed paths.
+    mu_i, mu_{i+1}, so `read_live_paths` reads the paths of states (mu_i,
+    run) off the search table of (lam, pairs), following the successors
+    of size gamma_{i+1}, where gamma_{n+1} = 0 makes the last node a
+    check; run is stripped from the listed paths.  Capacities that are
+    nonnegative at every depth make lam - gamma dominant (past the
+    largest parts P_s is (lam - gamma)_i), so a gamma with lam - gamma
+    not dominant lists nothing: every listed path passes each node's
+    check.
     """
-    lam = check_ints("weight", lam)
-    check_weight(len(lam), lam)
+    lam = check_weight_of_its_rank(lam)
     gamma = check_gamma(lam, gamma)
     pairs = check_node_pairs(len(lam), pairs)
+    nexts = _search_table(lam, pairs)
     g_next = gamma[1:] + (0,)
-    nodes = range(1, len(lam) + 1)
-    opens = [tuple(p for p in pairs if p[0] == i) for i in nodes]
-    ends = [tuple(p for p in pairs if p[1] == i) for i in nodes]
-    paths = live_paths(
+    paths = read_live_paths(
         len(lam), ((), ()), [(mu, ()) for mu in partitions_of(gamma[0])],
-        lambda i, prev, cur: _successors(lam[i - 1], prev[0], cur, g_next[i - 1],
-                                         opens[i - 1], ends[i - 1]))
+        lambda i, prev, cur: nexts(i, prev[0], cur, g_next[i - 1]))
     return [tuple(mu for mu, _ in path) for path in paths]

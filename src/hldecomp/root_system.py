@@ -6,11 +6,16 @@ Positive roots are encoded as intervals (i, j) with 1 <= i <= j <= n,
 meaning alpha_i + alpha_{i+1} + ... + alpha_j.
 
 `live_paths` is the one memoised walk over node-local states (i,
-x_{i-1}, x_i) in the package: `enumerate_dominant_gammas` lists the
-gammas with lam - gamma dominant through it,
-`multipartition.enumerate_multipartitions` the pruned multipartitions,
-and `functional_oracle.orbit_basis` the running degree sums of the dual
-orbit basis.
+x_{i-1}, x_i) in the package, in two phases: `live_successors` keeps
+the successors of each state that have a completion, and
+`read_live_paths` lists the paths off them.
+`functional_oracle.orbit_basis` walks the running degree sums of the
+dual orbit basis through `live_paths`.  The dominant gamma walk,
+`dominant_gamma_steps`, is the one place that writes the dominance
+rule: `enumerate_dominant_gammas` reads the gammas off it, and
+`multipartition.enumerate_multipartitions` reads the pruned
+multipartitions off a search table whose states take the sizes that
+walk allows.
 """
 
 from __future__ import annotations
@@ -47,11 +52,18 @@ def check_pair(what: str, values) -> tuple[int, int]:
     return values
 
 
+class _NodePairs(tuple):
+    """A tuple of node pairs that `check_node_pairs` passed at rank n."""
+
+
 def check_node_pairs(n: int, pairs) -> tuple[tuple[int, int], ...]:
     """pairs as a tuple of node pairs (a, b), each refused by
     `check_pair` or unless 1 <= a < b <= n: a reversed pair, a node 0
     and a node past n are misread pairs, and a pair spans two distinct
-    nodes."""
+    nodes.  The tuple returned remembers n, so handing it back at the
+    same rank checks nothing twice."""
+    if type(pairs) is _NodePairs and pairs.n == n:
+        return pairs
     try:
         pairs = tuple(pairs)
     except TypeError:
@@ -61,6 +73,8 @@ def check_node_pairs(n: int, pairs) -> tuple[tuple[int, int], ...]:
     for a, b in pairs:
         if not 1 <= a < b <= n:
             raise ValueError("pair %r is not two nodes 1 <= a < b <= %d" % ((a, b), n))
+    pairs = _NodePairs(pairs)
+    pairs.n = n
     return pairs
 
 
@@ -92,6 +106,19 @@ def check_weight(n: int, lam) -> tuple[int, ...]:
     lam = check_ints("weight", lam)
     if len(lam) != n:
         raise ValueError("weight has rank %d, expected %d" % (len(lam), n))
+    return _check_dominant(lam)
+
+
+def check_weight_of_its_rank(lam) -> tuple[int, ...]:
+    """lam checked as `check_weight` checks it, at the rank it has, in
+    one pass: a weight that is no sequence is refused by name before
+    its length is taken, and rank 0 is refused by `check_rank`."""
+    lam = check_ints("weight", lam)
+    check_rank(len(lam))
+    return _check_dominant(lam)
+
+
+def _check_dominant(lam):
     if not is_dominant(lam):
         raise ValueError("weight must be dominant, got %r" % (lam,))
     return lam
@@ -149,20 +176,16 @@ def dominant_gamma_bounds(lam) -> tuple[int, ...]:
     return tuple(out)
 
 
-def live_paths(n: int, start, firsts, successors) -> list[tuple]:
-    """Every sequence (x_1, ..., x_n) with x_1 in firsts and x_{i+1} in
-    successors(i, x_{i-1}, x_i) for i < n, where x_0 = start and
-    successors(n, x_{n-1}, x_n) must be nonempty.
+def live_successors(n: int, successors):
+    """The first phase of `live_paths`: the function live(i, prev, cur)
+    that returns the successors of the state (i, x_{i-1}, x_i) with a
+    completion, in successors order.
 
-    Sequences come in choice order: by x_1 in firsts order, then by
-    each x_{i+1} in the order successors lists it.  The walk runs over
-    the states (i, x_{i-1}, x_i), and a dict local to the call keeps,
-    per state, the successors that have a completion.  The first phase
-    fills that memo depth first from each x_1; the second reads the
-    sequences off it.  So no state without a completion is entered, and
-    the work grows with the number of states and the output, not with
-    the product of the choices.  successors is called once per state
-    reached and its values must be hashable.
+    A dict owned by the returned function keeps, per state, its
+    successors with a completion; a state is filled depth first when it
+    is first asked for, and successors is called once per state filled.
+    At node n, successors(n, x_{n-1}, x_n) is the last check and is kept
+    as it is.
     """
     live = {}  # (i, x_{i-1}, x_i) -> successors with a completion
 
@@ -176,6 +199,14 @@ def live_paths(n: int, start, firsts, successors) -> list[tuple]:
             out = live[key] = tuple(succ)
         return out
 
+    return live_nexts
+
+
+def read_live_paths(n: int, start, firsts, live) -> list[tuple]:
+    """The second phase of `live_paths`: every sequence (x_1, ..., x_n)
+    with x_1 in firsts and live(1, start, x_1) nonempty, and x_{i+1} in
+    live(i, x_{i-1}, x_i) for i < n, in choice order.  live lists only
+    successors with a completion, as `live_successors` does."""
     found = []
     path = []
 
@@ -184,32 +215,61 @@ def live_paths(n: int, start, firsts, successors) -> list[tuple]:
         if i == n:
             found.append(tuple(path))
         else:
-            for nxt in live[i, prev, cur]:
+            for nxt in live(i, prev, cur):
                 extend(i + 1, cur, nxt)
         path.pop()
 
     for first in firsts:
-        if live_nexts(1, start, first):
+        if live(1, start, first):
             extend(1, start, first)
     return found
+
+
+def live_paths(n: int, start, firsts, successors) -> list[tuple]:
+    """Every sequence (x_1, ..., x_n) with x_1 in firsts and x_{i+1} in
+    successors(i, x_{i-1}, x_i) for i < n, where x_0 = start and
+    successors(n, x_{n-1}, x_n) must be nonempty.
+
+    Sequences come in choice order: by x_1 in firsts order, then by
+    each x_{i+1} in the order successors lists it.  The walk runs over
+    the states (i, x_{i-1}, x_i) in two phases: `live_successors` keeps,
+    per state, the successors that have a completion, and
+    `read_live_paths` reads the sequences off that memo.  So no state
+    without a completion is entered, and the work grows with the number
+    of states and the output, not with the product of the choices.
+    successors is called once per state reached and its values must be
+    hashable.
+    """
+    return read_live_paths(n, start, firsts, live_successors(n, successors))
+
+
+def dominant_gamma_steps(lam):
+    """The `live_successors` of the walk over the gammas with lam -
+    gamma dominant: live(i, gamma_{i-1}, gamma_i) lists the gamma_{i+1}
+    that some such gamma takes after them, gamma_0 = 0 and gamma_{n+1} =
+    0, so live(n, ...) is (0,) or ().  lam must be checked.
+
+    The dominance condition at node i reads only gamma_{i-1}, gamma_i
+    and gamma_{i+1}: it asks gamma_{i+1} >= 2 gamma_i - gamma_{i-1} -
+    lam_i.  So the successors run from that floor (at least 0) up to the
+    `dominant_gamma_bounds` entry of gamma_{i+1}.
+    """
+    bounds = dominant_gamma_bounds(lam) + (0,)  # gamma_{n+1} = 0
+    return live_successors(
+        len(lam),
+        lambda i, prev, cur: range(max(0, 2 * cur - prev - lam[i - 1]), bounds[i] + 1))
 
 
 def enumerate_dominant_gammas(lam) -> list[tuple[int, ...]]:
     """All gamma in the positive root lattice with lam - gamma dominant.
 
-    Sorted by height, then lexicographically.  The dominance condition
-    at node i reads only gamma_{i-1}, gamma_i and gamma_{i+1}: it asks
-    gamma_{i+1} >= 2 gamma_i - gamma_{i-1} - lam_i.  So `live_paths`
-    walks the gammas with successors running from that floor (at least
-    0) up to the `dominant_gamma_bounds` entry of gamma_{i+1}, where
-    gamma_{n+1} = 0 makes the last node a check.
+    Sorted by height, then lexicographically: the paths of
+    `dominant_gamma_steps` from every gamma_1 up to its
+    `dominant_gamma_bounds` entry.
     """
-    lam = check_ints("weight", lam)
-    check_weight(len(lam), lam)
-    bounds = dominant_gamma_bounds(lam) + (0,)  # gamma_{n+1} = 0
-    found = live_paths(
-        len(lam), 0, range(bounds[0] + 1),
-        lambda i, prev, cur: range(max(0, 2 * cur - prev - lam[i - 1]), bounds[i] + 1))
+    lam = check_weight_of_its_rank(lam)
+    found = read_live_paths(len(lam), 0, range(dominant_gamma_bounds(lam)[0] + 1),
+                            dominant_gamma_steps(lam))
     found.sort(key=lambda g: (sum(g), g))
     return found
 
@@ -219,8 +279,7 @@ def gamma_domain(lam, gammas=None) -> list[tuple[int, ...]]:
     gamma dominant when gammas is None, else the given ones, all checked
     (`check_gamma`, lam - gamma dominant, and none given twice) before
     any is computed.  lam is checked by `check_weight` either way."""
-    lam = check_ints("weight", lam)
-    check_weight(len(lam), lam)
+    lam = check_weight_of_its_rank(lam)
     if gammas is None:
         return enumerate_dominant_gammas(lam)
     domain = [check_gamma(lam, gamma) for gamma in gammas]

@@ -11,8 +11,10 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from hldecomp.hl_category import consecutive_pairs, weight_of
+from hldecomp import multipartition
+from hldecomp.hl_category import DrinfeldWord, consecutive_pairs, weight_of
 from hldecomp.multipartition import (
+    _search_table,
     _successors,
     capacities,
     col_counts,
@@ -22,7 +24,8 @@ from hldecomp.multipartition import (
     row_counts,
 )
 from hldecomp.polytope_count import build_polytope, count_by_grade, count_by_grade_ie
-from hldecomp.root_system import enumerate_dominant_gammas
+from hldecomp.root_system import (enumerate_dominant_gammas, is_dominant, live_paths,
+                                  weight_minus_gamma)
 
 from conftest import all_multipartitions, shape_grid, word_grid, words_on_nodes
 
@@ -244,9 +247,10 @@ def _unmeetable_by_definition(mp, lam, pairs):
 
 
 def test_cached_successors_follow_the_weight():
-    # the successor table is process-wide; a weight that differs at one
-    # node must not read another weight's entries, and neither must a
-    # pair set on the same weight, in either order
+    # the search table is process-wide, one per weight and pair set; a
+    # weight that differs at one node must not read another weight's
+    # entries, and neither must a pair set on the same weight, in either
+    # order
     gamma = (2, 3, 3, 2)
     weights = [(1, 1, 1, 1), (1, 2, 1, 1)]
     by_definition = {
@@ -255,7 +259,7 @@ def test_cached_successors_follow_the_weight():
         for lam in weights}
     assert [len(by_definition[lam]) for lam in weights] == [2, 4]
     for order in (weights, weights[::-1]):
-        _successors.cache_clear()
+        _search_table.cache_clear()
         for lam in order:
             assert enumerate_multipartitions(gamma, lam) == by_definition[lam], lam
     lam = weights[0]
@@ -265,7 +269,7 @@ def test_cached_successors_follow_the_weight():
                   for pairs in pair_sets}
     assert [len(with_pairs[pairs]) for pairs in pair_sets] == [2, 1, 0]
     for order in (pair_sets, pair_sets[::-1]):
-        _successors.cache_clear()
+        _search_table.cache_clear()
         for pairs in order:
             assert enumerate_multipartitions(gamma, lam, pairs) == with_pairs[pairs], pairs
 
@@ -328,6 +332,83 @@ def test_pair_search_matches_the_definition_on_random_intervals():
                        if not _unmeetable_by_definition(mp, lam, pairs)], (lam, gamma, pairs)
         dropped += len(enumerate_multipartitions(gamma, lam)) - len(got)
     assert dropped > 0 and overlapping > 0
+
+
+def _per_gamma_search(gamma, lam, pairs=()):
+    # the search the shared table replaced: one live_paths walk per
+    # gamma over the states (mu_i, run), whose dead-end memo is local to
+    # the call and knows only this gamma's sizes
+    n = len(lam)
+    g_next = tuple(gamma[1:]) + (0,)
+    opens = [tuple(p for p in pairs if p[0] == i) for i in range(1, n + 1)]
+    ends = [tuple(p for p in pairs if p[1] == i) for i in range(1, n + 1)]
+    paths = live_paths(
+        n, ((), ()), [(mu, ()) for mu in partitions_of(gamma[0])],
+        lambda i, prev, cur: _successors(lam[i - 1], prev[0], cur, g_next[i - 1],
+                                         opens[i - 1], ends[i - 1]))
+    return [tuple(mu for mu, _ in path) for path in paths]
+
+
+def test_shared_table_matches_the_per_gamma_search_on_word_grid():
+    # every gamma of every word up to rank 6, shuffled with the words
+    # interleaved, so that each gamma reads entries that other gammas and
+    # other words' calls left in the table, with and without the pairs
+    rng = random.Random(20261022)
+    jobs = [(weight_of(word), gamma, pairs)
+            for word in word_grid(6, 6)
+            for gamma in enumerate_dominant_gammas(weight_of(word))
+            for pairs in ((), consecutive_pairs(word))]
+    rng.shuffle(jobs)
+    _search_table.cache_clear()
+    kept = 0
+    for lam, gamma, pairs in jobs:
+        got = enumerate_multipartitions(gamma, lam, pairs)
+        assert got == _per_gamma_search(gamma, lam, pairs), (lam, gamma, pairs)
+        kept += len(got)
+    assert kept > len(jobs)
+
+
+def test_shared_table_matches_the_per_gamma_search_on_random_intervals():
+    # any set of node intervals, in a shuffled order of the shape grid,
+    # whose gammas need not leave lam - gamma dominant: those list nothing
+    rng = random.Random(20261023)
+    jobs = []
+    for lam, gamma in shape_grid(4, 2, 2):
+        n = len(lam)
+        pairs = []
+        for _ in range(rng.randint(0, 3) if n > 1 else 0):
+            a = rng.randint(1, n - 1)
+            pairs.append((a, rng.randint(a + 1, n)))
+        jobs.append((lam, gamma, tuple(sorted(set(pairs)))))
+    rng.shuffle(jobs)
+    _search_table.cache_clear()
+    nondominant = 0
+    for lam, gamma, pairs in jobs:
+        got = enumerate_multipartitions(gamma, lam, pairs)
+        assert got == _per_gamma_search(gamma, lam, pairs), (lam, gamma, pairs)
+        nondominant += not is_dominant(weight_minus_gamma(lam, gamma))
+    assert nondominant > 0
+
+
+def test_one_gamma_fills_a_small_part_of_the_table(monkeypatch):
+    # the table is filled lazily: one gamma of the rank 16 word, whose
+    # whole-word table calls _successors once for each of tens of
+    # thousands of entries, fills only what its own walk asks for
+    word = DrinfeldWord(16, [(1, 0), (3, 4), (5, 0), (7, 4), (9, 0), (11, 4),
+                             (13, 0), (15, 4), (16, 1)])
+    lam, pairs = weight_of(word), consecutive_pairs(word)
+    gamma = (0, 0, 1, 2, 3, 4, 5, 5, 5, 5, 5, 4, 4, 3, 2, 0)
+    expected = _per_gamma_search(gamma, lam, pairs)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _successors(*args)
+
+    monkeypatch.setattr(multipartition, "_successors", counted)
+    _search_table.cache_clear()
+    assert enumerate_multipartitions(gamma, lam, pairs) == expected
+    assert expected and len(calls) < 5000, len(calls)
 
 
 def test_input_validation():

@@ -14,8 +14,10 @@ from hldecomp.hl_category import weight_of, xi_from_weight
 from hldecomp.multipartition import compute_K, enumerate_multipartitions
 from hldecomp.polytope_count import build_polytope
 from hldecomp.root_system import (
+    check_node_pairs,
     check_rank,
     check_weight,
+    check_weight_of_its_rank,
     dominant_gamma_bounds,
     e_gamma,
     enumerate_dominant_gammas,
@@ -122,6 +124,7 @@ def _full_oracle(n, lam):
 
 _WEIGHT_RULES = {
     "check_weight": check_weight,
+    "check_weight_of_its_rank": lambda n, lam: check_weight_of_its_rank(lam),
     "weyl_dim": weyl_dim,
     "weight_multiplicities": weight_multiplicities,
     "enumerate_dominant_gammas": lambda n, lam: enumerate_dominant_gammas(lam),
@@ -167,6 +170,7 @@ def test_each_bad_weight_gets_the_message_of_check_weight(name, n, lam, message)
 
 
 @pytest.mark.parametrize("call", [
+    pytest.param(lambda: check_weight_of_its_rank(5), id="check_weight_of_its_rank"),
     pytest.param(lambda: xi_from_weight(5), id="xi_from_weight"),
     pytest.param(lambda: enumerate_dominant_gammas(5), id="enumerate_dominant_gammas"),
     pytest.param(lambda: gamma_domain(5, None), id="gamma_domain"),
@@ -187,6 +191,23 @@ def test_a_weight_that_is_no_sequence_is_refused_by_name(call):
 
 def test_check_weight_returns_a_tuple():
     assert check_weight(3, [1, 0, 2]) == (1, 0, 2)
+    assert check_weight_of_its_rank([1, 0, 2]) == (1, 0, 2)
+
+
+def test_checked_node_pairs_are_checked_again_only_at_another_rank():
+    # the tuple check_node_pairs returns passes again at its own rank
+    # without a second check, but not at a smaller rank, and an equal
+    # tuple that it did not return is checked in full: (1.0, 5) equals
+    # (1, 5) and must still be refused
+    checked = check_node_pairs(5, [(1, 5), (2, 3)])
+    assert checked == ((1, 5), (2, 3))
+    assert check_node_pairs(5, checked) is checked
+    message = "pair (1, 5) is not two nodes 1 <= a < b <= 3"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_node_pairs(3, checked)
+    with pytest.raises(ValueError, match=re.escape("pair must hold integers, got (1.0, 5)")):
+        check_node_pairs(5, ((1.0, 5),))
+    assert check_node_pairs(6, checked) == checked
 
 
 def test_weight_minus_simple_roots():

@@ -100,7 +100,7 @@ from math import factorial, isqrt, lcm
 from .hl_category import check_depths, consecutive_pairs, is_normalized, weight_of
 from .polytope_count import QPolynomial
 from .root_system import (check_gamma, check_ints, check_weight_of_its_rank, e_gamma,
-                          gamma_domain, gamma_height, live_paths)
+                          gamma_domain, gamma_height)
 
 
 def conditions(lam, gamma, depths):
@@ -186,27 +186,23 @@ def orbit_basis(tables, degree):
     node and represents the sum of the distinct monomials in its
     symmetric group orbit.  tables holds one map from degree to
     multisets per node, as `_pole_table` builds them; a node without
-    variables has the one multiset (), of degree 0.  `live_paths` walks
-    the running degree sums s_i = d_1 + ... + d_i, each d_i a degree of
-    node i's table: the step into the last node takes only s_n =
-    degree, and only if degree - s_{n-1} is in its table, so a node
-    whose table is empty leaves no path.  Each path gives the product
-    of the nodes' multisets at its degrees.
+    variables has the one multiset (), of degree 0.  One backward pass
+    over the tables gives, for each node, the degree sums that the nodes
+    after it can still add, each (node, sum) expanded once.  The walk
+    then runs forward over the degree still owed, rest = degree - d_1 -
+    ... - d_i, and takes a degree d of node i only when rest - d is such
+    a sum; so every path it extends is completed, the last node takes
+    exactly the rest, and a node whose table is empty leaves no path.
+    Each path gives the product of the nodes' multisets at its degrees.
     """
-    n = len(tables)
-
-    def successors(i, _, s):
-        if i < n - 1:
-            return [s + d for d in tables[i]]
-        if i == n - 1:
-            return [degree] if degree - s in tables[i] else []
-        # past the last node; s differs from degree only when n = 1
-        return [s] if s == degree else []
-
-    out = []
-    for sums in live_paths(n, 0, tables[0], successors):
-        out += product(*[table[s - prev]
-                         for table, prev, s in zip(tables, (0,) + sums, sums)])
+    reach = [{0}]  # reach[i]: the degree sums of the nodes after node i
+    for table in reversed(tables[1:]):
+        reach.insert(0, {d + s for d in table for s in reach[0]})
+    paths = [((), degree)]  # (the degree groups chosen, the degree owed)
+    for table, later in zip(tables, reach):
+        paths = [(groups + (group,), rest - d) for groups, rest in paths
+                 for d, group in table.items() if rest - d in later]
+    out = [orbit for groups, _ in paths for orbit in product(*groups)]
     out.sort()
     return out
 

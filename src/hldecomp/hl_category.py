@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .root_system import (check_ints, check_pair, check_rank, check_weight_of_its_rank,
-                          pairing, positive_roots)
+from .root_system import (check_ints, check_node_pairs, check_pair, check_rank,
+                          check_weight_of_its_rank, pairing, positive_roots)
 
 
 class InvalidWord(ValueError):
@@ -106,9 +106,14 @@ def validate_word(factors) -> list[str]:
 
 
 class DrinfeldWord:
-    """A prime level-one word: factors (i_j, m_j) with i_1 < ... < i_k."""
+    """A prime level-one word: factors (i_j, m_j) with i_1 < ... < i_k.
 
-    __slots__ = ("n", "factors")
+    The node pairs of consecutive factors are checked once, here, and
+    kept as the tuple `consecutive_pairs` returns; equality, hash and
+    repr read n and factors only.
+    """
+
+    __slots__ = ("n", "factors", "pairs")
 
     def __init__(self, n: int, factors):
         check_rank(n)
@@ -123,6 +128,7 @@ class DrinfeldWord:
             raise InvalidWord("; ".join(problems))
         self.n = n
         self.factors = factors
+        self.pairs = check_node_pairs(n, zip(self.nodes(), self.nodes()[1:]))
 
     def nodes(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.factors)
@@ -147,9 +153,10 @@ def weight_of(word: DrinfeldWord) -> tuple[int, ...]:
 
 
 def consecutive_pairs(word: DrinfeldWord) -> tuple[tuple[int, int], ...]:
-    """Node intervals (i_j, i_{j+1}) spanned by consecutive factors."""
-    nodes = word.nodes()
-    return tuple(zip(nodes, nodes[1:]))
+    """Node intervals (i_j, i_{j+1}) spanned by consecutive factors, as
+    the word checked them by `check_node_pairs` at its rank, so that
+    the lattice layers take them without checking them again."""
+    return word.pairs
 
 
 def pi_from_interval(kappa, J) -> DrinfeldWord:

@@ -340,13 +340,13 @@ def multiplicity(word, gamma) -> QPolynomial:
     consecutive pairs, each shifted by the K that build_polytope keeps
     on its spec.  Besides those with a negative capacity, the search
     drops those whose polytope a pair constraint rules out, whose
-    histograms would be zero.  The pairs are checked once here; the
-    search and build_polytope take the checked tuple without checking
-    it again.
+    histograms would be zero.  The word checked its pairs when it was
+    built; the search and build_polytope take that tuple without
+    checking it again.
     """
     lam = weight_of(word)
     gamma = check_gamma(lam, gamma)
-    pairs = check_node_pairs(len(lam), consecutive_pairs(word))
+    pairs = consecutive_pairs(word)
     height = sum(gamma)
     total = {}
     for parts in mpart.enumerate_multipartitions(gamma, lam, pairs):

@@ -5,17 +5,19 @@ lattice elements are tuples of length n in the simple root basis.
 Positive roots are encoded as intervals (i, j) with 1 <= i <= j <= n,
 meaning alpha_i + alpha_{i+1} + ... + alpha_j.
 
-`live_paths` is the one memoised walk over node-local states (i,
-x_{i-1}, x_i) in the package, in two phases: `live_successors` keeps
-the successors of each state that have a completion, and
-`read_live_paths` lists the paths off them.
+Two walks over node-local states read their paths through
+`read_live_paths`, and each keeps its own memo.  `live_successors`
+memoises a walk over the states (i, x_{i-1}, x_i), keeping the
+successors of each state that have a completion; the dominant gamma
+walk, `dominant_gamma_steps`, is such a memo and the one place that
+writes the dominance rule, and `enumerate_dominant_gammas` reads the
+gammas off it.  `multipartition.enumerate_multipartitions` reads the
+pruned multipartitions off `multipartition._search_table`, which keeps
+its own memo per state (i, mu_{i-1}, (mu_i, run)) and next size, and
+whose states take the sizes the dominant gamma walk allows.
 `functional_oracle.orbit_basis` walks the running degree sums of the
-dual orbit basis through `live_paths`.  The dominant gamma walk,
-`dominant_gamma_steps`, is the one place that writes the dominance
-rule: `enumerate_dominant_gammas` reads the gammas off it, and
-`multipartition.enumerate_multipartitions` reads the pruned
-multipartitions off a search table whose states take the sizes that
-walk allows.
+dual orbit basis without a memo: one backward pass over its node
+tables tells each step which sums can still complete.
 """
 
 from __future__ import annotations
@@ -177,15 +179,17 @@ def dominant_gamma_bounds(lam) -> tuple[int, ...]:
 
 
 def live_successors(n: int, successors):
-    """The first phase of `live_paths`: the function live(i, prev, cur)
-    that returns the successors of the state (i, x_{i-1}, x_i) with a
-    completion, in successors order.
+    """A memoised walk over the states (i, x_{i-1}, x_i): the function
+    live(i, prev, cur) that returns the successors of a state that have
+    a completion, in successors order.
 
     A dict owned by the returned function keeps, per state, its
     successors with a completion; a state is filled depth first when it
     is first asked for, and successors is called once per state filled.
     At node n, successors(n, x_{n-1}, x_n) is the last check and is kept
-    as it is.
+    as it is.  So each state is expanded once, and the work grows with
+    the number of states, not with the product of the choices.  The
+    values of successors must be hashable.
     """
     live = {}  # (i, x_{i-1}, x_i) -> successors with a completion
 
@@ -203,10 +207,12 @@ def live_successors(n: int, successors):
 
 
 def read_live_paths(n: int, start, firsts, live) -> list[tuple]:
-    """The second phase of `live_paths`: every sequence (x_1, ..., x_n)
-    with x_1 in firsts and live(1, start, x_1) nonempty, and x_{i+1} in
-    live(i, x_{i-1}, x_i) for i < n, in choice order.  live lists only
-    successors with a completion, as `live_successors` does."""
+    """Every sequence (x_1, ..., x_n) with x_1 in firsts and live(1,
+    start, x_1) nonempty, and x_{i+1} in live(i, x_{i-1}, x_i) for i <
+    n, where x_0 = start.  They come in choice order: by x_1 in firsts
+    order, then by each x_{i+1} in the order live lists it.  live lists
+    only successors with a completion, as the function `live_successors`
+    returns does, so every path extended is listed."""
     found = []
     path = []
 
@@ -223,24 +229,6 @@ def read_live_paths(n: int, start, firsts, live) -> list[tuple]:
         if live(1, start, first):
             extend(1, start, first)
     return found
-
-
-def live_paths(n: int, start, firsts, successors) -> list[tuple]:
-    """Every sequence (x_1, ..., x_n) with x_1 in firsts and x_{i+1} in
-    successors(i, x_{i-1}, x_i) for i < n, where x_0 = start and
-    successors(n, x_{n-1}, x_n) must be nonempty.
-
-    Sequences come in choice order: by x_1 in firsts order, then by
-    each x_{i+1} in the order successors lists it.  The walk runs over
-    the states (i, x_{i-1}, x_i) in two phases: `live_successors` keeps,
-    per state, the successors that have a completion, and
-    `read_live_paths` reads the sequences off that memo.  So no state
-    without a completion is entered, and the work grows with the number
-    of states and the output, not with the product of the choices.
-    successors is called once per state reached and its values must be
-    hashable.
-    """
-    return read_live_paths(n, start, firsts, live_successors(n, successors))
 
 
 def dominant_gamma_steps(lam):

@@ -4,6 +4,7 @@ from itertools import combinations, product
 
 from hldecomp.hl_category import DrinfeldWord
 from hldecomp.multipartition import partitions_of
+from hldecomp.root_system import live_successors, read_live_paths
 
 
 def sign_patterns(k):
@@ -75,3 +76,11 @@ def full_tables(gamma, bounds):
     variables (not in bounds)."""
     return [multisets_by_product(r, *bounds.get(i, (0, 0)))
             for i, r in enumerate(gamma, start=1)]
+
+
+def live_paths(n, start, firsts, successors):
+    """Every sequence (x_1, ..., x_n) with x_1 in firsts and x_{i+1} in
+    successors(i, x_{i-1}, x_i) for i < n, where x_0 = start and
+    successors(n, x_{n-1}, x_n) must be nonempty, in choice order: the
+    `live_successors` memo of successors read by `read_live_paths`."""
+    return read_live_paths(n, start, firsts, live_successors(n, successors))

@@ -28,7 +28,7 @@ RANK14_JSON_SHA256 = "e2064b306ed4d87bcf51ffefc17c25fb9595169a53d7ce894135b8b8dc
 RANK10_ARGS = ["--n", "10", "--pi", "1:0,2:3,4:-1,6:3,8:-1,10:3"]
 RANK10_JSON_SHA256 = "d6c688f0c40fc18fe126747fb221802a1a24f125f26f0c3c6a7aa7762a8ada1a"
 # oracle --format json output of the dual realization as an earlier
-# version wrote it, for two full-mode jobs and a pair-mode job; the rank
+# version wrote it, for full-mode jobs and a pair-mode job; the rank
 # 1 job is the graded tensor square of V(2), V(4) + q V(2) + q^2 V(0),
 # whose one node's pole conditions are the whole problem
 ORACLE_JSON_SHA256 = {
@@ -41,6 +41,13 @@ ORACLE_JSON_SHA256 = {
         "d60c8512d7ee8d00d469efeeb651b5f87a680a7254777a1f9f2d997f9feea12f",
     "--n 5 --pi 3:0,4:3,5:0":
         "49a0ae63dd11e87694607eca6a00cbefd30988b50e2f72e223302e84876f569a",
+    # full mode at n = 3 and 4, where the orbit walk runs over more than
+    # two nodes: criterion 5's xi = 1 on (2,2,2), and the local Weyl
+    # module of (2,1,1,1) with the CI loop's xi_alpha = lam(h_alpha)
+    "--n 3 --lambda 2,2,2 --xi 1":
+        "4f8f649b0d1f7644c3f8a8d85d92cc47857888bfe53ad22296b188ea1cd0ecdd",
+    "--n 4 --lambda 2,1,1,1 --xi 1-1:2,1-2:3,1-3:4,1-4:5,2-2:1,2-3:2,2-4:3,3-3:1,3-4:2,4-4:1":
+        "c292691e056364e6cfe21e3a525e08095a7af9ce1679f1aebae94e5211e17eab",
 }
 README = Path(__file__).resolve().parent.parent / "README.md"
 

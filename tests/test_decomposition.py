@@ -15,7 +15,7 @@ from hldecomp.decomposition import (
     to_json_text,
     total_dimension,
 )
-from hldecomp import decomposition, functional_oracle
+from hldecomp import decomposition, functional_oracle, root_system
 from hldecomp.cli import _cache_load
 from hldecomp.functional_oracle import oracle_decomposition
 from hldecomp.hl_category import DrinfeldWord, weight_of
@@ -25,6 +25,11 @@ from hldecomp.root_system import weyl_dim
 from conftest import word_grid
 
 WORD3 = DrinfeldWord(3, [(1, 0), (2, 3), (3, 0)])
+# the words the CI loop decomposes at ranks 10, 12 and 14
+RANK10_WORD = DrinfeldWord(10, [(1, 0), (2, 3), (4, -1), (6, 3), (8, -1), (10, 3)])
+RANK12_WORD = DrinfeldWord(12, [(1, -2), (3, 2), (5, -2), (7, 2), (9, -2), (11, 2), (12, -1)])
+RANK14_WORD = DrinfeldWord(14, [(1, 0), (3, 4), (5, 0), (7, 4), (9, 0), (11, 4), (13, 0),
+                                (14, 3)])
 
 
 def test_single_factor_word():
@@ -218,3 +223,66 @@ def test_crosscheck_on_rank6_grid():
     failed = [(word, mismatches) for word in words
               for ok, mismatches in [crosscheck(word)] if not ok]
     assert not failed
+
+
+def test_a_word_checks_its_pairs_once(monkeypatch):
+    # the word checked its consecutive pairs when it was built, and every
+    # gamma's search and polytope take that checked tuple as it is
+    calls = []
+    check_pair = root_system.check_pair
+
+    def counted(*args):
+        calls.append(args)
+        return check_pair(*args)
+
+    monkeypatch.setattr(root_system, "check_pair", counted)
+    dec = graded_decomposition(RANK12_WORD)
+    assert len(dec.domain) == 634
+    assert len(calls) <= 6, len(calls)
+
+
+def flipped(word):
+    """The word under the diagram automorphism i -> n + 1 - i: each
+    factor (i, m) becomes (n + 1 - i, m), listed in node order."""
+    return DrinfeldWord(word.n, sorted((word.n + 1 - i, m) for i, m in word.factors))
+
+
+def assert_flip_reverses_gammas(dec, flip_dec):
+    # the flip maps V(lam - gamma) to V(flip(lam) - reversed gamma), so
+    # the flipped word's decomposition is the word's with every gamma
+    # reversed, grade for grade
+    assert sorted(g[::-1] for g in dec.domain) == sorted(flip_dec.domain)
+    assert {g[::-1]: poly for g, poly in dec.entries.items()} == flip_dec.entries
+
+
+def test_diagram_flip_reverses_gammas_on_word_grid():
+    # the K term reads mu_{i+1} only and the search walks left to right,
+    # so the lattice side is not visibly symmetric
+    words = word_grid(6, 6)
+    assert len(words) == 219
+    for word in words:
+        assert_flip_reverses_gammas(graded_decomposition(word),
+                                    graded_decomposition(flipped(word)))
+
+
+@pytest.mark.parametrize("word", [RANK10_WORD, RANK12_WORD], ids=["rank10", "rank12"])
+def test_diagram_flip_reverses_gammas_on_ci_words(word):
+    assert flipped(word) != word
+    assert_flip_reverses_gammas(graded_decomposition(word),
+                                graded_decomposition(flipped(word)))
+
+
+@pytest.mark.slow
+def test_diagram_flip_reverses_gammas_on_the_rank14_word():
+    assert_flip_reverses_gammas(graded_decomposition(RANK14_WORD),
+                                graded_decomposition(flipped(RANK14_WORD)))
+
+
+def test_diagram_flip_reverses_gammas_of_the_dual_side():
+    # the flip moves the nodes without variables from one end of the
+    # orbit walk to the other
+    words = word_grid(4, 4)
+    assert len(words) == 42
+    for word in words:
+        assert_flip_reverses_gammas(oracle_decomposition(mode="pair", word=word),
+                                    oracle_decomposition(mode="pair", word=flipped(word)))

@@ -24,10 +24,9 @@ from hldecomp.multipartition import (
     row_counts,
 )
 from hldecomp.polytope_count import build_polytope, count_by_grade, count_by_grade_ie
-from hldecomp.root_system import (enumerate_dominant_gammas, is_dominant, live_paths,
-                                  weight_minus_gamma)
+from hldecomp.root_system import enumerate_dominant_gammas, is_dominant, weight_minus_gamma
 
-from conftest import all_multipartitions, shape_grid, word_grid, words_on_nodes
+from conftest import all_multipartitions, live_paths, shape_grid, word_grid, words_on_nodes
 
 RANK8_LAM = (0, 1, 1, 1, 1, 0, 1, 0)
 RANK8_GAMMA = (1, 3, 4, 4, 3, 2, 1, 0)

@@ -24,7 +24,6 @@ from hldecomp.root_system import (
     gamma_domain,
     gamma_height,
     is_dominant,
-    live_paths,
     pairing,
     positive_roots,
     weight_minus_gamma,
@@ -32,7 +31,7 @@ from hldecomp.root_system import (
 )
 from hldecomp.weyl_characters import weight_multiplicities
 
-from conftest import word_grid, words_on_nodes
+from conftest import live_paths, word_grid, words_on_nodes
 
 
 def test_check_rank():
